@@ -158,7 +158,6 @@ def _cmd_table_build(args, run: _Run) -> int:
             params,
             target_vmax,
             base=partial.base,
-            threads=run.threads,
             start_from=partial,
         )
         out_path = run.resolve(args.out_file) if args.out_file else resume_path.absolute()
@@ -170,9 +169,7 @@ def _cmd_table_build(args, run: _Run) -> int:
         if args.m is None or args.vmax is None:
             raise ValidationError("table build needs --m and --vmax (or --resume)")
         params = _params_for_checks(args.m, args.vmax)
-        table = fill_table(
-            params, args.vmax, base=BaseConfig.from_label(args.base), threads=run.threads
-        )
+        table = fill_table(params, args.vmax, base=BaseConfig.from_label(args.base))
         out_path = run.resolve(args.out_file or ("table_m%d_v%d.cpt" % (args.m, args.vmax)))
         print("filled m=%d vmax=%d, %d nonzero entries" % (table.m, table.vmax, len(table.entries)))
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -303,7 +300,7 @@ def _poly1_str(poly) -> str:
 def _cmd_pde_residual(args, run: _Run) -> int:
     vmax = args.vmax if args.vmax is not None else args.m + 1
     params = _params_for_checks(args.m, vmax)
-    table = fill_table(params, vmax, threads=run.threads)
+    table = fill_table(params, vmax)
     if args.operator == "both":
         reports = residual_reconciliation(table)
         doc = {name: rep.to_json_dict() for name, rep in reports.items()}
@@ -359,15 +356,15 @@ def _cmd_pde_verify_expansion(args, run: _Run) -> int:
 # ----------------------------------------------------------------------
 
 
-def _build_query(n: int, r: Fraction, eps: Fraction, vmax: int, threads: int) -> ErrProbQuery:
+def _build_query(n: int, r: Fraction, eps: Fraction, vmax: int) -> ErrProbQuery:
     params = EnsembleParams(n=n, r=r)
-    table = fill_table(params, vmax, threads=threads)
+    table = fill_table(params, vmax)
     return ErrProbQuery(params=params, epsilon=eps, table=table)
 
 
 def _cmd_errprob_eval(args, run: _Run) -> int:
     vmax = args.vmax if args.vmax is not None else args.n
-    query = _build_query(args.n, args.r, args.eps, vmax, run.threads)
+    query = _build_query(args.n, args.r, args.eps, vmax)
     result = expected_block_error(query)
     print("x = %s" % query.x)
     print("E_B = %s" % result.value)
@@ -381,7 +378,7 @@ def _cmd_errprob_eval(args, run: _Run) -> int:
 def _cmd_errprob_sweep(args, run: _Run) -> int:
     vmax = args.vmax if args.vmax is not None else args.n
     params = EnsembleParams(n=args.n, r=args.r)
-    table = fill_table(params, vmax, threads=run.threads)
+    table = fill_table(params, vmax)
     lines = ["epsilon,value,float_value"]
     for eps in args.eps_list:
         query = ErrProbQuery(params=params, epsilon=eps, table=table)
@@ -397,7 +394,7 @@ def _cmd_errprob_sweep(args, run: _Run) -> int:
 def _cmd_errprob_hadamard_split(args, run: _Run) -> int:
     vmax = args.vmax if args.vmax is not None else args.n
     params = EnsembleParams(n=args.n, r=args.r)
-    table = fill_table(params, vmax, threads=run.threads)
+    table = fill_table(params, vmax)
     report = hadamard_split_report(table, args.t, args.s, args.n, x_grid=args.x_list or ())
     path = run.write_text(args.csv, report.to_csv())
     for est in report.estimates:
@@ -475,7 +472,7 @@ _RECONCILE_NOTE = (
 def _cmd_reconcile(args, run: _Run) -> int:
     run.seed = args.seed
     params = EnsembleParams(n=args.n, r=args.r)
-    table = fill_table(params, args.n, threads=run.threads)
+    table = fill_table(params, args.n)
     rows = []
     for eps in args.eps_list:
         query = ErrProbQuery(params=params, epsilon=eps, table=table)
@@ -543,7 +540,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="output directory for artifacts and manifest.json "
         "(default: $%s or the working directory)" % OUT_ENV_VAR,
     )
-    parser.add_argument("--threads", type=int, default=1, help="worker threads where supported")
+    parser.add_argument(
+        "--threads", type=int, default=1, help="worker threads for simulate and reconcile"
+    )
     groups = parser.add_subparsers(dest="group", required=True, metavar="GROUP")
 
     def leaf(sub, name, handler, label, **kwargs):

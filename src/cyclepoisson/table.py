@@ -8,6 +8,8 @@ three-index family of exact rationals over 0 <= v <= vmax, 1 <= t <= m,
 
 * the s = 0 boundary layer has the closed form
   A(v, t, 0) = binom(m, t) * (2v-1)!! * [x^(2v)] (e^x - 1 - x)^t,
+  computed in the integer form binom(m, t) * P_t[2v] / (v! * 2^v) with
+  P_t[n] = n! * [x^n] (e^x - 1 - x)^t,
 * every s >= 1 entry is defined by the three-term recurrence
   s * A(v,t,s) = A(v-1,t,s-2)*(m-t-s+2)*(m-t-s+1)   (when s >= 2)
               + A(v-1,t,s-1)*(m-t-s+1)*t
@@ -27,13 +29,12 @@ from __future__ import annotations
 import enum
 import itertools
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .combinatorics import binomial, double_factorial_odd, factorial, log_fraction
+from .combinatorics import binomial, factorial, log_fraction
 from .errors import GuardError, TableFormatError, ValidationError
-from .series import Series, poisson_block_series
+from .series import poisson_block_series
 
 __all__ = [
     "EnsembleParams",
@@ -189,34 +190,46 @@ def constellation_count(params: EnsembleParams, v: int) -> int:
     return params.m ** (2 * v)
 
 
+def _block_counts(tmax: int, nmax: int) -> list[list[int]]:
+    """P[t][n] = n! * [x^n] (e^x - 1 - x)^t for 0 <= t <= tmax, 0 <= n <= nmax.
+
+    P[t][n] counts ordered t-tuples of disjoint blocks of size >= 2 covering
+    n labeled elements.  The last element either joins one of the t blocks
+    of a cover of the other n-1, or pairs with one of those n-1 in a new
+    block of size 2:  P[t][n] = t * (P[t][n-1] + (n-1) * P[t-1][n-2]).
+    Exact integers, zero for n < 2t.
+    """
+    counts = [[0] * (nmax + 1) for _ in range(tmax + 1)]
+    counts[0][0] = 1
+    for t in range(1, tmax + 1):
+        prev, row = counts[t - 1], counts[t]
+        for n in range(2 * t, nmax + 1):
+            row[n] = t * (row[n - 1] + (n - 1) * prev[n - 2])
+    return counts
+
+
 def stopping_set_count(params: EnsembleParams, v: int, t: int) -> int:
     """Assignments of v variables covering exactly t checks, each at least twice.
 
-    Closed form binom(m,t) * (2v)! * [x^(2v)] (e^x - 1 - x)^t; always a
-    nonnegative integer.
+    Closed form binom(m,t) * (2v)! * [x^(2v)] (e^x - 1 - x)^t, evaluated as
+    binom(m,t) * P_t[2v]: an exact integer by construction.
     """
     if v < 0 or t < 0:
         raise ValidationError("stopping_set_count needs v, t >= 0")
     if t > params.m:
         return 0
-    coef = poisson_block_series(t, 2 * v).coef(2 * v)
-    val = binomial(params.m, t) * factorial(2 * v) * coef
-    if val.denominator != 1:
-        raise ValidationError("stopping-set count is not integral: %s" % (val,))
-    return int(val)
+    return binomial(params.m, t) * _block_counts(t, 2 * v)[t][2 * v]
 
 
 def boundary_coefficient(params: EnsembleParams, v: int, t: int) -> Fraction:
     """The s = 0 layer: binom(m,t) * (2v-1)!! * [x^(2v)] (e^x - 1 - x)^t.
 
-    Zero whenever v < t (the series has nothing below x^(2t)).
+    Equals stopping_set_count / (v! * 2^v); zero whenever v < t (the series
+    has nothing below x^(2t)).
     """
     if v < 1 or t < 1:
         raise ValidationError("boundary_coefficient needs v >= 1 and t >= 1")
-    if t > params.m:
-        return Fraction(0)
-    coef = poisson_block_series(t, 2 * v).coef(2 * v)
-    return binomial(params.m, t) * double_factorial_odd(v) * coef
+    return Fraction(stopping_set_count(params, v, t), factorial(v) * 2**v)
 
 
 def brute_force_profile_counts(m: int, v: int) -> dict[tuple[int, int], int]:
@@ -261,36 +274,18 @@ def _recurrence_rhs(value, m: int, v: int, t: int, s: int) -> Fraction:
     return rhs
 
 
-def _boundary_level(params: EnsembleParams, v: int) -> dict[tuple[int, int, int], Fraction]:
-    """All nonzero s = 0 entries of level v, one incremental power sweep."""
-    m = params.m
-    out: dict[tuple[int, int, int], Fraction] = {}
-    order = 2 * v
-    base = poisson_block_series(1, order)
-    power = Series([Fraction(1)] + [Fraction(0)] * order)
-    dfo = double_factorial_odd(v)
-    for t in range(1, min(v, m) + 1):  # zero above t = v, nothing to store
-        power = power * base
-        coef = power.coef(order)
-        if coef:
-            out[(v, t, 0)] = binomial(m, t) * dfo * coef
-    return out
-
-
 def fill_table(
     params: EnsembleParams,
     vmax: int,
     base: BaseConfig = BaseConfig.UNIT_ORIGIN,
-    threads: int = 1,
     start_from: CoeffTable | None = None,
 ) -> CoeffTable:
     """Fill A(v, t, s) level by level up to vmax.
 
     Level v depends only on level v-1, so levels fill in increasing v; the
-    entries inside a level are independent and may be computed concurrently
-    (threads > 1), with bit-identical results either way.  `start_from`
-    resumes from an existing table with the same m and base (its levels are
-    trusted as-is).
+    s = 0 entries of every level come from one boundary_layer call.
+    `start_from` resumes from an existing table with the same m and base
+    (its levels are trusted as-is).
 
     Raises:
         ValidationError: vmax outside 0..n, or mismatched resume table.
@@ -313,21 +308,14 @@ def fill_table(
     def value(v, t, s):
         return entries.get((v, t, s), Fraction(0))
 
-    def cell(v, t, s):
-        rhs = _recurrence_rhs(value, m, v, t, s)
-        return (v, t, s), rhs / s
-
+    boundary = boundary_layer(m, vmax, range(1, min(vmax, m) + 1))
     for v in range(first_level, vmax + 1):
-        level = _boundary_level(params, v)
-        todo = [(v, t, s) for t in range(1, m + 1) for s in range(1, m - t + 1)]
-        if threads > 1 and todo:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(lambda key: cell(*key), todo))
-        else:
-            results = [cell(*key) for key in todo]
-        for key, val in results:
-            if val:
-                level[key] = val
+        level = {(v, t, 0): vals[v] for t, vals in boundary.items() if v in vals}
+        for t in range(1, m + 1):
+            for s in range(1, m - t + 1):
+                val = _recurrence_rhs(value, m, v, t, s) / s
+                if val:
+                    level[(v, t, s)] = val
         entries.update(level)
     return CoeffTable(params, vmax, base, entries)
 
@@ -339,9 +327,13 @@ def verify_table(table: CoeffTable) -> list[str]:
     index ranges, v = 0 plane matches the base config), the three-term
     recurrence at every (v, t, s) with s >= 1 in support (including entries
     stored as zero by omission), and the boundary identity
-    v! * 2^v * A(v,t,0) == stopping_set_count(v, t).
+    v! * 2^v * A(v,t,0) == binom(m,t) * (2v)! * [x^(2v)] (e^x - 1 - x)^t.
+    The boundary side comes from one exact power sweep of
+    poisson_block_series at order 2*vmax, independent of the integer
+    kernel the fill uses.
     """
     m = table.m
+    vmax = table.vmax
     bad: list[str] = []
     origin = table.base.level_zero()
     for (v, t, s), val in sorted(table.entries.items()):
@@ -352,12 +344,19 @@ def verify_table(table: CoeffTable) -> list[str]:
                 bad.append("v=0 entry (%d,%d,%d)=%s conflicts with base %s"
                            % (v, t, s, val, table.base.value))
             continue
-        if v > table.vmax or not (1 <= t <= m) or not (0 <= s <= m - t):
+        if v > vmax or not (1 <= t <= m) or not (0 <= s <= m - t):
             bad.append("entry outside support at (%d,%d,%d)" % (v, t, s))
-    for v in range(1, table.vmax + 1):
+    block = poisson_block_series(1, 2 * vmax)
+    power = poisson_block_series(0, 2 * vmax)
+    stopping: dict[tuple[int, int], Fraction] = {}
+    for t in range(1, min(m, vmax) + 1):  # (e^x-1-x)^t vanishes below x^(2t)
+        power = power * block
+        for v in range(t, vmax + 1):
+            stopping[(v, t)] = binomial(m, t) * factorial(2 * v) * power.coef(2 * v)
+    for v in range(1, vmax + 1):
         for t in range(1, m + 1):
-            expected = factorial(v) * 2**v * table.value(v, t, 0)
-            if expected != stopping_set_count(table.params, v, t):
+            weighted = factorial(v) * 2**v * table.value(v, t, 0)
+            if weighted != stopping.get((v, t), 0):
                 bad.append("boundary identity fails at (v=%d,t=%d)" % (v, t))
             for s in range(1, m - t + 1):
                 rhs = _recurrence_rhs(table.value, m, v, t, s)
@@ -421,9 +420,10 @@ def growth_exponent(table: CoeffTable, v: int, t: int, base=10) -> float:
 def boundary_layer(m: int, vmax: int, t_values) -> dict[int, dict[int, Fraction]]:
     """Exact s = 0 boundary values A(v, t, 0) for the requested t's.
 
-    One incremental power sweep of (e^x - 1 - x)^t at order 2*vmax covers
-    every t at once; this is how deep profiles (m = 100, v up to 100) stay
-    cheap without filling the full three-index table.
+    One integer tabulation of P_t[2v] up to the largest t covers every t at
+    once; this is how deep profiles (m = 100, v up to 100) stay cheap
+    without filling the full three-index table.  Each t maps to its values
+    at v = t..vmax (all nonzero).
     """
     t_set = {int(t) for t in t_values}
     if not t_set:
@@ -432,21 +432,17 @@ def boundary_layer(m: int, vmax: int, t_values) -> dict[int, dict[int, Fraction]
         raise ValidationError("t values must be >= 1")
     if max(t_set) > m:
         raise ValidationError("t values must not exceed m = %d" % (m,))
-    order = 2 * vmax
-    base = poisson_block_series(1, order)
-    power = Series([Fraction(1)] + [Fraction(0)] * order)
-    dfo = [double_factorial_odd(v) for v in range(vmax + 1)]
-    out: dict[int, dict[int, Fraction]] = {}
-    for t in range(1, max(t_set) + 1):
-        power = power * base
-        if t in t_set:
-            ct = binomial(m, t)
-            out[t] = {
-                v: ct * dfo[v] * power.coef(2 * v)
-                for v in range(t, vmax + 1)
-                if power.coef(2 * v)
-            }
-    return out
+    if vmax < 0:
+        raise ValidationError("vmax must be >= 0, got %r" % (vmax,))
+    counts = _block_counts(max(t_set), 2 * vmax)
+    weight = [factorial(v) * 2**v for v in range(vmax + 1)]
+    return {
+        t: {
+            v: Fraction(binomial(m, t) * counts[t][2 * v], weight[v])
+            for v in range(t, vmax + 1)
+        }
+        for t in sorted(t_set)
+    }
 
 
 def growth_profile(m: int, vmax: int, t_values, base=10) -> dict[int, list[tuple[int, float]]]:

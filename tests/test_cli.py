@@ -96,13 +96,6 @@ def test_build_then_resume_identical(tmp_path, capsys):
     assert cut.read_bytes() == original
 
 
-def test_build_threads_bit_identical(tmp_path, capsys):
-    out = str(tmp_path)
-    run_cli(capsys, "--out", out, "table", "build", "--m", "4", "--vmax", "5", "--out", "a.cpt")
-    run_cli(capsys, "--out", out, "--threads", "3", "table", "build", "--m", "4", "--vmax", "5", "--out", "b.cpt")
-    assert (tmp_path / "a.cpt").read_bytes() == (tmp_path / "b.cpt").read_bytes()
-
-
 def test_verify_flags_corruption(tmp_path, capsys):
     out = str(tmp_path)
     run_cli(capsys, "--out", out, "table", "build", "--m", "3", "--vmax", "3", "--out", "t.cpt")
@@ -277,6 +270,14 @@ def test_simulate_json_contains_oracle(tmp_path, capsys):
     assert doc["ci95"][0] <= exact <= doc["ci95"][1]
     on_disk = json.loads((tmp_path / "sim.json").read_text())
     assert on_disk == doc
+
+
+def test_simulate_threads_bit_identical(tmp_path, capsys):
+    out = str(tmp_path)
+    argv = ["simulate", "--n", "20", "--r", "1/2", "--eps", "1/5", "--trials", "3000", "--seed", "5"]
+    run_cli(capsys, "--out", out, *argv, "--json", "a.json")
+    run_cli(capsys, "--out", out, "--threads", "3", *argv, "--json", "b.json")
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
 def test_reconcile_report(tmp_path, capsys):

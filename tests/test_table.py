@@ -8,12 +8,16 @@ reconciled against a brute-force census of endpoint assignments for small m.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclepoisson.combinatorics import binomial, block_partition_count, factorial
 from cyclepoisson.errors import GuardError, ValidationError
+from cyclepoisson.series import poisson_block_series
 from cyclepoisson.table import (
     BaseConfig,
     EnsembleParams,
+    _block_counts,
     boundary_coefficient,
     boundary_layer,
     brute_force_profile_counts,
@@ -103,6 +107,16 @@ def test_stopping_set_matches_partition_oracle():
         assert stopping_set_count(p, v, t) == expect
 
 
+@settings(max_examples=60, deadline=None)
+@given(t=st.integers(0, 12), n=st.integers(0, 40))
+def test_block_counts_match_both_oracles(t, n):
+    # the integer kernel against the Fraction EGF convolution and the
+    # top-down partition recursion
+    count = _block_counts(t, n)[t][n]
+    assert count == factorial(n) * poisson_block_series(t, n).coef(n)
+    assert count == block_partition_count(n, t, 2)
+
+
 def test_boundary_rejects_degenerate_indices():
     p = EnsembleParams.from_checks(4)
     with pytest.raises(ValidationError):
@@ -151,11 +165,6 @@ def test_fill_depends_on_m_only():
     assert a == b
 
 
-def test_fill_threads_bit_identical():
-    p = EnsembleParams.from_checks(8)
-    assert fill_table(p, vmax=5, threads=1) == fill_table(p, vmax=5, threads=4)
-
-
 def test_fill_resume_matches_full():
     p = EnsembleParams.from_checks(5)
     full = fill_table(p, vmax=4)
@@ -202,6 +211,14 @@ def test_verify_table_flags_corruption():
     problems = verify_table(table)
     assert problems
     assert any("(2,1,1)" in msg or "(3," in msg for msg in problems)
+
+
+def test_verify_table_flags_boundary_corruption():
+    # no recurrence row reads level vmax, so only the boundary oracle can
+    # catch a wrong s = 0 entry there
+    table = fill_table(EnsembleParams.from_checks(4), vmax=3)
+    table.entries[(3, 2, 0)] += 1
+    assert verify_table(table) == ["boundary identity fails at (v=3,t=2)"]
 
 
 def test_level_sum_is_positive():
@@ -255,16 +272,26 @@ def test_growth_exponent_undefined_below_t():
         growth_exponent(table, 1, 2)
 
 
-def test_boundary_layer_matches_fill():
-    p = EnsembleParams.from_checks(6)
-    table = fill_table(p, vmax=5)
-    layer = boundary_layer(6, 5, [1, 2, 3])
+@st.composite
+def _layer_cases(draw):
+    m = draw(st.integers(1, 7))
+    vmax = draw(st.integers(0, m))
+    return m, vmax, draw(st.sets(st.integers(1, m)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_layer_cases())
+def test_boundary_layer_matches_fill(case):
+    m, vmax, t_set = case
+    table = fill_table(EnsembleParams.from_checks(m), vmax=vmax)
+    layer = boundary_layer(m, vmax, t_set)
+    assert set(layer) == t_set
     for t, per_v in layer.items():
         for v, val in per_v.items():
             assert table.value(v, t, 0) == val
     # and nothing extra: every nonzero boundary value is reported
     for (v, t, s), val in table.entries.items():
-        if s == 0 and t in (1, 2, 3) and v >= 1:
+        if s == 0 and t in t_set and v >= 1:
             assert layer[t][v] == val
 
 
@@ -279,6 +306,8 @@ def test_boundary_layer_validation():
         boundary_layer(5, 3, [0])
     with pytest.raises(ValidationError):
         boundary_layer(5, 3, [6])
+    with pytest.raises(ValidationError):
+        boundary_layer(5, -1, [1])
     assert boundary_layer(5, 3, []) == {}
 
 
