@@ -1,16 +1,21 @@
 """Sampling, peeling, and block-error estimation.
 
-The exhaustive enumerator is the oracle for the Monte Carlo path, and the
-peeling decoder cross-checks the union-find failure test: the two are
-independent implementations of the same failure event.
+The exhaustive enumerator is the oracle for the Monte Carlo path.  The
+batched 2-core peel, the per-code peeling decoder and the union-find
+cycle test are three independent implementations of the same failure
+event, and `replay_trial` checks the batch trial by trial.
 """
 
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cyclepoisson import simulator
 from cyclepoisson.errors import GuardError, ValidationError
 from cyclepoisson.simulator import (
     RNG_ID,
@@ -18,8 +23,10 @@ from cyclepoisson.simulator import (
     SampledCode,
     _build_lut,
     _chunk_draws,
+    _erased_np,
     _erasure_fails,
     _range_failures,
+    _uniform_index_np,
     estimate_block_error,
     exhaustive_block_error,
     peel,
@@ -352,8 +359,8 @@ def test_estimate_ci_shrinks_with_trials():
 
 
 def test_estimate_wide_rationals_use_exact_path():
-    # q >= 2048 leaves the fast uint64 lane; results must stay
-    # deterministic and agree with the scalar replay
+    # a q with u * q past 2^64; results must stay deterministic and agree
+    # with the scalar replay
     params = P22
     eps = Fraction(1500, 2999)
     res = estimate_block_error(params, eps, trials=200, seed=11)
@@ -365,12 +372,13 @@ def test_estimate_wide_rationals_use_exact_path():
 
 
 def test_estimate_large_m_endpoints_exact():
-    # m >= 2048 also leaves the uint64 lane; check endpoint decoding
-    # against the scalar rng directly
+    # an m with u * m past 2^64; check endpoint decoding against the
+    # scalar rng directly
     m = 2500
     params = EnsembleParams.from_checks(m)
     u_end, _ = _chunk_draws(77, start=0, count=3, n=m)
     mapped = (u_end.astype(object) * m) >> 53
+    assert _uniform_index_np(u_end, m).tolist() == mapped.tolist()
     rng = CounterRng(77)
     for row in range(3):
         expect = [rng.uniform_index(m) for _ in range(2 * m)]
@@ -380,6 +388,102 @@ def test_estimate_large_m_endpoints_exact():
     assert res.failures == sum(
         replay_trial(params, Fraction(9, 10), 77, i).failed for i in range(60)
     )
+
+
+def test_estimate_very_wide_rationals_match_replay():
+    # q >= 2^32, including the 2^55 of Fraction(0.1); P22 reads the
+    # lookup table, params_for(6, 4) peels
+    for params in (P22, params_for(6, 4)):
+        for eps in (Fraction(0.1), Fraction(2**32 + 1, 2**33 + 3)):
+            res = estimate_block_error(params, eps, trials=300, seed=5)
+            assert res.failures == sum(
+                replay_trial(params, eps, 5, i).failed for i in range(300)
+            )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    u=st.lists(
+        st.one_of(st.integers(0, (1 << 53) - 1), st.sampled_from([0, (1 << 53) - 1])),
+        min_size=1,
+        max_size=20,
+    ),
+    m=st.one_of(st.integers(1, (1 << 32) - 1), st.sampled_from([1, (1 << 32) - 1])),
+    q=st.integers(1, 1 << 64),
+    data=st.data(),
+)
+def test_uint64_draw_maps_match_big_ints(u, m, q, data):
+    p = data.draw(st.integers(0, q))
+    arr = np.array(u, dtype=np.uint64)
+    assert _uniform_index_np(arr, m).tolist() == [(x * m) >> 53 for x in u]
+    assert _erased_np(arr, p, q).tolist() == [x * q < p << 53 for x in u]
+
+
+def test_estimate_rejects_m_beyond_split_multiply():
+    with pytest.raises(ValidationError):
+        estimate_block_error(params_for(1 << 32, 1 << 32), 1, trials=1, seed=1)
+
+
+_EPSILONS = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1)]),
+    st.fractions(min_value=0, max_value=1, max_denominator=50),
+    st.just(Fraction(0.3)),
+)
+
+
+@st.composite
+def _small_codes(draw):
+    m = draw(st.integers(1, 6))
+    return params_for(draw(st.integers(m, 12)), m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    params=_small_codes(),
+    eps=_EPSILONS,
+    seed=st.integers(0, (1 << 64) - 1),
+    lo=st.integers(0, 10**6),
+    count=st.integers(1, 60),
+)
+def test_batched_peel_matches_per_trial_peel(params, eps, seed, lo, count):
+    # n >= m, so erasing m or more variables (the shortcut that skips the
+    # peel) happens, always at eps = 1
+    p, q = eps.numerator, eps.denominator
+    batched = _range_failures(seed, lo, lo + count, params, p, q, None)
+    replayed = sum(
+        replay_trial(params, eps, seed, i).failed for i in range(lo, lo + count)
+    )
+    assert batched == replayed
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(1, 40),
+    extra=st.integers(0, 40),
+    eps=_EPSILONS,
+    seed=st.integers(0, (1 << 64) - 1),
+    lo=st.integers(0, 10**9),
+    cuts=st.lists(st.integers(0, 400), max_size=6),
+)
+def test_range_failures_split_invariance(m, extra, eps, seed, lo, cuts):
+    # the counter rng contract: any sharding of a trial range adds up
+    params = params_for(m + extra, m)
+    p, q = eps.numerator, eps.denominator
+    bounds = [lo] + sorted(lo + c for c in cuts) + [lo + 400]
+    pieces = sum(
+        _range_failures(seed, a, b, params, p, q, None)
+        for a, b in zip(bounds, bounds[1:])
+    )
+    assert pieces == _range_failures(seed, lo, lo + 400, params, p, q, None)
+
+
+def test_chunk_size_is_invisible(monkeypatch):
+    params = params_for(30, 20)
+    eps = Fraction(1, 4)
+    whole = _range_failures(5, 3, 403, params, 1, 4, None)
+    assert whole == sum(replay_trial(params, eps, 5, i).failed for i in range(3, 403))
+    monkeypatch.setattr(simulator, "_BATCH_DRAWS", 3 * 30 * 17)  # 17 trials a chunk
+    assert _range_failures(5, 3, 403, params, 1, 4, None) == whole
 
 
 def test_lut_and_direct_paths_agree():
