@@ -11,10 +11,21 @@ three-index family of exact rationals over 0 <= v <= vmax, 1 <= t <= m,
   computed in the integer form binom(m, t) * P_t[2v] / (v! * 2^v) with
   P_t[n] = n! * [x^n] (e^x - 1 - x)^t,
 * every s >= 1 entry is defined by the three-term recurrence
-  s * A(v,t,s) = A(v-1,t,s-2)*(m-t-s+2)*(m-t-s+1)   (when s >= 2)
-              + A(v-1,t,s-1)*(m-t-s+1)*t
-              + A(v-1,t-1,s)*(m-t-s+1)*s,
+  s * A(v,t,s) = A(v-1,t,s-2)*(u+2)*(u+1)   (when s >= 2)
+              + A(v-1,t,s-1)*(u+1)*t
+              + A(v-1,t-1,s)*(u+1)*s,      u = m-t-s,
   divided exactly by s.
+
+The recurrence factors.  With the multinomial M(t,s) = m!/(t! s! u!),
+  M(t,s-2)*(u+2)*(u+1) = M(t,s)*s*(s-1),
+  M(t,s-1)*(u+1)       = M(t,s)*s,
+  M(t-1,s)*(u+1)       = M(t,s)*t,
+so A(v,t,s) = M(t,s) * C(v,t,s) / (v! * 2^v) where the integers C do not
+depend on m:
+  C(v,t,0) = P_t[2v],
+  C(v,t,s) = 2v * ((s-1)*C(v-1,t,s-2) + t*C(v-1,t,s-1) + t*C(v-1,t-1,s)).
+fill_table evaluates this form; verify_table checks the unfactored
+recurrence.
 
 Entries outside the support are zero.  v! * 2^v * A(v, t, 0) equals the
 number of endpoint assignments of v variables whose image is exactly t
@@ -263,15 +274,31 @@ def brute_force_profile_counts(m: int, v: int) -> dict[tuple[int, int], int]:
 # ----------------------------------------------------------------------
 
 
-def _recurrence_rhs(value, m: int, v: int, t: int, s: int) -> Fraction:
-    """Right-hand side of the three-term recurrence at (v, t, s), s >= 1."""
-    u = m - t - s
-    rhs = Fraction(0)
-    if s >= 2:
-        rhs += value(v - 1, t, s - 2) * (u + 2) * (u + 1)
-    rhs += value(v - 1, t, s - 1) * (u + 1) * t
-    rhs += value(v - 1, t - 1, s) * (u + 1) * s
-    return rhs
+def _profile_counts(width: int, vmax: int) -> list[list[list[int]]]:
+    """C[v][t][s] of the factored recurrence for 0 <= v <= vmax, t + s <= width.
+
+    C(v,t,0) = P_t[2v] and, for s >= 1,
+    C(v,t,s) = 2v * ((s-1)*C(v-1,t,s-2) + t*C(v-1,t,s-1) + t*C(v-1,t-1,s)),
+    so every C is an integer and no step divides.  An entry reads only
+    smaller t and s, so the values do not depend on width, which only
+    bounds the triangle tabulated.  Rows stop at t = min(width, vmax) and
+    C(v,t,s) = 0 unless 2t + s <= 2v.  Row t = 0 is zero for s >= 1 at
+    every level, so the v = 0 origin never reaches an s >= 1 entry.
+    """
+    tmax = min(width, vmax)
+    blocks = _block_counts(tmax, 2 * vmax)
+    levels: list[list[list[int]]] = []
+    for v in range(vmax + 1):
+        level = [[blocks[t][2 * v]] + [0] * (width - t) for t in range(tmax + 1)]
+        for t in range(1, min(v, tmax) + 1):
+            row, same, left = level[t], levels[-1][t], levels[-1][t - 1]
+            for s in range(1, min(width - t, 2 * (v - t)) + 1):
+                c = t * (same[s - 1] + left[s])
+                if s >= 2:
+                    c += (s - 1) * same[s - 2]
+                row[s] = 2 * v * c
+        levels.append(level)
+    return levels
 
 
 def fill_table(
@@ -280,12 +307,15 @@ def fill_table(
     base: BaseConfig = BaseConfig.UNIT_ORIGIN,
     start_from: CoeffTable | None = None,
 ) -> CoeffTable:
-    """Fill A(v, t, s) level by level up to vmax.
+    """Fill A(v, t, s) for 1 <= v <= vmax as M(t,s) * C(v,t,s) / (v! * 2^v).
 
-    Level v depends only on level v-1, so levels fill in increasing v; the
-    s = 0 entries of every level come from one boundary_layer call.
-    `start_from` resumes from an existing table with the same m and base
-    (its levels are trusted as-is).
+    The integers C come from the m-free kernel _profile_counts and M(t,s)
+    is the multinomial m!/(t! s! (m-t-s)!); each stored entry is one
+    exact Fraction, and zeros are not stored.  The v = 0 plane is the base
+    config's.  `start_from` resumes from an existing table with the same m
+    and base: its stored levels up to min(its vmax, vmax) are kept as they
+    are, and the levels above come from the kernel, which does not read
+    them.
 
     Raises:
         ValidationError: vmax outside 0..n, or mismatched resume table.
@@ -304,19 +334,17 @@ def fill_table(
         first_level = min(start_from.vmax, vmax) + 1
     else:
         entries.update(base.level_zero())
-
-    def value(v, t, s):
-        return entries.get((v, t, s), Fraction(0))
-
-    boundary = boundary_layer(m, vmax, range(1, min(vmax, m) + 1))
+    counts = _profile_counts(m, vmax)
+    multinomial = [
+        [binomial(m, t) * binomial(m - t, s) for s in range(m - t + 1)]
+        for t in range(min(m, vmax) + 1)
+    ]
     for v in range(first_level, vmax + 1):
-        level = {(v, t, 0): vals[v] for t, vals in boundary.items() if v in vals}
-        for t in range(1, m + 1):
-            for s in range(1, m - t + 1):
-                val = _recurrence_rhs(value, m, v, t, s) / s
-                if val:
-                    level[(v, t, s)] = val
-        entries.update(level)
+        weight = factorial(v) * 2**v
+        for t in range(1, min(v, m) + 1):
+            for s, c in enumerate(counts[v][t]):
+                if c:
+                    entries[(v, t, s)] = Fraction(multinomial[t][s] * c, weight)
     return CoeffTable(params, vmax, base, entries)
 
 
@@ -324,21 +352,30 @@ def verify_table(table: CoeffTable) -> list[str]:
     """Independent recheck of every invariant; returns violation messages.
 
     Rechecks, independent of fill order: support (nothing stored outside the
-    index ranges, v = 0 plane matches the base config), the three-term
-    recurrence at every (v, t, s) with s >= 1 in support (including entries
-    stored as zero by omission), and the boundary identity
+    index ranges, v = 0 plane matches the base config), the paper's
+    unfactored three-term recurrence at every (v, t, s) with s >= 1 in
+    support (including entries stored as zero by omission), and the
+    boundary identity
     v! * 2^v * A(v,t,0) == binom(m,t) * (2v)! * [x^(2v)] (e^x - 1 - x)^t.
-    The boundary side comes from one exact power sweep of
-    poisson_block_series at order 2*vmax, independent of the integer
-    kernel the fill uses.
+    The recurrence is checked multiplied through by v! * 2^v, as
+    s * B(v,t,s) == 2v * R(B(v-1)) with B = v! * 2^v * A and R its
+    right-hand side; B is an int where integral and the exact Fraction
+    otherwise, so a corrupt entry is compared exactly.  The boundary side
+    comes from one exact power sweep of poisson_block_series at order
+    2*vmax, independent of the integer kernel the fill uses.
     """
     m = table.m
     vmax = table.vmax
     bad: list[str] = []
     origin = table.base.level_zero()
+    weight = [factorial(v) * 2**v for v in range(vmax + 1)]
+    scaled: dict[tuple[int, int, int], int | Fraction] = {}
     for (v, t, s), val in sorted(table.entries.items()):
         if val == 0:
             bad.append("stored zero at (%d,%d,%d)" % (v, t, s))
+        if 0 <= v <= vmax:
+            b = weight[v] * val
+            scaled[(v, t, s)] = b.numerator if b.denominator == 1 else b
         if v == 0:
             if origin.get((v, t, s)) != val:
                 bad.append("v=0 entry (%d,%d,%d)=%s conflicts with base %s"
@@ -353,14 +390,17 @@ def verify_table(table: CoeffTable) -> list[str]:
         power = power * block
         for v in range(t, vmax + 1):
             stopping[(v, t)] = binomial(m, t) * factorial(2 * v) * power.coef(2 * v)
+    get = scaled.get
     for v in range(1, vmax + 1):
         for t in range(1, m + 1):
-            weighted = factorial(v) * 2**v * table.value(v, t, 0)
-            if weighted != stopping.get((v, t), 0):
+            if get((v, t, 0), 0) != stopping.get((v, t), 0):
                 bad.append("boundary identity fails at (v=%d,t=%d)" % (v, t))
             for s in range(1, m - t + 1):
-                rhs = _recurrence_rhs(table.value, m, v, t, s)
-                if s * table.value(v, t, s) != rhs:
+                u = m - t - s
+                rhs = get((v - 1, t, s - 1), 0) * t + get((v - 1, t - 1, s), 0) * s
+                if s >= 2:
+                    rhs += get((v - 1, t, s - 2), 0) * (u + 2)
+                if s * get((v, t, s), 0) != 2 * v * (u + 1) * rhs:
                     bad.append("recurrence fails at (%d,%d,%d)" % (v, t, s))
     return bad
 

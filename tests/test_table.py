@@ -176,6 +176,21 @@ def test_fill_resume_matches_full():
     assert trimmed == part
 
 
+def test_fill_resume_keeps_stored_levels():
+    # stored levels are kept as they are; the levels above come from the
+    # kernel, which does not read them
+    p = EnsembleParams.from_checks(5)
+    full = fill_table(p, vmax=4)
+    part = fill_table(p, vmax=1)
+    part.entries[(1, 1, 0)] *= 3
+    resumed = fill_table(p, vmax=4, start_from=part)
+    assert {k: v for k, v in resumed.entries.items() if k[0] <= 1} == part.entries
+    assert {k: v for k, v in resumed.entries.items() if k[0] >= 2} == {
+        k: v for k, v in full.entries.items() if k[0] >= 2
+    }
+    assert "boundary identity fails at (v=1,t=1)" in verify_table(resumed)
+
+
 def test_fill_resume_rejects_mismatch():
     part = fill_table(EnsembleParams.from_checks(5), vmax=2)
     with pytest.raises(ValidationError):
@@ -213,12 +228,97 @@ def test_verify_table_flags_corruption():
     assert any("(2,1,1)" in msg or "(3," in msg for msg in problems)
 
 
+@pytest.mark.parametrize("delta", [Fraction(1, 7), Fraction(1, 16)])
+def test_verify_table_flags_fractional_corruption(delta):
+    # B = v! 2^v A is no longer integral at the corrupt entry (8/16 = 1/2
+    # would vanish under floor division); the check still compares it
+    # exactly, flags the same rows and does not raise
+    table = fill_table(EnsembleParams.from_checks(4), vmax=3)
+    table.entries[(2, 1, 1)] += delta
+    assert verify_table(table) == [
+        "recurrence fails at (2,1,1)",
+        "recurrence fails at (3,1,2)",
+        "recurrence fails at (3,1,3)",
+        "recurrence fails at (3,2,1)",
+    ]
+
+
+def test_verify_table_flags_top_level_recurrence_corruption():
+    # no recurrence row reads level vmax, so a wrong s >= 1 entry there is
+    # caught by its own row only
+    table = fill_table(EnsembleParams.from_checks(4), vmax=3)
+    table.entries[(3, 1, 2)] += 1
+    assert verify_table(table) == ["recurrence fails at (3,1,2)"]
+
+
 def test_verify_table_flags_boundary_corruption():
     # no recurrence row reads level vmax, so only the boundary oracle can
     # catch a wrong s = 0 entry there
     table = fill_table(EnsembleParams.from_checks(4), vmax=3)
     table.entries[(3, 2, 0)] += 1
     assert verify_table(table) == ["boundary identity fails at (v=3,t=2)"]
+
+
+def _recurrence_fill(m, vmax, base):
+    # the paper's three-term recurrence in Fractions, level by level, with
+    # the s = 0 layer from the top-down partition count
+    entries = dict(base.level_zero())
+
+    def value(v, t, s):
+        return entries.get((v, t, s), Fraction(0))
+
+    for v in range(1, vmax + 1):
+        weight = factorial(v) * 2**v
+        for t in range(1, m + 1):
+            val = Fraction(binomial(m, t) * block_partition_count(2 * v, t, 2), weight)
+            if val:
+                entries[(v, t, 0)] = val
+            for s in range(1, m - t + 1):
+                u = m - t - s
+                rhs = value(v - 1, t, s - 1) * (u + 1) * t
+                rhs += value(v - 1, t - 1, s) * (u + 1) * s
+                if s >= 2:
+                    rhs += value(v - 1, t, s - 2) * (u + 2) * (u + 1)
+                if rhs:
+                    entries[(v, t, s)] = rhs / s
+    return entries
+
+
+def _params(m, vmax):
+    n = max(m, vmax)
+    return EnsembleParams(n=n, r=1 - Fraction(m, n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(1, 7),
+    vmax=st.integers(0, 8),
+    base=st.sampled_from(list(BaseConfig)),
+)
+def test_factored_fill_matches_recurrence(m, vmax, base):
+    table = fill_table(_params(m, vmax), vmax, base=base)
+    assert table.entries == _recurrence_fill(m, vmax, base)
+
+
+@settings(max_examples=30, deadline=None)
+@given(m1=st.integers(1, 7), extra=st.integers(1, 5), vmax=st.integers(0, 8))
+def test_profile_counts_do_not_depend_on_m(m1, extra, vmax):
+    # v! 2^v A(v,t,s) / M(t,s) is one integer C(v,t,s) for every m >= t+s
+    def counts(m):
+        table = fill_table(_params(m, vmax), vmax)
+        out = {}
+        for v in range(1, vmax + 1):
+            for t in range(1, m1 + 1):
+                for s in range(m1 - t + 1):
+                    multinomial = factorial(m) // (
+                        factorial(t) * factorial(s) * factorial(m - t - s)
+                    )
+                    c = factorial(v) * 2**v * table.value(v, t, s) / multinomial
+                    assert c.denominator == 1
+                    out[(v, t, s)] = c
+        return out
+
+    assert counts(m1) == counts(m1 + extra)
 
 
 def test_level_sum_is_positive():
