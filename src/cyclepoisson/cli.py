@@ -462,10 +462,11 @@ def _cmd_simulate(args, run: _Run) -> int:
 
 
 _RECONCILE_NOTE = (
-    "the analytic value is an expected count of erased stopping sets, the "
-    "simulation estimates a block-failure probability; the two bound each "
-    "other at small epsilon but are not the same quantity, so the verdict "
-    "records CI containment, not asserted equality"
+    "the analytic value is the exact block-failure probability (the chance "
+    "that the erased variables' graph on the checks contains a cycle) and "
+    "the simulation estimates the same probability; the verdict records CI "
+    "containment, not asserted equality, since a 95% interval misses the "
+    "exact value 1 time in 20 by chance"
 )
 
 

@@ -1,8 +1,7 @@
 """Expected block-error evaluation and series-boundedness analysis.
 
-The expected number of failing erased sets under iterative decoding over
-the binary erasure channel comes out of the coefficient table as the exact
-finite sum
+The block-error probability of iterative decoding over the binary erasure
+channel comes out of the coefficient table as the exact finite sum
 
     E_B = (1-eps)^n * sum_v C(n,v) v! x^v * sum_{t,s} A(v,t,s),
 
@@ -13,9 +12,14 @@ finite identities, a divergence demonstration, root-test radius estimates
 per coefficient sequence, and a contour-integral evaluation of the
 Hadamard product of two truncated series.
 
-E_B is an expected count of failing constellations, not a probability; no
-value <= 1 is asserted anywhere, and the Monte Carlo estimator in the
-simulator module is the independent point of comparison.
+E_B is the exact block-error probability of iterative decoding, not a
+bound: v! 2^v sum_{t,s} A(v,t,s) counts the endpoint assignments of v
+erased variables whose graph on the checks contains a cycle, which are the
+erased sets the peeling decoder cannot resolve, so the v-th term weighs
+binom(n,v) eps^v (1-eps)^(n-v) by the share of such assignments among all
+m^(2v).  E_B equals the exhaustive oracle exhaustive_block_error wherever
+that fits its guard, and the Monte Carlo estimator in the simulator module
+estimates the same probability.
 """
 
 from __future__ import annotations
@@ -116,6 +120,7 @@ def expected_block_error(query: ErrProbQuery) -> ErrProbResult:
     """
     n = query.params.n
     _require_depth(query.table, n)
+    sums = query.table.level_sums()
     per_v = []
     total = Fraction(0)
     for v in range(1, n + 1):
@@ -123,7 +128,7 @@ def expected_block_error(query: ErrProbQuery) -> ErrProbResult:
             binomial(n, v)
             * factorial(v)
             * query.x**v
-            * query.table.level_sum(v)
+            * sums.get(v, Fraction(0))
         )
         per_v.append((v, term))
         total += term

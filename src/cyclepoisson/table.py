@@ -24,15 +24,22 @@ so A(v,t,s) = M(t,s) * C(v,t,s) / (v! * 2^v) where the integers C do not
 depend on m:
   C(v,t,0) = P_t[2v],
   C(v,t,s) = 2v * ((s-1)*C(v-1,t,s-2) + t*C(v-1,t,s-1) + t*C(v-1,t-1,s)).
-fill_table evaluates this form; verify_table checks the unfactored
-recurrence.
+fill_table evaluates this form.  verify_table checks the unfactored
+recurrence, and the s = 0 layer against an integer oracle that shares no
+code with the fill: the powers of the n!-scaled EGF e^x - 1 - x as a
+binomial convolution, P_t[n] = sum_{j>=2} binom(n,j) * P_{t-1}[n-j]
+(choose the first block).
 
-Entries outside the support are zero.  v! * 2^v * A(v, t, 0) equals the
-number of endpoint assignments of v variables whose image is exactly t
-checks, each covered at least twice (a stopping set on t checks); the
-intended meaning of s >= 1 entries (checks of degree exactly one) is checked
-against the brute-force profile oracle rather than assumed, see
-profile_reconciliation.
+Entries outside the support are zero.  v! * 2^v * A(v, t, s) counts the
+cyclic assignments with profile (t, s): endpoint assignments of v variables
+whose graph on the checks contains a cycle (a self-loop or a repeated pair
+counts as one), with exactly t checks of degree >= 2 and s checks of degree
+exactly one.  This holds by exhaustive enumeration for every m, v <= 4; a
+derivation from the recurrence is still open.  At s = 0 these are all the
+stopping sets on t checks, since a graph with no check of degree one
+always has a cycle.  The all-assignment census of
+brute_force_profile_counts also counts forests, so profile_reconciliation
+reports the forest profiles as mismatches.
 """
 
 from __future__ import annotations
@@ -45,7 +52,6 @@ from fractions import Fraction
 
 from .combinatorics import binomial, factorial, log_fraction
 from .errors import GuardError, TableFormatError, ValidationError
-from .series import poisson_block_series
 
 __all__ = [
     "EnsembleParams",
@@ -163,10 +169,26 @@ class CoeffTable:
 
     def level_sum(self, v: int) -> Fraction:
         """Sum of A(v, t, s) over t >= 1 and all s."""
-        return sum(
-            (val for (vv, t, _s), val in self.entries.items() if vv == v and t >= 1),
-            Fraction(0),
-        )
+        return self.level_sums().get(v, Fraction(0))
+
+    def level_sums(self) -> dict[int, Fraction]:
+        """level_sum(v) for every level v with an entry at t >= 1, in one pass.
+
+        Entries are added as integers over w = v! * 2^v, which every
+        denominator of a filled table divides, and one Fraction is built
+        per level.  An entry whose denominator does not divide w is added
+        as a Fraction, so the sums stay exact on any table.
+        """
+        weights: dict[int, int] = {}
+        sums: dict[int, int | Fraction] = {}
+        for (v, t, _s), val in self.entries.items():
+            if t < 1:
+                continue
+            w = weights.get(v)
+            if w is None:
+                w = weights[v] = factorial(v) * 2**v
+            sums[v] = sums.get(v, 0) + _scaled(val, w)
+        return {v: Fraction(b, weights[v]) for v, b in sums.items()}
 
     def __eq__(self, other):
         if not isinstance(other, CoeffTable):
@@ -187,6 +209,12 @@ class CoeffTable:
             self.base.value,
             len(self.entries),
         )
+
+
+def _scaled(val: Fraction, weight: int) -> int | Fraction:
+    """weight * val: an int when val's denominator divides weight, else exact."""
+    den = val.denominator
+    return weight * val if weight % den else val.numerator * (weight // den)
 
 
 # ----------------------------------------------------------------------
@@ -348,6 +376,30 @@ def fill_table(
     return CoeffTable(params, vmax, base, entries)
 
 
+def _first_block_counts(tmax: int, nmax: int) -> list[list[int]]:
+    """P[t][n] = n! * [x^n] (e^x - 1 - x)^t, built by choosing the first block.
+
+    An ordered t-tuple of disjoint blocks of size >= 2 covering n labeled
+    elements is a first block of j >= 2 elements, binom(n, j) ways,
+    followed by a (t-1)-tuple covering the other n - j:
+    P[t][n] = sum_{j>=2} binom(n, j) * P[t-1][n-j], the binomial
+    convolution that multiplies EGFs.  This is verify_table's oracle for
+    the s = 0 layer and deliberately shares no code with _block_counts.
+    """
+    pascal = [[binomial(n, j) for j in range(n + 1)] for n in range(nmax + 1)]
+    counts = [[1] + [0] * nmax]
+    for t in range(1, tmax + 1):
+        prev = counts[-1]
+        row = [0] * (nmax + 1)
+        for n in range(2 * t, nmax + 1):
+            choose = pascal[n]
+            row[n] = sum(
+                choose[j] * prev[n - j] for j in range(2, n - 2 * (t - 1) + 1)
+            )
+        counts.append(row)
+    return counts
+
+
 def verify_table(table: CoeffTable) -> list[str]:
     """Independent recheck of every invariant; returns violation messages.
 
@@ -357,12 +409,12 @@ def verify_table(table: CoeffTable) -> list[str]:
     support (including entries stored as zero by omission), and the
     boundary identity
     v! * 2^v * A(v,t,0) == binom(m,t) * (2v)! * [x^(2v)] (e^x - 1 - x)^t.
-    The recurrence is checked multiplied through by v! * 2^v, as
-    s * B(v,t,s) == 2v * R(B(v-1)) with B = v! * 2^v * A and R its
-    right-hand side; B is an int where integral and the exact Fraction
-    otherwise, so a corrupt entry is compared exactly.  The boundary side
-    comes from one exact power sweep of poisson_block_series at order
-    2*vmax, independent of the integer kernel the fill uses.
+    Both checks run on B = v! * 2^v * A: the int num * (v! 2^v // den)
+    where den divides v! * 2^v, and the exact Fraction otherwise, so a
+    corrupt entry is compared exactly.  The recurrence is checked as
+    s * B(v,t,s) == 2v * R(B(v-1)) with R its right-hand side.  The
+    boundary side is binom(m,t) * P_t[2v] from _first_block_counts, an
+    integer binomial convolution independent of the kernel the fill uses.
     """
     m = table.m
     vmax = table.vmax
@@ -374,8 +426,7 @@ def verify_table(table: CoeffTable) -> list[str]:
         if val == 0:
             bad.append("stored zero at (%d,%d,%d)" % (v, t, s))
         if 0 <= v <= vmax:
-            b = weight[v] * val
-            scaled[(v, t, s)] = b.numerator if b.denominator == 1 else b
+            scaled[(v, t, s)] = _scaled(val, weight[v])
         if v == 0:
             if origin.get((v, t, s)) != val:
                 bad.append("v=0 entry (%d,%d,%d)=%s conflicts with base %s"
@@ -383,13 +434,13 @@ def verify_table(table: CoeffTable) -> list[str]:
             continue
         if v > vmax or not (1 <= t <= m) or not (0 <= s <= m - t):
             bad.append("entry outside support at (%d,%d,%d)" % (v, t, s))
-    block = poisson_block_series(1, 2 * vmax)
-    power = poisson_block_series(0, 2 * vmax)
-    stopping: dict[tuple[int, int], Fraction] = {}
-    for t in range(1, min(m, vmax) + 1):  # (e^x-1-x)^t vanishes below x^(2t)
-        power = power * block
-        for v in range(t, vmax + 1):
-            stopping[(v, t)] = binomial(m, t) * factorial(2 * v) * power.coef(2 * v)
+    tmax = min(m, vmax)  # P_t[2v] vanishes for v < t
+    blocks = _first_block_counts(tmax, 2 * vmax)
+    stopping = {
+        (v, t): binomial(m, t) * blocks[t][2 * v]
+        for t in range(1, tmax + 1)
+        for v in range(t, vmax + 1)
+    }
     get = scaled.get
     for v in range(1, vmax + 1):
         for t in range(1, m + 1):

@@ -296,7 +296,8 @@ def test_reconcile_report(tmp_path, capsys):
             "mc_ci95", "mc_failures", "verdict",
         }
         assert row["verdict"] in ("within-ci", "outside-ci")
-    assert "not the same quantity" in doc["note"]
+    assert "the exact block-failure probability" in doc["note"]
+    assert "the same probability" in doc["note"]
     assert "verdict" in out
 
 

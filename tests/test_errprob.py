@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cyclepoisson.combinatorics import binomial, factorial
 from cyclepoisson.errors import (
@@ -23,6 +25,7 @@ from cyclepoisson.errprob import (
     known_series_check,
 )
 from cyclepoisson.series import Series, geometric_series, monomial
+from cyclepoisson.simulator import EXHAUSTIVE_CODE_GUARD, exhaustive_block_error
 from cyclepoisson.table import EnsembleParams, fill_table
 
 
@@ -107,6 +110,22 @@ def test_expected_block_error_coverage(n4_setup):
     with pytest.raises(CoverageError) as err:
         expected_block_error(ErrProbQuery(params, Fraction(1, 10), shallow))
     assert err.value.missing == [4]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    m=st.integers(1, 5),
+    eps=st.fractions(min_value=0, max_value=1, max_denominator=30),
+)
+def test_expected_block_error_is_exhaustive_probability(n, m, eps):
+    # E_B is the exact block-error probability, not a bound on it; the
+    # instances stay far below the enumeration guard to keep the test fast
+    assume(m <= n and eps < 1 and m ** (2 * n) * 2**n <= 2 * 10**5)
+    assert m ** (2 * n) <= EXHAUSTIVE_CODE_GUARD
+    params = EnsembleParams(n=n, r=1 - Fraction(m, n))
+    query = ErrProbQuery(params, eps, fill_table(params, vmax=n))
+    assert expected_block_error(query).value == exhaustive_block_error(params, eps)
 
 
 def test_equal_m_parameterizations_share_level_sums():

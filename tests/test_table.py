@@ -8,7 +8,7 @@ reconciled against a brute-force census of endpoint assignments for small m.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclepoisson.combinatorics import binomial, block_partition_count, factorial
@@ -18,6 +18,7 @@ from cyclepoisson.table import (
     BaseConfig,
     EnsembleParams,
     _block_counts,
+    _first_block_counts,
     boundary_coefficient,
     boundary_layer,
     brute_force_profile_counts,
@@ -110,11 +111,12 @@ def test_stopping_set_matches_partition_oracle():
 @settings(max_examples=60, deadline=None)
 @given(t=st.integers(0, 12), n=st.integers(0, 40))
 def test_block_counts_match_both_oracles(t, n):
-    # the integer kernel against the Fraction EGF convolution and the
-    # top-down partition recursion
-    count = _block_counts(t, n)[t][n]
-    assert count == factorial(n) * poisson_block_series(t, n).coef(n)
-    assert count == block_partition_count(n, t, 2)
+    # the fill's integer kernel and verify's first-block convolution against
+    # the Fraction EGF power and the top-down partition recursion
+    expect = block_partition_count(n, t, 2)
+    assert expect == factorial(n) * poisson_block_series(t, n).coef(n)
+    assert _block_counts(t, n)[t][n] == expect
+    assert _first_block_counts(t, n)[t][n] == expect
 
 
 def test_boundary_rejects_degenerate_indices():
@@ -259,6 +261,18 @@ def test_verify_table_flags_boundary_corruption():
     assert verify_table(table) == ["boundary identity fails at (v=3,t=2)"]
 
 
+def test_verify_table_flags_fractional_boundary_corruption():
+    # B(2,1,0) = 8 * (A + 1/7) is no longer integral; the boundary row and
+    # the two level-3 rows that read it compare it exactly
+    table = fill_table(EnsembleParams.from_checks(4), vmax=3)
+    table.entries[(2, 1, 0)] += Fraction(1, 7)
+    assert verify_table(table) == [
+        "boundary identity fails at (v=2,t=1)",
+        "recurrence fails at (3,1,1)",
+        "recurrence fails at (3,1,2)",
+    ]
+
+
 def _recurrence_fill(m, vmax, base):
     # the paper's three-term recurrence in Fractions, level by level, with
     # the s = 0 layer from the top-down partition count
@@ -325,6 +339,30 @@ def test_level_sum_is_positive():
     table = fill_table(EnsembleParams.from_checks(5), vmax=4)
     for v in range(1, 5):
         assert table.level_sum(v) > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(1, 6),
+    vmax=st.integers(0, 7),
+    key=st.tuples(st.integers(0, 8), st.integers(0, 6), st.integers(0, 6)),
+    num=st.integers(-50, 50).filter(bool),
+    den=st.integers(1, 10**4),
+)
+@example(m=4, vmax=3, key=(2, 1, 1), num=1, den=7)  # 7 does not divide 2! 2^2
+def test_level_sums_match_fraction_sums(m, vmax, key, num, den):
+    # the one-pass integer sums against a per-level Fraction sum, with one
+    # injected entry whose denominator need not divide v! 2^v
+    table = fill_table(_params(m, vmax), vmax)
+    table.entries[key] = Fraction(num, den)
+    sums = table.level_sums()
+    for v in range(10):
+        expect = sum(
+            (a for (vv, t, _s), a in table.entries.items() if vv == v and t >= 1),
+            Fraction(0),
+        )
+        assert sums.get(v, Fraction(0)) == expect
+        assert table.level_sum(v) == expect
 
 
 # ----------------------------------------------------------------------
