@@ -147,31 +147,12 @@ def _cmd_series_demo(args, run: _Run) -> int:
 
 
 def _cmd_table_build(args, run: _Run) -> int:
-    if args.resume:
-        # input paths are working-directory relative; only artifacts land
-        # under the output directory
-        resume_path = Path(args.resume)
-        partial = load_table(resume_path)
-        target_vmax = args.vmax if args.vmax is not None else partial.declared_vmax
-        params = _params_for_checks(partial.m, target_vmax)
-        table = fill_table(
-            params,
-            target_vmax,
-            base=partial.base,
-            start_from=partial,
-        )
-        out_path = run.resolve(args.out_file) if args.out_file else resume_path.absolute()
-        print(
-            "resumed m=%d from v<=%d, filled to vmax=%d"
-            % (table.m, partial.vmax, table.vmax)
-        )
-    else:
-        if args.m is None or args.vmax is None:
-            raise ValidationError("table build needs --m and --vmax (or --resume)")
-        params = _params_for_checks(args.m, args.vmax)
-        table = fill_table(params, args.vmax, base=BaseConfig.from_label(args.base))
-        out_path = run.resolve(args.out_file or ("table_m%d_v%d.cpt" % (args.m, args.vmax)))
-        print("filled m=%d vmax=%d, %d nonzero entries" % (table.m, table.vmax, len(table.entries)))
+    if args.m is None or args.vmax is None:
+        raise ValidationError("table build needs --m and --vmax")
+    params = _params_for_checks(args.m, args.vmax)
+    table = fill_table(params, args.vmax, base=BaseConfig.from_label(args.base))
+    out_path = run.resolve(args.out_file or ("table_m%d_v%d.cpt" % (args.m, args.vmax)))
+    print("filled m=%d vmax=%d, %d nonzero entries" % (table.m, table.vmax, len(table.entries)))
     out_path.parent.mkdir(parents=True, exist_ok=True)
     save_table(table, out_path)
     run.record_file(out_path)
@@ -226,11 +207,7 @@ def _cmd_table_exponents(args, run: _Run) -> int:
 def _cmd_table_verify(args, run: _Run) -> int:
     table = load_table(Path(args.file))
     problems = verify_table(table)
-    status = "partial" if table.is_partial else "complete"
-    print(
-        "%s table: m=%d vmax=%d (declared %d), %d entries"
-        % (status, table.m, table.vmax, table.declared_vmax, len(table.entries))
-    )
+    print("table: m=%d vmax=%d, %d entries" % (table.m, table.vmax, len(table.entries)))
     if problems:
         for p in problems:
             print("FAIL %s" % p)
@@ -565,7 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--vmax", type=int, default=None)
     build.add_argument("--base", choices=["unit-origin", "empty"], default="unit-origin")
     build.add_argument("--out", dest="out_file", default=None, help="output table file")
-    build.add_argument("--resume", default=None, help="partial table file to resume from")
     expo = leaf(
         table_sub,
         "exponents",

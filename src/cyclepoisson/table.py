@@ -45,6 +45,7 @@ reports the forest profiles as mismatches.
 from __future__ import annotations
 
 import enum
+import hashlib
 import itertools
 import re
 from dataclasses import dataclass, field
@@ -73,11 +74,12 @@ __all__ = [
 
 BRUTE_FORCE_GUARD = 10**8
 
-_HEADER_MAGIC = "CPTABLE 1"
+_HEADER_MAGIC = "CPTABLE 2"
 _HEADER_RE = re.compile(r"^m=(0|[1-9][0-9]*) vmax=(0|[1-9][0-9]*) base=([a-z-]+)$")
 _ROW_RE = re.compile(
     r"^(0|[1-9][0-9]*) (0|[1-9][0-9]*) (0|[1-9][0-9]*) (-?(?:0|[1-9][0-9]*))/([1-9][0-9]*)$"
 )
+_TRAILER_RE = re.compile(rb"end sha256=([0-9a-f]{64})\n")
 
 
 @dataclass(frozen=True)
@@ -143,13 +145,11 @@ class CoeffTable:
         vmax: int,
         base: BaseConfig,
         entries: dict[tuple[int, int, int], Fraction],
-        declared_vmax: int | None = None,
     ):
         self.params = params
         self.vmax = vmax
         self.base = base
         self.entries = entries
-        self.declared_vmax = vmax if declared_vmax is None else declared_vmax
 
     @property
     def m(self) -> int:
@@ -157,15 +157,15 @@ class CoeffTable:
 
     @property
     def is_partial(self) -> bool:
-        return self.vmax < self.declared_vmax
+        """Always False: load_table returns a complete table or raises.
+
+        Kept read-only for callers that still check it, such as the
+        exact_build workload in perfbench/workloads.py.
+        """
+        return False
 
     def value(self, v: int, t: int, s: int) -> Fraction:
         return self.entries.get((v, t, s), Fraction(0))
-
-    def level_items(self, v: int):
-        return sorted(
-            (key, val) for key, val in self.entries.items() if key[0] == v
-        )
 
     def level_sum(self, v: int) -> Fraction:
         """Sum of A(v, t, s) over t >= 1 and all s."""
@@ -333,41 +333,28 @@ def fill_table(
     params: EnsembleParams,
     vmax: int,
     base: BaseConfig = BaseConfig.UNIT_ORIGIN,
-    start_from: CoeffTable | None = None,
 ) -> CoeffTable:
     """Fill A(v, t, s) for 1 <= v <= vmax as M(t,s) * C(v,t,s) / (v! * 2^v).
 
     The integers C come from the m-free kernel _profile_counts and M(t,s)
     is the multinomial m!/(t! s! (m-t-s)!); each stored entry is one
     exact Fraction, and zeros are not stored.  The v = 0 plane is the base
-    config's.  `start_from` resumes from an existing table with the same m
-    and base: its stored levels up to min(its vmax, vmax) are kept as they
-    are, and the levels above come from the kernel, which does not read
-    them.
+    config's.  Every level is filled from scratch: refilling is faster
+    than loading a saved table of the same size.
 
     Raises:
-        ValidationError: vmax outside 0..n, or mismatched resume table.
+        ValidationError: vmax outside 0..n.
     """
     if vmax < 0 or vmax > params.n:
         raise ValidationError("vmax must lie in 0..n, got %r" % (vmax,))
     m = params.m
-    entries: dict[tuple[int, int, int], Fraction] = {}
-    first_level = 1
-    if start_from is not None:
-        if start_from.m != m or start_from.base != base:
-            raise ValidationError("resume table does not match (m, base)")
-        entries.update(
-            (key, val) for key, val in start_from.entries.items() if key[0] <= vmax
-        )
-        first_level = min(start_from.vmax, vmax) + 1
-    else:
-        entries.update(base.level_zero())
+    entries = base.level_zero()
     counts = _profile_counts(m, vmax)
     multinomial = [
         [binomial(m, t) * binomial(m - t, s) for s in range(m - t + 1)]
         for t in range(min(m, vmax) + 1)
     ]
-    for v in range(first_level, vmax + 1):
+    for v in range(1, vmax + 1):
         weight = factorial(v) * 2**v
         for t in range(1, min(v, m) + 1):
             for s, c in enumerate(counts[v][t]):
@@ -555,46 +542,75 @@ def growth_profile(m: int, vmax: int, t_values, base=10) -> dict[int, list[tuple
 
 
 def save_table(table: CoeffTable, path) -> None:
-    """Write the canonical CPTABLE text format.
+    """Write the canonical CPTABLE 2 format, ASCII with LF endings.
 
-    Line 1: "CPTABLE 1".  Line 2: "m=<m> vmax=<vmax> base=<name>".  Then one
+    Line 1: "CPTABLE 2".  Line 2: "m=<m> vmax=<vmax> base=<name>".  Then one
     row per nonzero entry, "<v> <t> <s> <num>/<den>" in lowest terms with a
-    positive denominator, sorted lexicographically by (v, t, s), LF endings.
-    Zero entries are omitted.
+    positive denominator, sorted lexicographically by (v, t, s).  Zero
+    entries are omitted.  The last line is "end sha256=<hex>", the
+    lowercase sha256 of every byte before it, so a truncated or altered
+    file cannot load.
     """
-    if table.is_partial:
-        raise ValidationError("refusing to save a partial table as complete")
     lines = [_HEADER_MAGIC, "m=%d vmax=%d base=%s" % (table.m, table.vmax, table.base.value)]
     for (v, t, s), val in sorted(table.entries.items()):
         lines.append("%d %d %d %d/%d" % (v, t, s, val.numerator, val.denominator))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    body = ("\n".join(lines) + "\n").encode("ascii")
+    with open(path, "wb") as fh:
+        fh.write(body + b"end sha256=%s\n" % hashlib.sha256(body).hexdigest().encode())
+
+
+def _checked_body(data: bytes) -> list[str]:
+    """The lines before the trailer, once the trailer's sha256 matches them.
+
+    The trailer must be the file's last line, so a file cut anywhere, or
+    with anything after the trailer, is rejected here.  CPTABLE 1 files
+    have no trailer; they are rejected with the command that rebuilds them.
+    """
+    if data.startswith(b"CPTABLE 1\n"):
+        header = _HEADER_RE.match(data.split(b"\n", 2)[1].decode("ascii", "replace"))
+        rebuild = "--m %s --vmax %s --base %s" % (
+            header.groups() if header else ("<m>", "<vmax>", "<base>")
+        )
+        raise TableFormatError(
+            "CPTABLE 1 files are no longer read; rebuild with "
+            "`cyclepoisson table build %s`" % rebuild,
+            line=1,
+        )
+    start = data.rfind(b"\n", 0, len(data) - 1) + 1
+    body = data[:start]
+    trailer = _TRAILER_RE.fullmatch(data, start)
+    if not trailer:
+        raise TableFormatError(
+            "last line is not the trailer 'end sha256=<64 hex>' (truncated file?)",
+            line=body.count(b"\n") + 1,
+        )
+    if hashlib.sha256(body).hexdigest().encode() != trailer.group(1):
+        raise TableFormatError(
+            "sha256 of the body does not match the trailer", line=body.count(b"\n") + 1
+        )
+    try:
+        text = body.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise TableFormatError(
+            "non-ASCII byte at offset %d" % exc.start, line=body.count(b"\n", 0, exc.start) + 1
+        ) from None
+    return text.split("\n")[:-1]
 
 
 def load_table(path) -> CoeffTable:
-    """Load and validate a CPTABLE file; partial files load resumable.
+    """Load a CPTABLE 2 file completely, or raise TableFormatError.
 
-    Validation: header magic and fields, row syntax, lowest-terms
-    normalization with positive denominator, strictly increasing (v, t, s)
-    order, no zero values, indices inside the declared support, v = 0 rows
-    consistent with the base config.
-
-    Completeness: the file is complete iff its maximum stored v equals the
-    declared vmax and the final line parses.  Otherwise the maximal stored
-    level may have lost a suffix, so it is dropped and the table comes back
-    with vmax = (last complete v) and is_partial = True; fill_table can
-    resume from it.  A file whose final declared level was truncated at a
-    line boundary is indistinguishable from a complete one, which is the
-    cost of omitting zero rows.
+    The trailer is checked first: it must be the last line and its sha256
+    must match every byte before it, which rules out any truncation or
+    changed byte.  Then the body must be ASCII, and: header magic and
+    fields, row syntax, lowest-terms normalization with positive
+    denominator, strictly increasing (v, t, s) order, no zero values,
+    indices inside the declared support, v = 0 rows consistent with the
+    base config, the base config's rows present, and rows up to exactly
+    the declared vmax.
     """
-    with open(path, "r", newline="") as fh:
-        content = fh.read()
-    lines = content.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-        clean_tail = True
-    else:
-        clean_tail = False  # no final newline: last line may be cut mid-token
+    with open(path, "rb") as fh:
+        lines = _checked_body(fh.read())
     if not lines or lines[0] != _HEADER_MAGIC:
         raise TableFormatError("bad magic, expected %r" % (_HEADER_MAGIC,), line=1)
     if len(lines) < 2:
@@ -603,7 +619,7 @@ def load_table(path) -> CoeffTable:
     if not header:
         raise TableFormatError("bad header %r" % (lines[1],), line=2)
     m = int(header.group(1))
-    declared_vmax = int(header.group(2))
+    vmax = int(header.group(2))
     base = BaseConfig.from_label(header.group(3))
     params = EnsembleParams.from_checks(m) if m >= 1 else None
     if params is None:
@@ -611,14 +627,9 @@ def load_table(path) -> CoeffTable:
 
     entries: dict[tuple[int, int, int], Fraction] = {}
     prev_key = None
-    truncated_row = None
     for idx, line in enumerate(lines[2:], start=3):
         row = _ROW_RE.match(line)
-        last = idx == len(lines)
-        if not row or (last and not clean_tail):
-            if last:
-                truncated_row = idx  # suffix loss: treat as partial, drop it
-                break
+        if not row:
             raise TableFormatError("bad row %r" % (line,), line=idx)
         v, t, s = int(row.group(1)), int(row.group(2)), int(row.group(3))
         num, den = int(row.group(4)), int(row.group(5))
@@ -631,7 +642,7 @@ def load_table(path) -> CoeffTable:
         if prev_key is not None and key <= prev_key:
             raise TableFormatError("rows out of order at %r" % (key,), line=idx)
         prev_key = key
-        if v > declared_vmax:
+        if v > vmax:
             raise TableFormatError("v exceeds declared vmax", line=idx)
         if v == 0:
             if base.level_zero().get(key) != val:
@@ -643,19 +654,11 @@ def load_table(path) -> CoeffTable:
         entries[key] = val
 
     max_v = max((key[0] for key in entries), default=0)
-    complete = truncated_row is None and max_v == declared_vmax
-    if complete:
-        vmax = declared_vmax
-        for key, val in base.level_zero().items():
-            if entries.get(key) != val:
-                raise TableFormatError(
-                    "complete file is missing base row %r" % (key,), line=3
-                )
-    else:
-        vmax = max(max_v - 1, 0)
-        entries = {key: val for key, val in entries.items() if key[0] <= vmax}
-        # level 0 is defined by the base config; restore it on partial loads
-        if vmax >= 0:
-            for key, val in base.level_zero().items():
-                entries.setdefault(key, val)
-    return CoeffTable(params, vmax, base, entries, declared_vmax=declared_vmax)
+    if max_v != vmax:
+        raise TableFormatError(
+            "rows stop at v=%d but the header declares vmax=%d" % (max_v, vmax), line=2
+        )
+    for key, val in base.level_zero().items():
+        if entries.get(key) != val:
+            raise TableFormatError("file is missing base row %r" % (key,), line=3)
+    return CoeffTable(params, vmax, base, entries)

@@ -13,7 +13,7 @@ import pytest
 from cyclepoisson.cli import main
 from cyclepoisson.errprob import ErrProbQuery, expected_block_error
 from cyclepoisson.simulator import exhaustive_block_error
-from cyclepoisson.table import EnsembleParams, fill_table
+from cyclepoisson.table import EnsembleParams, fill_table, load_table, save_table
 
 
 def run_cli(capsys, *argv):
@@ -80,22 +80,6 @@ def test_module_entry_point(tmp_path):
 # ----------------------------------------------------------------------
 
 
-def test_build_then_resume_identical(tmp_path, capsys):
-    out = str(tmp_path)
-    full = tmp_path / "t.cpt"
-    rc, _, _ = run_cli(
-        capsys, "--out", out, "table", "build", "--m", "5", "--vmax", "4", "--out", "t.cpt"
-    )
-    assert rc == 0
-    original = full.read_bytes()
-    # truncate mid-token: the loader keeps the intact prefix level
-    cut = tmp_path / "t2.cpt"
-    cut.write_bytes(original[: len(original) * 2 // 3])
-    rc, _, _ = run_cli(capsys, "--out", out, "table", "build", "--resume", str(cut))
-    assert rc == 0
-    assert cut.read_bytes() == original
-
-
 def test_verify_flags_corruption(tmp_path, capsys):
     out = str(tmp_path)
     run_cli(capsys, "--out", out, "table", "build", "--m", "3", "--vmax", "3", "--out", "t.cpt")
@@ -103,11 +87,43 @@ def test_verify_flags_corruption(tmp_path, capsys):
     rc, outtext, _ = run_cli(capsys, "--out", out, "table", "verify", "--file", str(path))
     assert rc == 0
     assert "ok:" in outtext
-    text = path.read_text().replace("1 1 0 3/2", "1 1 0 5/2")
-    path.write_text(text)
+    table = load_table(path)
+    # an edited row no longer matches the trailer's sha256, so the load fails
+    path.write_bytes(path.read_bytes().replace(b"1 1 0 3/2", b"1 1 0 5/2"))
+    rc, _, err = run_cli(capsys, "--out", out, "table", "verify", "--file", str(path))
+    assert rc == 2
+    assert "sha256" in err
+    # a wrong value saved with a valid trailer loads and fails the recheck
+    table.entries[(1, 1, 0)] = Fraction(5, 2)
+    save_table(table, path)
     rc, outtext, _ = run_cli(capsys, "--out", out, "table", "verify", "--file", str(path))
     assert rc == 2
     assert "FAIL" in outtext
+
+
+def test_verify_rejects_unloadable_files(tmp_path, capsys):
+    out = str(tmp_path)
+    run_cli(capsys, "--out", out, "table", "build", "--m", "3", "--vmax", "3", "--out", "t.cpt")
+    blob = (tmp_path / "t.cpt").read_bytes()
+    body = blob[: blob.rindex(b"end sha256=")].replace(b"1 1 0 3/2", b"1 1 0 3/\xff")
+    cases = {
+        "v1.cpt": b"CPTABLE 1\nm=3 vmax=3 base=unit-origin\n0 0 0 1/1\n",
+        "cut.cpt": blob[:-40],
+        # re-signed, so strict ASCII decoding is what rejects it
+        "ff.cpt": body + b"end sha256=%s\n" % hashlib.sha256(body).hexdigest().encode(),
+    }
+    for name, data in cases.items():
+        path = tmp_path / name
+        path.write_bytes(data)
+        rc, outtext, err = run_cli(capsys, "--out", out, "table", "verify", "--file", str(path))
+        assert rc == 2, name
+        assert err.startswith("error: line "), name
+        assert "Traceback" not in err
+        assert outtext == ""
+        if name == "v1.cpt":
+            assert "cyclepoisson table build --m 3 --vmax 3 --base unit-origin" in err
+        if name == "ff.cpt":
+            assert "non-ASCII" in err
 
 
 def test_exponents_profiles_and_gaps(tmp_path, capsys):

@@ -167,38 +167,6 @@ def test_fill_depends_on_m_only():
     assert a == b
 
 
-def test_fill_resume_matches_full():
-    p = EnsembleParams.from_checks(5)
-    full = fill_table(p, vmax=4)
-    part = fill_table(p, vmax=2)
-    resumed = fill_table(p, vmax=4, start_from=part)
-    assert resumed == full
-    # resuming below the existing depth trims back down
-    trimmed = fill_table(p, vmax=2, start_from=full)
-    assert trimmed == part
-
-
-def test_fill_resume_keeps_stored_levels():
-    # stored levels are kept as they are; the levels above come from the
-    # kernel, which does not read them
-    p = EnsembleParams.from_checks(5)
-    full = fill_table(p, vmax=4)
-    part = fill_table(p, vmax=1)
-    part.entries[(1, 1, 0)] *= 3
-    resumed = fill_table(p, vmax=4, start_from=part)
-    assert {k: v for k, v in resumed.entries.items() if k[0] <= 1} == part.entries
-    assert {k: v for k, v in resumed.entries.items() if k[0] >= 2} == {
-        k: v for k, v in full.entries.items() if k[0] >= 2
-    }
-    assert "boundary identity fails at (v=1,t=1)" in verify_table(resumed)
-
-
-def test_fill_resume_rejects_mismatch():
-    part = fill_table(EnsembleParams.from_checks(5), vmax=2)
-    with pytest.raises(ValidationError):
-        fill_table(EnsembleParams.from_checks(6), vmax=4, start_from=part)
-
-
 def test_fill_vmax_bounds():
     p = EnsembleParams(n=4, r=Fraction(1, 2))  # m = 2
     with pytest.raises(ValidationError):
