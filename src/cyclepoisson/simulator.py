@@ -17,7 +17,7 @@ edges survives.  Trials erasing m or more variables fail without peeling,
 because a forest on m checks has at most m - 1 edges.  `peel` (per code,
 sets and a stack) and `_erasure_fails` (per code, union-find) are the
 independent per-trial oracles; tiny instances read a precomputed table of
-`_erasure_fails` instead.
+the same cycle test instead.
 
 Reproducibility contract (rng id "splitmix64-ctr/v1"): draw number j of
 trial i is the splitmix64 output at counter position i*3n + j, so results
@@ -28,6 +28,14 @@ first).  Each 64-bit output is truncated to its top 53 bits u; an
 endpoint index is (u * m) >> 53 and variable j is erased iff
 u * q < p * 2**53 for eps = p/q.  All of that is integer arithmetic, so
 every platform agrees exactly.
+
+No counter array is formed: the state behind position k is
+seed + (k + 1) * golden mod 2^64, linear in k, so the state of slot j of
+trial i is a row offset seed + i*3n*golden plus a column offset
+(j + 1)*golden, one uint64 add that wraps mod 2^64.  The lookup-table path
+draws one slot of a chunk at a time; the peeling path draws a chunk's
+erasure slots as one slot-major matrix, then only the endpoints of the
+erased variables.
 """
 
 from __future__ import annotations
@@ -76,9 +84,13 @@ LUT_GUARD = 1 << 20
 EXHAUSTIVE_CODE_GUARD = 10**7
 EXHAUSTIVE_MASK_GUARD = 1 << 15
 
-_BATCH = 1 << 16
-_BATCH_DRAWS = 1 << 22  # at most this many draws per chunk: 32 MiB of uint64
 _DRAW_BLOCK = 1 << 14  # 128 KiB: measured 2-3x faster than one pass per step
+# A chunk holds at most _BATCH trials, so that one slot's lookup-table
+# draws are a single _DRAW_BLOCK and stay in cache, and at most
+# _BATCH_DRAWS / 3n, so that its (n, trials) uint64 erasure states stay
+# within 4/3 MiB; both measured faster than 4x larger chunks
+_BATCH = _DRAW_BLOCK
+_BATCH_DRAWS = 1 << 19
 _M_LIMIT = 1 << 32  # the split multiply in _uniform_index_np is exact below this
 _LOW26 = _U((1 << 26) - 1)
 
@@ -94,25 +106,22 @@ def splitmix64_at(seed: int, position: int) -> int:
     return z
 
 
-def _u53_np(seed: int, z: np.ndarray) -> np.ndarray:
-    """Top 53 bits of splitmix64 at counters z = position + 1.
+def _mix53(z: np.ndarray) -> np.ndarray:
+    """Top 53 bits of the splitmix64 output of each state z, in place.
 
-    Overwrites z when it is C-contiguous.  Mixes blocks of _DRAW_BLOCK
-    counters, so that the eight passes over a block and their temporaries
-    stay in cache.
+    z must be C-contiguous.  Mixes blocks of _DRAW_BLOCK states, so that
+    the passes over a block and their temporaries stay in cache.
     """
     flat = z.reshape(-1)
     for lo in range(0, flat.size, _DRAW_BLOCK):
         b = flat[lo : lo + _DRAW_BLOCK]
-        b *= _GOLDEN_U
-        b += _U(seed)
         b ^= b >> _U(30)
         b *= _MIX1_U
         b ^= b >> _U(27)
         b *= _MIX2_U
         b ^= b >> _U(31)
         b >>= _U(11)
-    return flat.reshape(z.shape)
+    return z
 
 
 @dataclass
@@ -275,43 +284,42 @@ def replay_trial(
 
 
 def _build_lut(params: EnsembleParams) -> np.ndarray:
-    """Failure flag for every (code, erasure mask) pair, mask in low bits."""
-    n, m = params.n, params.m
-    size = m ** (2 * n) << n
-    lut = np.zeros(size, dtype=bool)
-    masks = [
-        [i for i in range(n) if mask >> i & 1] for mask in range(1 << n)
-    ]
-    for code_idx, endpoints in enumerate(itertools.product(range(m), repeat=2 * n)):
-        # itertools varies the LAST slot fastest; index accordingly
-        idx = 0
-        for e in endpoints:
-            idx = idx * m + e
-        base = idx << n
-        for mask, erased in enumerate(masks):
-            if _erasure_fails(endpoints, erased, m):
-                lut[base + mask] = True
-    return lut
+    """Failure flag for every (code, erasure mask) pair, mask in low bits.
 
-
-def _chunk_draws(seed: int, start: int, count: int, n: int):
-    """Top 53 bits of the draws of trials start..start+count-1, a row each.
-
-    Returns the (count, 2n) endpoint draws and the (count, n) erasure draws.
+    Erases the variables one at a time, for all codes and masks at once:
+    label[c, mask, x] names the component of check x in code c's erased
+    multigraph, and erasing variable b closes a cycle iff its two checks
+    already share a label (union-find by relabelling, as in
+    `_erasure_fails`).
     """
-    per = 3 * n
-    counters = np.arange(start * per + 1, (start + count) * per + 1, dtype=np.uint64)
-    u = _u53_np(seed, counters).reshape(count, per)
-    return u[:, : 2 * n], u[:, 2 * n :]
+    n, m = params.n, params.m
+    codes = m ** (2 * n)
+    c = np.arange(codes)
+    # slot k of code c is its base-m digit k, the first slot most significant
+    slot = [(c // m ** (2 * n - 1 - k) % m)[:, None, None] for k in range(2 * n)]
+    label = np.broadcast_to(np.arange(m, dtype=np.min_scalar_type(m)), (codes, 1, m))
+    fails = np.zeros((codes, 1), dtype=bool)
+    for b in range(n):
+        la = np.take_along_axis(label, slot[2 * b], axis=2)
+        lb = np.take_along_axis(label, slot[2 * b + 1], axis=2)
+        # masks with bit b set follow the 2^b masks without it
+        fails = np.concatenate([fails, fails | (la == lb)[:, :, 0]], axis=1)
+        label = np.concatenate([label, np.where(label == la, lb, label)], axis=1)
+    return fails.reshape(-1)
 
 
 def _uniform_index_np(u: np.ndarray, m: int) -> np.ndarray:
     """(u * m) >> 53 for u < 2^53 and m < 2^32, without leaving uint64.
 
     u * m = (uh * 2^26 + ul) * m with uh = u >> 26 < 2^27 and ul < 2^26;
-    both partial products and their sum stay below 2^60.
+    both partial products and their sum stay below 2^60.  For m <= 2^11,
+    u * m itself stays below 2^64.
     """
     mu = _U(m)
+    if m <= 1 << 11:
+        high = u * mu
+        high >>= _U(53)
+        return high
     low = u & _LOW26
     low *= mu
     low >>= _U(26)
@@ -327,6 +335,22 @@ def _erased_np(u: np.ndarray, p: int, q: int) -> np.ndarray:
     return u < _U(-(-(p << 53) // q))
 
 
+def _offsets(seed: int, start: int, count: int, n: int):
+    """Row and column offsets of the splitmix64 states of a chunk.
+
+    The state at counter position k is seed + (k + 1) * golden mod 2^64,
+    so slot j of trial i has state rowz[i] + colz[j], with
+    rowz[i] = seed + i * 3n * golden and colz[j] = (j + 1) * golden.
+    """
+    per = 3 * n
+    rowz = np.arange(count, dtype=np.uint64)
+    rowz *= _U(per * _GOLDEN & _M64)
+    rowz += _U((seed + start * per * _GOLDEN) & _M64)
+    colz = np.arange(1, per + 1, dtype=np.uint64)
+    colz *= _GOLDEN_U
+    return rowz, colz
+
+
 def _chunk_failures(
     seed: int,
     start: int,
@@ -338,44 +362,52 @@ def _chunk_failures(
 ) -> int:
     """Number of failures among trials start .. start+count-1."""
     n, m = params.n, params.m
+    rowz, colz = _offsets(seed, start, count, n)
     if lut is not None:
-        # column by column, so that no temporary is larger than one column
-        u_end, u_erase = _chunk_draws(seed, start, count, n)
+        # slot by slot, so that no temporary is larger than one slot's draws
+        u = np.empty(count, dtype=np.uint64)
         idx = np.zeros(count, dtype=np.uint64)
         for j in range(2 * n):
+            _mix53(np.add(rowz, colz[j], out=u))
             idx *= _U(m)
-            idx += _uniform_index_np(u_end[:, j], m)
+            idx += _uniform_index_np(u, m)
         idx <<= _U(n)
         for j in range(n):
-            idx |= _erased_np(u_erase[:, j], p, q).astype(np.uint64) << _U(j)
+            _mix53(np.add(rowz, colz[2 * n + j], out=u))
+            idx |= _erased_np(u, p, q).astype(np.uint64) << _U(j)
         return int(lut[idx].sum())
-    per = 3 * n
-    trial_base = np.arange(start, start + count, dtype=np.uint64) * _U(per)
-    counters = trial_base[:, None] + np.arange(2 * n + 1, per + 1, dtype=np.uint64)
-    erased = _erased_np(_u53_np(seed, counters), p, q)
-    del counters
+    # erasure draws, slot-major: erased[j, i] is variable j of trial i
+    z = np.add(colz[2 * n :, None], rowz)
+    erased = _erased_np(_mix53(z), p, q)
+    del z
     # a forest on m checks has at most m - 1 edges
-    failed = erased.sum(axis=1) >= m
-    erased[failed] = False
+    failed = erased.sum(axis=0) >= m
+    erased[:, failed] = False
     # draw only the endpoints of the edges left to peel, checks of trial
     # `row` renumbered to row*m .. row*m + m-1
-    rows, var = np.nonzero(erased)
-    first = (start + rows) * per + 2 * var
-    ends = _u53_np(seed, (first[:, None] + np.array([1, 2])).astype(np.uint64))
-    ends = _uniform_index_np(ends, m).astype(np.intp)
-    ends += (rows * m)[:, None]
+    var, rows = np.divmod(np.flatnonzero(erased), count)
+    del erased
+    ends = np.empty((2, rows.size), dtype=np.uint64)
+    np.take(rowz, rows, out=ends[0])
+    ends[0] += colz[0 : 2 * n : 2][var]
+    np.add(ends[0], _GOLDEN_U, out=ends[1])
+    del var
+    ends = _uniform_index_np(_mix53(ends), m).view(np.int64)
+    rows *= m
+    ends += rows
+    del rows
     # a self-loop adds 2 to its check's degree, so it is never peeled
-    degree = np.bincount(ends.ravel(), minlength=count * m)
-    a, b = ends[:, 0], ends[:, 1]
-    while rows.size:
+    degree = np.bincount(ends.reshape(-1), minlength=count * m)
+    a, b = ends
+    while a.size:
         keep = (degree[a] > 1) & (degree[b] > 1)
         if keep.all():
             break
         drop = ~keep
         np.subtract.at(degree, a[drop], 1)
         np.subtract.at(degree, b[drop], 1)
-        a, b, rows = a[keep], b[keep], rows[keep]
-    failed[rows] = True
+        a, b = a[keep], b[keep]
+    failed[a // m] = True
     return int(np.count_nonzero(failed))
 
 

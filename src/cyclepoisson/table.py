@@ -620,7 +620,10 @@ def load_table(path) -> CoeffTable:
         raise TableFormatError("bad header %r" % (lines[1],), line=2)
     m = int(header.group(1))
     vmax = int(header.group(2))
-    base = BaseConfig.from_label(header.group(3))
+    try:
+        base = BaseConfig.from_label(header.group(3))
+    except ValidationError:
+        raise TableFormatError("unknown base %r" % (header.group(3),), line=2) from None
     params = EnsembleParams.from_checks(m) if m >= 1 else None
     if params is None:
         raise TableFormatError("m must be >= 1", line=2)

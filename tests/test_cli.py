@@ -106,11 +106,14 @@ def test_verify_rejects_unloadable_files(tmp_path, capsys):
     run_cli(capsys, "--out", out, "table", "build", "--m", "3", "--vmax", "3", "--out", "t.cpt")
     blob = (tmp_path / "t.cpt").read_bytes()
     body = blob[: blob.rindex(b"end sha256=")].replace(b"1 1 0 3/2", b"1 1 0 3/\xff")
+    foo = blob[: blob.rindex(b"end sha256=")].replace(b"base=unit-origin", b"base=foo")
+    signed_foo = foo + b"end sha256=%s\n" % hashlib.sha256(foo).hexdigest().encode()
     cases = {
         "v1.cpt": b"CPTABLE 1\nm=3 vmax=3 base=unit-origin\n0 0 0 1/1\n",
         "cut.cpt": blob[:-40],
         # re-signed, so strict ASCII decoding is what rejects it
         "ff.cpt": body + b"end sha256=%s\n" % hashlib.sha256(body).hexdigest().encode(),
+        "base.cpt": signed_foo,
     }
     for name, data in cases.items():
         path = tmp_path / name
@@ -124,6 +127,8 @@ def test_verify_rejects_unloadable_files(tmp_path, capsys):
             assert "cyclepoisson table build --m 3 --vmax 3 --base unit-origin" in err
         if name == "ff.cpt":
             assert "non-ASCII" in err
+        if name == "base.cpt":
+            assert err.startswith("error: line 2: unknown base 'foo'")
 
 
 def test_exponents_profiles_and_gaps(tmp_path, capsys):

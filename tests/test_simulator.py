@@ -6,8 +6,11 @@ cycle test are three independent implementations of the same failure
 event, and `replay_trial` checks the batch trial by trial.
 """
 
+import functools
+import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -18,13 +21,16 @@ from hypothesis import strategies as st
 from cyclepoisson import simulator
 from cyclepoisson.errors import GuardError, ValidationError
 from cyclepoisson.simulator import (
+    LUT_GUARD,
     RNG_ID,
     CounterRng,
     SampledCode,
     _build_lut,
-    _chunk_draws,
+    _chunk_failures,
     _erased_np,
     _erasure_fails,
+    _mix53,
+    _offsets,
     _range_failures,
     _uniform_index_np,
     estimate_block_error,
@@ -71,13 +77,25 @@ def test_counter_addressing_is_stateless():
     assert late.next_u53() == seq[7]
 
 
-def test_chunk_draws_match_scalar_stream():
-    u_end, u_erase = _chunk_draws(42, start=5, count=3, n=3)
-    rng = CounterRng(42, position=5 * 9)
-    for row in range(3):
-        manual = [rng.next_u53() for _ in range(9)]
-        got = [int(x) for x in u_end[row]] + [int(x) for x in u_erase[row]]
-        assert got == manual
+def _offset_draws(seed, start, count, n):
+    """(count, 3n) top-53-bit draws from the chunk's row and column offsets."""
+    rowz, colz = _offsets(seed, start, count, n)
+    return _mix53(rowz[:, None] + colz)
+
+
+def test_offset_states_match_scalar_stream():
+    # slot j of trial i is counter position i*3n + j; near 2^50 trials the
+    # row offset i*3n*golden wraps mod 2^64 many times over
+    for seed in (42, (1 << 64) - 1):
+        for start in (5, (1 << 50) - 2):
+            u = _offset_draws(seed, start, count=3, n=3)
+            rng = CounterRng(seed, position=start * 9)
+            for row in range(3):
+                manual = [rng.next_u53() for _ in range(9)]
+                assert [int(x) for x in u[row]] == manual
+                assert manual == [
+                    splitmix64_at(seed, (start + row) * 9 + j) >> 11 for j in range(9)
+                ]
 
 
 def test_uniform_index_m1_and_range():
@@ -376,7 +394,7 @@ def test_estimate_large_m_endpoints_exact():
     # scalar rng directly
     m = 2500
     params = EnsembleParams.from_checks(m)
-    u_end, _ = _chunk_draws(77, start=0, count=3, n=m)
+    u_end = _offset_draws(77, start=0, count=3, n=m)[:, : 2 * m]
     mapped = (u_end.astype(object) * m) >> 53
     assert _uniform_index_np(u_end, m).tolist() == mapped.tolist()
     rng = CounterRng(77)
@@ -408,7 +426,9 @@ def test_estimate_very_wide_rationals_match_replay():
         min_size=1,
         max_size=20,
     ),
-    m=st.one_of(st.integers(1, (1 << 32) - 1), st.sampled_from([1, (1 << 32) - 1])),
+    m=st.one_of(
+        st.integers(1, (1 << 32) - 1), st.sampled_from([1, 1 << 11, (1 << 11) + 1, (1 << 32) - 1])
+    ),
     q=st.integers(1, 1 << 64),
     data=st.data(),
 )
@@ -477,22 +497,86 @@ def test_range_failures_split_invariance(m, extra, eps, seed, lo, cuts):
     assert pieces == _range_failures(seed, lo, lo + 400, params, p, q, None)
 
 
+# every (n, m) whose estimate reads the lookup table
+_LUT_PAIRS = [
+    (n, m) for n in range(1, 21) for m in range(1, n + 1) if m ** (2 * n) << n <= LUT_GUARD
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _lut_for(n, m):
+    return _build_lut(params_for(n, m))
+
+
 def test_chunk_size_is_invisible(monkeypatch):
     params = params_for(30, 20)
     eps = Fraction(1, 4)
     whole = _range_failures(5, 3, 403, params, 1, 4, None)
     assert whole == sum(replay_trial(params, eps, 5, i).failed for i in range(3, 403))
+    # the lookup table over several chunks
+    lut = _lut_for(3, 3)
+    lut_whole = _range_failures(13, 0, 40000, P33, 2, 5, lut)
+    assert lut_whole == _range_failures(13, 0, 40000, P33, 2, 5, None)
     monkeypatch.setattr(simulator, "_BATCH_DRAWS", 3 * 30 * 17)  # 17 trials a chunk
     assert _range_failures(5, 3, 403, params, 1, 4, None) == whole
+    assert _range_failures(13, 0, 40000, P33, 2, 5, lut) == lut_whole
 
 
-def test_lut_and_direct_paths_agree():
-    params = P33
-    lut = _build_lut(params)
-    p, q = 2, 5
-    with_lut = _range_failures(13, 0, 5000, params, p, q, lut)
-    without = _range_failures(13, 0, 5000, params, p, q, None)
-    assert with_lut == without
+def test_build_lut_matches_union_find_loop():
+    # the vectorised relabelling against the per-pair union-find oracle, on
+    # every table small enough to enumerate quickly
+    for n, m in _LUT_PAIRS:
+        if m ** (2 * n) << n > 1 << 13:
+            continue
+        expect = [
+            _erasure_fails(endpoints, [i for i in range(n) if mask >> i & 1], m)
+            for endpoints in itertools.product(range(m), repeat=2 * n)
+            for mask in range(1 << n)
+        ]
+        assert _lut_for(n, m).tolist() == expect, (n, m)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    draws=st.lists(
+        st.tuples(_EPSILONS, st.integers(0, (1 << 64) - 1), st.integers(0, 10**12), st.integers(1, 20)),
+        min_size=len(_LUT_PAIRS),
+        max_size=len(_LUT_PAIRS),
+    )
+)
+def test_lut_and_direct_paths_agree(draws):
+    # trial starts up to 10^12 wrap the row offset i*3n*golden mod 2^64
+    for (n, m), (eps, seed, lo, count) in zip(_LUT_PAIRS, draws):
+        params = params_for(n, m)
+        p, q = eps.numerator, eps.denominator
+        with_lut = _range_failures(seed, lo, lo + count, params, p, q, _lut_for(n, m))
+        without = _range_failures(seed, lo, lo + count, params, p, q, None)
+        replayed = sum(
+            replay_trial(params, eps, seed, i).failed for i in range(lo, lo + count)
+        )
+        assert with_lut == without == replayed, (n, m)
+
+
+def _chunk_peak_mib(*args):
+    _chunk_failures(*args)  # numpy's first-call allocations are not the chunk's
+    tracemalloc.start()
+    try:
+        _chunk_failures(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_chunk_peak_memory():
+    # a stray full-size temporary shows here before it shows in peak RSS.
+    # Peel path, n = 200, m = 100, eps = 1/5, 4000 trials: the (200, 4000)
+    # uint64 erasure states are 6.1 MiB, and what lives beside them is under
+    # 1 MiB; one more (2, k) endpoint temporary (2.4 MiB) would pass 8 MiB.
+    assert _chunk_peak_mib(7, 0, 4000, params_for(200, 100), 1, 5, None) < 8
+    # LUT path, n = 3, 65536 trials: the row offsets, one slot's draws, the
+    # index and a temporary are 512 KiB each; a (trials, 3n) draw matrix
+    # alone is 4.5 MiB
+    assert _chunk_peak_mib(7, 0, 1 << 16, P33, 1, 5, _lut_for(3, 3)) < 3
 
 
 def test_estimate_validation():

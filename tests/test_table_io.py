@@ -84,6 +84,15 @@ def test_load_bad_header(tmp_path):
     assert "line 2" in str(err.value)
 
 
+def test_load_unknown_base_is_a_format_error(tmp_path):
+    # the header regex admits any lowercase label; only BaseConfig knows
+    # which ones exist
+    with pytest.raises(TableFormatError) as err:
+        load_table(write(tmp_path, "CPTABLE 2\nm=3 vmax=0 base=foo\n0 0 0 1/1\n"))
+    assert err.value.line == 2
+    assert "'foo'" in str(err.value)
+
+
 def test_load_bad_row_syntax(tmp_path):
     text = (
         "CPTABLE 2\nm=3 vmax=1 base=unit-origin\n"
