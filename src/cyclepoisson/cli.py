@@ -1,11 +1,13 @@
 """Subcommand front end tying the library together.
 
 Every run resolves an output directory (--out, else the CYCLEPOISSON_OUT
-environment variable, else the working directory), executes exactly one
-subcommand, and finishes by writing `manifest.json` there: the command,
-its arguments, the seed if one was used, and a sha256 per emitted
-artifact.  Re-running the recorded command line reproduces every artifact
-byte for byte.
+environment variable, else the working directory) and executes exactly one
+subcommand.  A run that emitted artifacts finishes by writing
+`manifest.json` there: the command, its arguments, the seed if one was
+used, and a sha256 per emitted artifact.  A run that emitted none (it
+printed to stdout only, like `table verify`) writes no manifest and leaves
+any existing one untouched.  Re-running the recorded command line
+reproduces every artifact byte for byte.
 
 Exit codes: 0 success, 1 usage, 2 validation or numeric failure, 3 I/O.
 """
@@ -673,7 +675,8 @@ def main(argv=None) -> int:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         rc = args.handler(args, run)
-        _write_manifest(run, args, argv)
+        if run.hashes:
+            _write_manifest(run, args, argv)
         return rc
     except ValidationError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -11,9 +11,11 @@ multigraph.
 
 The estimator decides a whole batch of trials at once: it places every
 trial's erased edges on its own copy of the m checks and peels them all
-together with numpy, dropping each round every edge that has a check of
-degree 1, until a round drops nothing.  A trial fails iff one of its
-edges survives.  Trials erasing m or more variables fail without peeling,
+together with numpy (`_two_core`): each round drops every edge that has a
+check of degree 1, gathering the kept and the dropped edges by index
+lists, until a round drops nothing.  The edges left are exactly the
+trials' peeling residuals, so a trial fails iff one of its edges
+survives.  Trials erasing m or more variables fail without peeling,
 because a forest on m checks has at most m - 1 edges.  `peel` (per code,
 sets and a stack) and `_erasure_fails` (per code, union-find) are the
 independent per-trial oracles; tiny instances read a precomputed table of
@@ -398,17 +400,34 @@ def _chunk_failures(
     del rows
     # a self-loop adds 2 to its check's degree, so it is never peeled
     degree = np.bincount(ends.reshape(-1), minlength=count * m)
-    a, b = ends
-    while a.size:
-        keep = (degree[a] > 1) & (degree[b] > 1)
-        if keep.all():
-            break
-        drop = ~keep
-        np.subtract.at(degree, a[drop], 1)
-        np.subtract.at(degree, b[drop], 1)
-        a, b = a[keep], b[keep]
+    a, _ = _two_core(degree, *ends)
     failed[a // m] = True
     return int(np.count_nonzero(failed))
+
+
+def _two_core(degree: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """The edges (a[k], b[k]) of the 2-core; peels `degree` in place.
+
+    degree[c] counts the endpoints of live edges on check c.  Each round
+    drops every edge with a check of degree 1 and stops when a round drops
+    nothing.  Rounds gather by index lists (`flatnonzero`, then `take`),
+    which measured faster than compressing a and b by boolean masks.
+    """
+    while a.size:
+        keep = degree.take(a) > 1
+        keep &= degree.take(b) > 1
+        dead = np.flatnonzero(~keep)
+        if not dead.size:
+            break
+        np.subtract.at(degree, a.take(dead), 1)
+        np.subtract.at(degree, b.take(dead), 1)
+        # an index list takes 8 bytes an edge; holding one at a time keeps
+        # the round below the peak of the chunk's erasure draws
+        del dead
+        live = np.flatnonzero(keep)
+        del keep
+        a, b = a.take(live), b.take(live)
+    return a, b
 
 
 def _range_failures(seed, lo, hi, params, p, q, lut) -> int:

@@ -341,13 +341,51 @@ def test_manifest_records_args_seed_and_hashes(tmp_path, capsys):
     assert manifest["artifact_hashes"] == {"sim.json": digest}
 
 
-def test_manifest_written_for_stdout_only_runs(tmp_path, capsys):
+def test_no_manifest_for_runs_without_artifacts(tmp_path, capsys, monkeypatch):
     rc, _, _ = run_cli(capsys, "--out", str(tmp_path), "pde", "classify", "--y", "0", "--z", "0")
     assert rc == 0
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["cmd"] == "pde classify"
-    assert manifest["artifact_hashes"] == {}
-    assert manifest["seed"] is None
+    assert not (tmp_path / "manifest.json").exists()
+    rc, _, _ = run_cli(capsys, "--out", str(tmp_path), "simulate", "--n", "2",
+                       "--r", "0", "--eps", "1/2", "--trials", "10", "--seed", "5")
+    assert rc == 0
+    assert not (tmp_path / "manifest.json").exists()
+    # table verify beside a committed table leaves that table's manifest as it was
+    rc, _, _ = run_cli(capsys, "--out", str(tmp_path), "table", "build",
+                       "--m", "3", "--vmax", "4", "--out", "t.cpt")
+    assert rc == 0
+    before = (tmp_path / "manifest.json").read_bytes()
+    assert json.loads(before)["cmd"] == "table build"
+    rc, out, _ = run_cli(capsys, "--out", str(tmp_path), "table", "verify",
+                         "--file", str(tmp_path / "t.cpt"))
+    assert rc == 0 and "ok:" in out
+    assert (tmp_path / "manifest.json").read_bytes() == before
+    # the same from inside the directory, where the default out dir is "."
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("CYCLEPOISSON_OUT", raising=False)
+    rc, out, _ = run_cli(capsys, "table", "verify", "--file", "t.cpt")
+    assert rc == 0 and "ok:" in out
+    assert (tmp_path / "manifest.json").read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "t.cpt"]
+
+
+def test_appendix_report_reproduces_byte_for_byte(tmp_path, capsys):
+    # reports/appendix is `table exponents --m 100`; its manifest names the
+    # command and the sha256 of every file it wrote
+    report = Path(__file__).resolve().parent.parent / "reports" / "appendix"
+    manifest = json.loads((report / "manifest.json").read_text())
+    argv = manifest["args"]
+    assert argv[:2] == ["--out", "reports/appendix"]
+    assert manifest["cmd"] == "table exponents"
+    rc, _, _ = run_cli(capsys, "--out", str(tmp_path), *argv[2:])
+    assert rc == 0
+    hashes = manifest["artifact_hashes"]
+    assert len(hashes) == 11
+    assert sorted(p.name for p in report.iterdir()) == sorted([*hashes, "manifest.json"])
+    for name, digest in hashes.items():
+        assert hashlib.sha256((report / name).read_bytes()).hexdigest() == digest, name
+        assert (tmp_path / name).read_bytes() == (report / name).read_bytes(), name
+    fresh = json.loads((tmp_path / "manifest.json").read_text())
+    assert fresh["artifact_hashes"] == hashes
 
 
 def test_out_env_var_is_honored(tmp_path, capsys, monkeypatch):

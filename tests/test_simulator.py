@@ -32,6 +32,7 @@ from cyclepoisson.simulator import (
     _mix53,
     _offsets,
     _range_failures,
+    _two_core,
     _uniform_index_np,
     estimate_block_error,
     exhaustive_block_error,
@@ -468,6 +469,10 @@ def _small_codes(draw):
 def test_batched_peel_matches_per_trial_peel(params, eps, seed, lo, count):
     # n >= m, so erasing m or more variables (the shortcut that skips the
     # peel) happens, always at eps = 1
+    _assert_peel_matches_replay(params, eps, seed, lo, count)
+
+
+def _assert_peel_matches_replay(params, eps, seed, lo, count):
     p, q = eps.numerator, eps.denominator
     batched = _range_failures(seed, lo, lo + count, params, p, q, None)
     replayed = sum(
@@ -495,6 +500,82 @@ def test_range_failures_split_invariance(m, extra, eps, seed, lo, cuts):
         for a, b in zip(bounds, bounds[1:])
     )
     assert pieces == _range_failures(seed, lo, lo + 400, params, p, q, None)
+
+
+@st.composite
+def _multigraph_batches(draw):
+    # trials share m; each gets its own edge list, with self-loops and
+    # repeated pairs drawn on purpose, and the edges of all trials are
+    # interleaved in a random order, as the chunk's variable-major order does
+    m = draw(st.integers(1, 6))
+    check = st.integers(0, m - 1)
+    trials = []
+    for _ in range(draw(st.integers(1, 6))):
+        edges = draw(st.lists(st.tuples(check, check), max_size=14))
+        for kind in draw(st.lists(st.sampled_from(["loop", "double"]), max_size=3)):
+            c, d = draw(st.tuples(check, check))
+            edges += [(c, c)] if kind == "loop" else [(c, d), (d, c)]
+        trials.append(edges)
+    order = draw(st.permutations(
+        [(t, i) for t, edges in enumerate(trials) for i in range(len(edges))]
+    ))
+    return m, trials, order
+
+
+@settings(max_examples=150, deadline=None)
+@given(batch=_multigraph_batches())
+def test_two_core_is_each_trials_peel_residual(batch):
+    m, trials, order = batch
+    a = np.array([t * m + trials[t][i][0] for t, i in order], dtype=np.int64)
+    b = np.array([t * m + trials[t][i][1] for t, i in order], dtype=np.int64)
+    degree = np.bincount(np.concatenate([a, b]), minlength=len(trials) * m)
+    core_a, core_b = _two_core(degree, a, b)
+    # peel's residual per trial; variables beyond the trial's edges pad the
+    # code to n >= m and are never erased
+    residual = []
+    for edges in trials:
+        k = len(edges)
+        ends = [c for edge in edges for c in edge] + [0] * (2 * m)
+        code = SampledCode(params=params_for(k + m, m), endpoint_assignment=ends)
+        residual.append(peel(code, range(k)))
+    kept = [(t, i) for t, i in order if i in residual[t]]
+    assert core_a.tolist() == [t * m + trials[t][i][0] for t, i in kept]
+    assert core_b.tolist() == [t * m + trials[t][i][1] for t, i in kept]
+    # the degrees left behind are those of the surviving edges
+    assert degree.tolist() == np.bincount(
+        np.concatenate([core_a, core_b]), minlength=len(trials) * m
+    ).tolist()
+
+
+@st.composite
+def _near_threshold(draw):
+    # eps within 1/20 of the threshold (1 - r)/2 = m/2n >= 1/20, where the
+    # peel takes the most rounds
+    m = draw(st.integers(20, 100))
+    params = params_for(draw(st.integers(max(40, m), 200)), m)
+    shift = draw(st.fractions(min_value=-1, max_value=1, max_denominator=20)) / 20
+    return params, (1 - params.r) / 2 + shift
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    case=_near_threshold(),
+    seed=st.integers(0, (1 << 64) - 1),
+    lo=st.integers(0, 10**9),
+    count=st.integers(1, 30),
+)
+def test_near_threshold_peel_matches_replay(case, seed, lo, count):
+    params, eps = case
+    _assert_peel_matches_replay(params, eps, seed, lo, count)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_estimate_near_threshold_frozen(threads):
+    # n = 2000, m = 1000 at the threshold eps = 1/4: chunks of 87 trials,
+    # each peeled over many rounds
+    params = EnsembleParams(n=2000, r=Fraction(1, 2))
+    res = estimate_block_error(params, Fraction(1, 4), trials=4000, seed=7, threads=threads)
+    assert res.failures == 3172
 
 
 # every (n, m) whose estimate reads the lookup table
