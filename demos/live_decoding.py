@@ -2,7 +2,7 @@
 
 Every trial is addressed by (seed, trial index) alone, so any single
 trial can be replayed after the fact: same code sample, same erasure
-pattern, same peeling outcome.  Thread count never changes the stream.
+pattern, same peeling outcome.
 """
 
 from fractions import Fraction
@@ -29,12 +29,6 @@ for trials in (1_000, 10_000, 100_000):
         "  %7d trials: p_hat=%.5f  ci95=[%.5f, %.5f]  covers exact: %s"
         % (trials, r.p_hat, lo, hi, inside)
     )
-
-print()
-print("threads do not move the estimate:")
-for threads in (1, 4):
-    r = estimate_block_error(params, eps, trials=50_000, seed=seed, threads=threads)
-    print("  threads=%d failures=%d" % (threads, r.failures))
 
 # replay the first failing trial and show why it failed
 print()

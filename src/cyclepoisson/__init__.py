@@ -93,7 +93,6 @@ from .table import (
     growth_exponent,
     growth_profile,
     load_table,
-    profile_reconciliation,
     save_table,
     stopping_set_count,
     verify_table,
@@ -128,7 +127,6 @@ __all__ = [
     "brute_force_profile_counts",
     "fill_table",
     "verify_table",
-    "profile_reconciliation",
     "growth_exponent",
     "boundary_layer",
     "growth_profile",

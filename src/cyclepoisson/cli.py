@@ -92,9 +92,8 @@ def _params_for_checks(m: int, depth: int) -> EnsembleParams:
 class _Run:
     """Collects artifacts and the seed for the end-of-run manifest."""
 
-    def __init__(self, out_dir: Path, threads: int):
+    def __init__(self, out_dir: Path):
         self.out_dir = out_dir
-        self.threads = threads
         self.hashes: dict[str, str] = {}
         self.seed = None
 
@@ -428,9 +427,7 @@ def _cmd_errprob_known_series(args, run: _Run) -> int:
 def _cmd_simulate(args, run: _Run) -> int:
     run.seed = args.seed
     params = EnsembleParams(n=args.n, r=args.r)
-    result = estimate_block_error(
-        params, args.eps, trials=args.trials, seed=args.seed, threads=run.threads
-    )
+    result = estimate_block_error(params, args.eps, trials=args.trials, seed=args.seed)
     doc = result.to_json_dict()
     text = json.dumps(doc, indent=2) + "\n"
     print(text, end="")
@@ -457,9 +454,7 @@ def _cmd_reconcile(args, run: _Run) -> int:
     for eps in args.eps_list:
         query = ErrProbQuery(params=params, epsilon=eps, table=table)
         analytic = expected_block_error(query)
-        mc = estimate_block_error(
-            params, eps, trials=args.trials, seed=args.seed, threads=run.threads
-        )
+        mc = estimate_block_error(params, eps, trials=args.trials, seed=args.seed)
         lo, hi = mc.ci95
         verdict = "within-ci" if lo <= float(analytic.value) <= hi else "outside-ci"
         rows.append(
@@ -519,9 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="output directory for artifacts and manifest.json "
         "(default: $%s or the working directory)" % OUT_ENV_VAR,
-    )
-    parser.add_argument(
-        "--threads", type=int, default=1, help="worker threads for simulate and reconcile"
     )
     groups = parser.add_subparsers(dest="group", required=True, metavar="GROUP")
 
@@ -658,6 +650,7 @@ def _write_manifest(run: _Run, args, argv: list[str]) -> None:
         "seed": run.seed,
         "artifact_hashes": run.hashes,
     }
+    run.out_dir.mkdir(parents=True, exist_ok=True)
     path = run.out_dir / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -671,9 +664,8 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage problems and 0 on --help
         return 0 if not exc.code else 1
     out_dir = Path(args.out or os.environ.get(OUT_ENV_VAR) or ".")
-    run = _Run(out_dir=out_dir, threads=max(1, args.threads))
+    run = _Run(out_dir=out_dir)
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
         rc = args.handler(args, run)
         if run.hashes:
             _write_manifest(run, args, argv)

@@ -23,10 +23,10 @@ the same cycle test instead.
 
 Reproducibility contract (rng id "splitmix64-ctr/v1"): draw number j of
 trial i is the splitmix64 output at counter position i*3n + j, so results
-are bit-identical for any thread count or batch size.  A trial owns
-exactly 3n positions: 2n endpoint draws (variable 0 endpoint 0, endpoint
-1, variable 1 endpoint 0, ...) followed by n erasure draws (variable 0
-first).  Each 64-bit output is truncated to its top 53 bits u; an
+are bit-identical for any batch size or split of the trials into ranges.
+A trial owns exactly 3n positions: 2n endpoint draws (variable 0 endpoint
+0, endpoint 1, variable 1 endpoint 0, ...) followed by n erasure draws
+(variable 0 first).  Each 64-bit output is truncated to its top 53 bits u; an
 endpoint index is (u * m) >> 53 and variable j is erased iff
 u * q < p * 2**53 for eps = p/q.  All of that is integer arithmetic, so
 every platform agrees exactly.
@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -495,15 +494,13 @@ def estimate_block_error(
     epsilon,
     trials: int,
     seed: int,
-    threads: int = 1,
 ) -> SimResult:
     """Monte Carlo estimate of the block-error probability.
 
     Per trial: sample a code, erase variables i.i.d. with probability
     epsilon, fail iff the erased multigraph has a cycle (= nonempty
     peeling residual).  The failure count is fully determined by (seed,
-    params, epsilon, trials), regardless of `threads`: trials are sharded
-    into contiguous ranges whose counts just add up.
+    params, epsilon, trials): trial i draws from (seed, i) alone.
 
     Unlike the analytic query, epsilon = 1 is a perfectly good simulation
     input here.
@@ -513,8 +510,6 @@ def estimate_block_error(
         raise ValidationError("epsilon must lie in [0, 1], got %s" % (eps,))
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    if threads < 1:
-        raise ValidationError("threads must be >= 1")
     seed = int(seed) & _M64
     n, m = params.n, params.m
     if m >= _M_LIMIT:
@@ -525,27 +520,7 @@ def estimate_block_error(
     # spares computing m^(2n), a 1.7-million-bit integer at n = 10^5
     if n <= 20 and m ** (2 * n) << n <= LUT_GUARD:
         lut = _build_lut(params)
-    if threads == 1:
-        failures = _range_failures(seed, 0, trials, params, p, q, lut)
-    else:
-        per = trials // threads
-        extra = trials % threads
-        ranges = []
-        lo = 0
-        for i in range(threads):
-            hi = lo + per + (1 if i < extra else 0)
-            if hi > lo:
-                ranges.append((lo, hi))
-            lo = hi
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            failures = sum(
-                pool.map(
-                    lambda pair: _range_failures(
-                        seed, pair[0], pair[1], params, p, q, lut
-                    ),
-                    ranges,
-                )
-            )
+    failures = _range_failures(seed, 0, trials, params, p, q, lut)
     p_hat = failures / trials
     return SimResult(
         params=params,

@@ -34,12 +34,13 @@ Entries outside the support are zero.  v! * 2^v * A(v, t, s) counts the
 cyclic assignments with profile (t, s): endpoint assignments of v variables
 whose graph on the checks contains a cycle (a self-loop or a repeated pair
 counts as one), with exactly t checks of degree >= 2 and s checks of degree
-exactly one.  This holds by exhaustive enumeration for every m, v <= 4; a
+exactly one.  The tests check this against an exhaustive census of the
+assignments the simulator's union-find oracle finds a cycle in; a
 derivation from the recurrence is still open.  At s = 0 these are all the
 stopping sets on t checks, since a graph with no check of degree one
-always has a cycle.  The all-assignment census of
-brute_force_profile_counts also counts forests, so profile_reconciliation
-reports the forest profiles as mismatches.
+always has a cycle.  brute_force_profile_counts tallies every assignment,
+forests included, so it exceeds the table wherever a forest has the
+profile.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ __all__ = [
     "brute_force_profile_counts",
     "fill_table",
     "verify_table",
-    "profile_reconciliation",
     "growth_exponent",
     "boundary_layer",
     "growth_profile",
@@ -276,8 +276,8 @@ def brute_force_profile_counts(m: int, v: int) -> dict[tuple[int, int], int]:
 
     For each assignment of 2v labeled endpoints to m checks, classify the
     profile (t, s) with t = checks of degree >= 2 and s = checks of degree
-    exactly 1.  Returns counts per profile; they sum to m^(2v).  This is the
-    independent oracle the table semantics are reconciled against.
+    exactly 1.  Returns counts per profile; they sum to m^(2v).  Forests
+    are counted too, so each count bounds v! * 2^v * A(v,t,s) from above.
     """
     if m < 1 or v < 0:
         raise ValidationError("brute_force_profile_counts needs m >= 1, v >= 0")
@@ -441,35 +441,6 @@ def verify_table(table: CoeffTable) -> list[str]:
                 if s * get((v, t, s), 0) != 2 * v * (u + 1) * rhs:
                     bad.append("recurrence fails at (%d,%d,%d)" % (v, t, s))
     return bad
-
-
-def profile_reconciliation(table: CoeffTable, v_limit: int) -> list[dict]:
-    """Compare v! * 2^v * A(v,t,s) against the brute-force profile census.
-
-    One row per (v, profile) observed on either side, with both counts and a
-    match flag.  This documents what the recurrence entries do and do not
-    count; disagreement is a reported outcome, not an error.
-    """
-    rows: list[dict] = []
-    for v in range(1, min(v_limit, table.vmax) + 1):
-        oracle = brute_force_profile_counts(table.m, v)
-        profiles = set(oracle)
-        profiles.update((t, s) for (vv, t, s) in table.entries if vv == v)
-        weight = factorial(v) * 2**v
-        for t, s in sorted(profiles):
-            table_count = weight * table.value(v, t, s)
-            oracle_count = oracle.get((t, s), 0)
-            rows.append(
-                {
-                    "v": v,
-                    "t": t,
-                    "s": s,
-                    "table_count": table_count,
-                    "oracle_count": oracle_count,
-                    "match": table_count == oracle_count,
-                }
-            )
-    return rows
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,9 @@ Each test is numbered; the conftest hook prints one
 `[ACCEPTANCE] criterion-N PASS|FAIL` line per test so a full run yields a
 scoreboard.  Everything here goes through public entry points and
 independent oracles (closed forms, exhaustive enumerations, committed
-artifacts), not through the internals under test.
+artifacts), not through the internals under test.  The one exception is
+criterion 13's split check, which sums the simulator's per-range counter
+over uneven ranges, since the public estimator counts all trials in one.
 """
 
 import itertools
@@ -32,7 +34,12 @@ from cyclepoisson.pde import (
     residual_reconciliation,
 )
 from cyclepoisson.series import geometric_series, poisson_block_series
-from cyclepoisson.simulator import estimate_block_error, exhaustive_block_error
+from cyclepoisson.simulator import (
+    _build_lut,
+    _range_failures,
+    estimate_block_error,
+    exhaustive_block_error,
+)
 from cyclepoisson.table import (
     EnsembleParams,
     boundary_coefficient,
@@ -272,14 +279,17 @@ def test_criterion_13_simulator_vs_exhaustive():
             else:
                 sigma = math.sqrt(float(exact) * (1 - float(exact)) / res.trials)
                 assert abs(res.p_hat - float(exact)) < 3 * sigma, (n, eps)
-    # thread sharding never changes the failure count
+    # trial i draws from (seed, i) alone, so uneven contiguous ranges of the
+    # same trials (here on the lookup-table path) add up to the same count
     params = EnsembleParams(n=2, r=Fraction(0))
     base = estimate_block_error(params, Fraction(1, 2), trials=10**6, seed=seed)
-    for threads in (2, 5):
-        again = estimate_block_error(
-            params, Fraction(1, 2), trials=10**6, seed=seed, threads=threads
-        )
-        assert again.failures == base.failures
+    lut = _build_lut(params)
+    bounds = [0, 1, 16_385, 70_001, 333_333, 999_999, 10**6]
+    pieces = sum(
+        _range_failures(seed, lo, hi, params, 1, 2, lut)
+        for lo, hi in zip(bounds, bounds[1:])
+    )
+    assert pieces == base.failures
 
 
 def test_criterion_14_reconcile_report(tmp_path, capsys):

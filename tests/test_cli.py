@@ -293,12 +293,14 @@ def test_simulate_json_contains_oracle(tmp_path, capsys):
     assert on_disk == doc
 
 
-def test_simulate_threads_bit_identical(tmp_path, capsys):
-    out = str(tmp_path)
-    argv = ["simulate", "--n", "20", "--r", "1/2", "--eps", "1/5", "--trials", "3000", "--seed", "5"]
-    run_cli(capsys, "--out", out, *argv, "--json", "a.json")
-    run_cli(capsys, "--out", out, "--threads", "3", *argv, "--json", "b.json")
-    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+def test_threads_option_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "fresh"
+    argv = ["simulate", "--n", "20", "--r", "1/2", "--eps", "1/5", "--trials", "300",
+            "--seed", "5", "--json", "a.json"]
+    rc, _, err = run_cli(capsys, "--out", str(out), "--threads", "2", *argv)
+    assert rc == 1
+    assert err.startswith("usage:")
+    assert not out.exists()
 
 
 def test_reconcile_report(tmp_path, capsys):
@@ -368,24 +370,62 @@ def test_no_manifest_for_runs_without_artifacts(tmp_path, capsys, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "t.cpt"]
 
 
-def test_appendix_report_reproduces_byte_for_byte(tmp_path, capsys):
-    # reports/appendix is `table exponents --m 100`; its manifest names the
-    # command and the sha256 of every file it wrote
-    report = Path(__file__).resolve().parent.parent / "reports" / "appendix"
+REPORTS = Path(__file__).resolve().parent.parent / "reports"
+_HASHED_REPORTS = sorted(
+    p.parent.name
+    for p in REPORTS.glob("*/manifest.json")
+    if json.loads(p.read_text())["artifact_hashes"]
+)
+
+
+def test_hashed_reports_are_the_expected_four():
+    assert _HASHED_REPORTS == ["appendix", "expansion", "reconcile", "residual"]
+
+
+@pytest.mark.parametrize("name", _HASHED_REPORTS)
+def test_report_reproduces_byte_for_byte(name, tmp_path, capsys):
+    # each manifest names its command and the sha256 of every file it wrote;
+    # rerunning that command elsewhere must give the same bytes
+    report = REPORTS / name
     manifest = json.loads((report / "manifest.json").read_text())
     argv = manifest["args"]
-    assert argv[:2] == ["--out", "reports/appendix"]
-    assert manifest["cmd"] == "table exponents"
+    assert argv[:2] == ["--out", "reports/%s" % name]
     rc, _, _ = run_cli(capsys, "--out", str(tmp_path), *argv[2:])
     assert rc == 0
     hashes = manifest["artifact_hashes"]
-    assert len(hashes) == 11
     assert sorted(p.name for p in report.iterdir()) == sorted([*hashes, "manifest.json"])
-    for name, digest in hashes.items():
-        assert hashlib.sha256((report / name).read_bytes()).hexdigest() == digest, name
-        assert (tmp_path / name).read_bytes() == (report / name).read_bytes(), name
+    for artifact, digest in hashes.items():
+        assert hashlib.sha256((report / artifact).read_bytes()).hexdigest() == digest, artifact
+        assert (tmp_path / artifact).read_bytes() == (report / artifact).read_bytes(), artifact
     fresh = json.loads((tmp_path / "manifest.json").read_text())
     assert fresh["artifact_hashes"] == hashes
+    assert fresh["seed"] == manifest["seed"]
+
+
+def test_print_only_run_creates_no_out_dir(tmp_path, capsys):
+    out = tmp_path / "fresh"
+    rc, _, _ = run_cli(capsys, "--out", str(out), "pde", "classify", "--y", "0", "--z", "0")
+    assert rc == 0
+    assert not out.exists()
+
+
+def test_simulate_json_into_fresh_out_dir(tmp_path, capsys):
+    out = tmp_path / "fresh" / "nested"
+    rc, _, _ = run_cli(capsys, "--out", str(out), "simulate", "--n", "2", "--r", "0",
+                       "--eps", "1/2", "--trials", "10", "--seed", "5", "--json", "sim.json")
+    assert rc == 0
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "sim.json"]
+
+
+def test_manifest_lands_in_out_dir_for_absolute_artifacts(tmp_path, capsys):
+    out = tmp_path / "fresh"
+    target = tmp_path / "elsewhere" / "sim.json"
+    rc, _, _ = run_cli(capsys, "--out", str(out), "simulate", "--n", "2", "--r", "0",
+                       "--eps", "1/2", "--trials", "10", "--seed", "5", "--json", str(target))
+    assert rc == 0
+    assert target.exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert list(manifest["artifact_hashes"]) == [str(target)]
 
 
 def test_out_env_var_is_honored(tmp_path, capsys, monkeypatch):

@@ -1,10 +1,12 @@
 """Tests for the constellation coefficient table.
 
 The s = 0 boundary layer has an independent closed-form oracle
-(block_partition_count over labeled endpoints) and the whole table is
-reconciled against a brute-force census of endpoint assignments for small m.
+(block_partition_count over labeled endpoints) and, for small m, the whole
+table equals a brute-force census of the endpoint assignments that contain
+a cycle.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 from cyclepoisson.combinatorics import binomial, block_partition_count, factorial
 from cyclepoisson.errors import GuardError, ValidationError
 from cyclepoisson.series import poisson_block_series
+from cyclepoisson.simulator import _erasure_fails
 from cyclepoisson.table import (
     BaseConfig,
     EnsembleParams,
@@ -26,7 +29,6 @@ from cyclepoisson.table import (
     fill_table,
     growth_exponent,
     growth_profile,
-    profile_reconciliation,
     stopping_set_count,
     verify_table,
 )
@@ -334,29 +336,50 @@ def test_level_sums_match_fraction_sums(m, vmax, key, num, den):
 
 
 # ----------------------------------------------------------------------
-# census reconciliation
+# cyclic census
 # ----------------------------------------------------------------------
 
 
-def test_reconciliation_boundary_matches():
-    table = fill_table(EnsembleParams.from_checks(3), vmax=3)
-    rows = profile_reconciliation(table, v_limit=3)
-    for row in rows:
-        if row["s"] == 0 and row["t"] >= 1:
-            assert row["match"], row
+def _cyclic_census(m, v):
+    """(t, s) profiles of the assignments of v variables with a cycle."""
+    counts = {}
+    for assign in itertools.product(range(m), repeat=2 * v):
+        if _erasure_fails(assign, range(v), m):
+            deg = [0] * m
+            for c in assign:
+                deg[c] += 1
+            key = (sum(d >= 2 for d in deg), deg.count(1))
+            counts[key] = counts.get(key, 0) + 1
+    return counts
 
 
-def test_reconciliation_documents_s_mismatch():
-    # the s >= 1 entries do not count degree-(exactly 1) profiles: first
-    # disagreement at m=3 is (v=2, t=1, s=2), weighted table 12 vs census 36
+_CENSUS_PAIRS = [
+    (m, v) for m in range(1, 7) for v in range(1, 9) if m ** (2 * v) <= 10**5
+]
+
+
+@pytest.mark.parametrize("m", sorted({m for m, _ in _CENSUS_PAIRS}))
+def test_table_counts_cyclic_assignments(m):
+    # v! 2^v A(v,t,s) is the number of endpoint assignments whose graph on
+    # the m checks contains a cycle and has profile (t, s)
+    vmax = max(v for mm, v in _CENSUS_PAIRS if mm == m)
+    table = fill_table(_params(m, vmax), vmax)
+    for v in range(1, vmax + 1):
+        census = _cyclic_census(m, v)
+        weight = factorial(v) * 2**v
+        stored = {
+            (t, s): weight * a for (vv, t, s), a in table.entries.items() if vv == v
+        }
+        assert stored == census, (m, v)
+
+
+def test_cyclic_census_excludes_forests():
+    # m = 3, v = 2, (t, s) = (1, 2): the table and the cyclic census give
+    # 12, while the all-assignment census adds the 24 two-edge paths
     table = fill_table(EnsembleParams.from_checks(3), vmax=2)
-    rows = {(r["v"], r["t"], r["s"]): r for r in profile_reconciliation(table, 2)}
-    row = rows[(2, 1, 2)]
-    assert row["table_count"] == 12
-    assert row["oracle_count"] == 36
-    assert not row["match"]
-    # while (v=2, t=1, s=1) happens to agree
-    assert rows[(2, 1, 1)]["table_count"] == rows[(2, 1, 1)]["oracle_count"] == 24
+    assert factorial(2) * 2**2 * table.value(2, 1, 2) == 12
+    assert _cyclic_census(3, 2)[(1, 2)] == 12
+    assert brute_force_profile_counts(3, 2)[(1, 2)] == 36
 
 
 # ----------------------------------------------------------------------
