@@ -26,6 +26,7 @@ from .combinatorics import (
     log10_fraction,
     log10_int,
     log_fraction,
+    log_ratio,
     stirling_factorial,
     stirling_relative_error,
 )
@@ -117,6 +118,7 @@ __all__ = [
     "log10_int",
     "log10_fraction",
     "log_fraction",
+    "log_ratio",
     # table
     "EnsembleParams",
     "BaseConfig",

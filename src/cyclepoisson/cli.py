@@ -153,7 +153,7 @@ def _cmd_table_build(args, run: _Run) -> int:
     params = _params_for_checks(args.m, args.vmax)
     table = fill_table(params, args.vmax, base=BaseConfig.from_label(args.base))
     out_path = run.resolve(args.out_file or ("table_m%d_v%d.cpt" % (args.m, args.vmax)))
-    print("filled m=%d vmax=%d, %d nonzero entries" % (table.m, table.vmax, len(table.entries)))
+    print("filled m=%d vmax=%d, %d nonzero entries" % (table.m, table.vmax, len(table.counts)))
     out_path.parent.mkdir(parents=True, exist_ok=True)
     save_table(table, out_path)
     run.record_file(out_path)
@@ -169,16 +169,15 @@ def _cmd_table_exponents(args, run: _Run) -> int:
     out_names = []
     top = None
     for t in t_list:
-        rows = profile.get(t, [])
-        have = {v for v, _ in rows}
+        exponents = dict(profile.get(t, []))
         lines = ["v,g"]
         for v in range(1, vmax + 1):
-            match = [g for (vv, g) in rows if vv == v]
-            if match:
-                lines.append("%d,%.15g" % (v, match[0]))
-                top = match[0] if top is None else max(top, match[0])
-            elif v not in have:
+            g = exponents.get(v)
+            if g is None:
                 lines.append("# v=%d gap zero-coefficient" % v)
+            else:
+                lines.append("%d,%.15g" % (v, g))
+                top = g if top is None else max(top, g)
         name = "g_t%d_m%d.csv" % (t, m)
         run.write_text(name, "\n".join(lines) + "\n")
         out_names.append(name)
@@ -208,7 +207,7 @@ def _cmd_table_exponents(args, run: _Run) -> int:
 def _cmd_table_verify(args, run: _Run) -> int:
     table = load_table(Path(args.file))
     problems = verify_table(table)
-    print("table: m=%d vmax=%d, %d entries" % (table.m, table.vmax, len(table.entries)))
+    print("table: m=%d vmax=%d, %d entries" % (table.m, table.vmax, len(table.counts)))
     if problems:
         for p in problems:
             print("FAIL %s" % p)
@@ -250,6 +249,7 @@ def _cmd_pde_alpha(args, run: _Run) -> int:
     alphas = [args.alpha]
     if args.survey:
         alphas = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(4), Fraction(5)]
+    lines = []
     for alpha in alphas:
         case = alpha_case(alpha)
         sub = alpha_substitution(alpha)
@@ -260,11 +260,17 @@ def _cmd_pde_alpha(args, run: _Run) -> int:
                 roots.append("%s (mult %d)" % (root.exact, root.multiplicity))
             else:
                 roots.append("~%.12g [width<%g]" % (root.midpoint, float(root.width)))
-        print("alpha=%s case=%d" % (alpha, case.index))
-        print("  f(z) along y=alpha z: %s" % _poly1_str(case.f))
-        print("  roots: %s" % ("; ".join(roots) if roots else "none (no real roots)"))
-        print("  cubic discriminant 4a^3-3a^2+6a-7 = %s" % disc)
-        print("  exact substitution equals the printed form: %s" % sub.equal)
+        lines += [
+            "alpha=%s case=%d" % (alpha, case.index),
+            "  f(z) along y=alpha z: %s" % _poly1_str(case.f),
+            "  roots: %s" % ("; ".join(roots) if roots else "none (no real roots)"),
+            "  cubic discriminant 4a^3-3a^2+6a-7 = %s" % disc,
+            "  exact substitution equals the printed form: %s" % sub.equal,
+        ]
+    text = "\n".join(lines) + "\n"
+    sys.stdout.write(text)
+    if args.survey:
+        run.write_text("alpha_survey.txt", text)
     return 0
 
 
@@ -334,15 +340,14 @@ def _cmd_pde_verify_expansion(args, run: _Run) -> int:
 # ----------------------------------------------------------------------
 
 
-def _build_query(n: int, r: Fraction, eps: Fraction, vmax: int) -> ErrProbQuery:
+def _build_query(n: int, r: Fraction, eps: Fraction) -> ErrProbQuery:
     params = EnsembleParams(n=n, r=r)
-    table = fill_table(params, vmax)
+    table = fill_table(params, n)
     return ErrProbQuery(params=params, epsilon=eps, table=table)
 
 
 def _cmd_errprob_eval(args, run: _Run) -> int:
-    vmax = args.vmax if args.vmax is not None else args.n
-    query = _build_query(args.n, args.r, args.eps, vmax)
+    query = _build_query(args.n, args.r, args.eps)
     result = expected_block_error(query)
     print("x = %s" % query.x)
     print("E_B = %s" % result.value)
@@ -354,9 +359,8 @@ def _cmd_errprob_eval(args, run: _Run) -> int:
 
 
 def _cmd_errprob_sweep(args, run: _Run) -> int:
-    vmax = args.vmax if args.vmax is not None else args.n
     params = EnsembleParams(n=args.n, r=args.r)
-    table = fill_table(params, vmax)
+    table = fill_table(params, args.n)
     lines = ["epsilon,value,float_value"]
     for eps in args.eps_list:
         query = ErrProbQuery(params=params, epsilon=eps, table=table)
@@ -571,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     region.add_argument("--csv", default="region.csv")
     alpha = leaf(pde_sub, "alpha", _cmd_pde_alpha, "pde alpha", help="case split along the ray y = alpha z")
     alpha.add_argument("--alpha", type=_frac, default=Fraction(1))
-    alpha.add_argument("--survey", action="store_true", help="print all six canonical cases")
+    alpha.add_argument("--survey", action="store_true", help="print all six canonical cases and write them to alpha_survey.txt")
     residual = leaf(pde_sub, "residual", _cmd_pde_residual, "pde residual", help="apply the operator to a filled table")
     residual.add_argument("--m", type=int, default=5)
     residual.add_argument("--vmax", type=int, default=None)
@@ -595,13 +599,11 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--n", type=int, required=True)
     ev.add_argument("--r", type=_frac, required=True)
     ev.add_argument("--eps", type=_frac, required=True)
-    ev.add_argument("--vmax", type=int, default=None)
     ev.add_argument("--breakdown", action="store_true")
     sweep = leaf(errprob_sub, "sweep", _cmd_errprob_sweep, "errprob sweep", help="sweep epsilon values to CSV")
     sweep.add_argument("--n", type=int, required=True)
     sweep.add_argument("--r", type=_frac, required=True)
     sweep.add_argument("--eps-list", dest="eps_list", type=_frac_list, required=True)
-    sweep.add_argument("--vmax", type=int, default=None)
     sweep.add_argument("--csv", default="errprob_sweep.csv")
     split = leaf(errprob_sub, "hadamard-split", _cmd_errprob_hadamard_split, "errprob hadamard-split", help="root-test radius estimates for one (t,s) column")
     split.add_argument("--n", type=int, required=True)

@@ -21,6 +21,7 @@ __all__ = [
     "log10_int",
     "log10_fraction",
     "log_fraction",
+    "log_ratio",
 ]
 
 # Digits of the leading prefix used by the exact-log path.  25 digits keep the
@@ -152,7 +153,19 @@ def log10_fraction(q: Fraction) -> float:
 
 def log_fraction(q: Fraction, base: int | str = 10) -> float:
     """Logarithm of a positive rational in base 10 or base e."""
-    l10 = log10_fraction(q)
+    return _rebase(log10_fraction(q), base)
+
+
+def log_ratio(num: int, den: int, base: int | str = 10) -> float:
+    """Logarithm of num/den for positive integers, in base 10 or base e.
+
+    The digit-count path on each side, with no Fraction built: for num/den
+    in lowest terms this is exactly log_fraction(Fraction(num, den), base).
+    """
+    return _rebase(log10_int(num) - log10_int(den), base)
+
+
+def _rebase(l10: float, base: int | str) -> float:
     if base == 10:
         return l10
     if base in ("e", math.e):

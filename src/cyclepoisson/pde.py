@@ -287,8 +287,8 @@ class Poly3:
         bv, bt, bs = trunc
         return cls(
             {
-                key: val
-                for key, val in table.entries.items()
+                key: table.value(*key)
+                for key in table.counts
                 if key[0] <= bv and key[1] <= bt and key[2] <= bs
             }
         )

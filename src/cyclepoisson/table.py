@@ -30,17 +30,30 @@ code with the fill: the powers of the n!-scaled EGF e^x - 1 - x as a
 binomial convolution, P_t[n] = sum_{j>=2} binom(n,j) * P_{t-1}[n-j]
 (choose the first block).
 
-Entries outside the support are zero.  v! * 2^v * A(v, t, s) counts the
-cyclic assignments with profile (t, s): endpoint assignments of v variables
-whose graph on the checks contains a cycle (a self-loop or a repeated pair
-counts as one), with exactly t checks of degree >= 2 and s checks of degree
-exactly one.  The tests check this against an exhaustive census of the
-assignments the simulator's union-find oracle finds a cycle in; a
-derivation from the recurrence is still open.  At s = 0 these are all the
-stopping sets on t checks, since a graph with no check of degree one
-always has a cycle.  brute_force_profile_counts tallies every assignment,
-forests included, so it exceeds the table wherever a forest has the
-profile.
+Entries outside the support are zero; an entry is nonzero only where
+2t + s <= 2v.  B(v, t, s) = v! * 2^v * A(v, t, s) counts the cyclic
+assignments with profile (t, s): endpoint assignments of v variables whose
+graph on the checks contains a cycle (a self-loop or a repeated pair counts
+as one), with exactly t checks of degree >= 2 and s checks of degree
+exactly one.  The recurrence is the peeling step.  A check of degree one
+is on no cycle, so deleting the variable (edge) at a chosen leaf check
+keeps a cyclic graph cyclic, with v - 1 variables.  The edge's other
+endpoint c has one of three degrees, one term each:
+  deg c >= 3: c keeps degree >= 2, leaving profile (t, s-1), weight t;
+  deg c == 2: c becomes a leaf, leaving (t-1, s), weight s;
+  deg c == 1: an isolated edge, both ends empty, leaving (t, s-2), weight
+              (u+2) * (u+1) for the ordered pair of empty checks.
+In B terms, s * B(v,t,s) = 2v * (u+1) * (t*B(v-1,t,s-1) + s*B(v-1,t-1,s)
++ (u+2)*B(v-1,t,s-2)): the s on the left picks the leaf, and 2v * (u+1)
+the deleted edge's label, its orientation and the empty check its leaf
+lands on.  A forest strips down to t = 0, where the table is zero, so only
+cyclic graphs are counted.  The tests check each term against the
+(cyclic assignment, leaf) pairs of its kind, and the totals against an
+exhaustive census of the assignments the simulator's union-find oracle
+finds a cycle in.  At s = 0 these are all the stopping sets on t checks,
+since a graph with no check of degree one always has a cycle.
+brute_force_profile_counts tallies every assignment, forests included, so
+it exceeds the table wherever a forest has the profile.
 """
 
 from __future__ import annotations
@@ -49,10 +62,13 @@ import enum
 import hashlib
 import itertools
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 
-from .combinatorics import binomial, factorial, log_fraction
+from .combinatorics import binomial, factorial, log_fraction, log_ratio
 from .errors import GuardError, TableFormatError, ValidationError
 
 __all__ = [
@@ -119,9 +135,10 @@ class BaseConfig(enum.Enum):
     UNIT_ORIGIN = "unit-origin"  # A(0,0,0) = 1, everything else at v=0 zero
     EMPTY = "empty"  # the whole v=0 plane zero
 
-    def level_zero(self) -> dict[tuple[int, int, int], Fraction]:
+    def level_zero(self) -> dict[tuple[int, int, int], int]:
+        """The v = 0 plane as counts; there 0! * 2^0 = 1, so B = A."""
         if self is BaseConfig.UNIT_ORIGIN:
-            return {(0, 0, 0): Fraction(1)}
+            return {(0, 0, 0): 1}
         return {}
 
     @classmethod
@@ -133,10 +150,13 @@ class BaseConfig(enum.Enum):
 
 
 class CoeffTable:
-    """Sparse exact-rational table of A(v, t, s) coefficients.
+    """Sparse exact table of A(v, t, s), stored as integer counts.
 
-    Absent entries are zero.  Equality is on (m, vmax, base, entries): two
-    parameterizations with the same check count carry identical tables.
+    counts maps (v, t, s) to the integer B = v! * 2^v * A(v, t, s), the
+    number of cyclic assignments with that profile; absent keys are zero.
+    entries is a read-only view of the same table as Fractions A = B /
+    (v! * 2^v), built per access.  Equality is on (m, vmax, base, counts):
+    two parameterizations with the same check count carry identical tables.
     """
 
     def __init__(
@@ -144,16 +164,21 @@ class CoeffTable:
         params: EnsembleParams,
         vmax: int,
         base: BaseConfig,
-        entries: dict[tuple[int, int, int], Fraction],
+        counts: dict[tuple[int, int, int], int],
     ):
         self.params = params
         self.vmax = vmax
         self.base = base
-        self.entries = entries
+        self.counts = counts
 
     @property
     def m(self) -> int:
         return self.params.m
+
+    @property
+    def entries(self) -> Mapping[tuple[int, int, int], Fraction]:
+        """A(v, t, s) per stored key, as a read-only Fraction mapping."""
+        return _EntriesView(self.counts)
 
     @property
     def is_partial(self) -> bool:
@@ -165,7 +190,8 @@ class CoeffTable:
         return False
 
     def value(self, v: int, t: int, s: int) -> Fraction:
-        return self.entries.get((v, t, s), Fraction(0))
+        b = self.counts.get((v, t, s))
+        return Fraction(b, _weight(v)) if b else Fraction(0)
 
     def level_sum(self, v: int) -> Fraction:
         """Sum of A(v, t, s) over t >= 1 and all s."""
@@ -174,21 +200,14 @@ class CoeffTable:
     def level_sums(self) -> dict[int, Fraction]:
         """level_sum(v) for every level v with an entry at t >= 1, in one pass.
 
-        Entries are added as integers over w = v! * 2^v, which every
-        denominator of a filled table divides, and one Fraction is built
-        per level.  An entry whose denominator does not divide w is added
-        as a Fraction, so the sums stay exact on any table.
+        The counts of a level are added as integers and one Fraction, the
+        sum over v! * 2^v, is built per level.
         """
-        weights: dict[int, int] = {}
-        sums: dict[int, int | Fraction] = {}
-        for (v, t, _s), val in self.entries.items():
-            if t < 1:
-                continue
-            w = weights.get(v)
-            if w is None:
-                w = weights[v] = factorial(v) * 2**v
-            sums[v] = sums.get(v, 0) + _scaled(val, w)
-        return {v: Fraction(b, weights[v]) for v, b in sums.items()}
+        sums: dict[int, int] = {}
+        for (v, t, _s), b in self.counts.items():
+            if t >= 1:
+                sums[v] = sums.get(v, 0) + b
+        return {v: Fraction(b, _weight(v)) for v, b in sums.items()}
 
     def __eq__(self, other):
         if not isinstance(other, CoeffTable):
@@ -197,7 +216,7 @@ class CoeffTable:
             self.m == other.m
             and self.vmax == other.vmax
             and self.base == other.base
-            and self.entries == other.entries
+            and self.counts == other.counts
         )
 
     __hash__ = None
@@ -207,14 +226,32 @@ class CoeffTable:
             self.m,
             self.vmax,
             self.base.value,
-            len(self.entries),
+            len(self.counts),
         )
 
 
-def _scaled(val: Fraction, weight: int) -> int | Fraction:
-    """weight * val: an int when val's denominator divides weight, else exact."""
-    den = val.denominator
-    return weight * val if weight % den else val.numerator * (weight // den)
+class _EntriesView(Mapping):
+    """(v, t, s) -> Fraction(B, v! * 2^v) over a count dict; no item assignment."""
+
+    __slots__ = ("_counts",)
+
+    def __init__(self, counts: dict[tuple[int, int, int], int]):
+        self._counts = counts
+
+    def __getitem__(self, key) -> Fraction:
+        return Fraction(self._counts[key], _weight(key[0]))
+
+    def __iter__(self):
+        return iter(self._counts)
+
+    def __len__(self) -> int:
+        return len(self._counts)
+
+
+@lru_cache(maxsize=None)
+def _weight(v: int) -> int:
+    """v! * 2^v, the denominator every A at level v has in counts form."""
+    return factorial(v) << v
 
 
 # ----------------------------------------------------------------------
@@ -337,10 +374,10 @@ def fill_table(
     """Fill A(v, t, s) for 1 <= v <= vmax as M(t,s) * C(v,t,s) / (v! * 2^v).
 
     The integers C come from the m-free kernel _profile_counts and M(t,s)
-    is the multinomial m!/(t! s! (m-t-s)!); each stored entry is one
-    exact Fraction, and zeros are not stored.  The v = 0 plane is the base
-    config's.  Every level is filled from scratch: refilling is faster
-    than loading a saved table of the same size.
+    is the multinomial m!/(t! s! (m-t-s)!); each stored count is the
+    integer B = M(t,s) * C(v,t,s), and zeros are not stored.  The v = 0
+    plane is the base config's.  Every level is filled from scratch:
+    refilling is faster than loading a saved table of the same size.
 
     Raises:
         ValidationError: vmax outside 0..n.
@@ -348,19 +385,19 @@ def fill_table(
     if vmax < 0 or vmax > params.n:
         raise ValidationError("vmax must lie in 0..n, got %r" % (vmax,))
     m = params.m
-    entries = base.level_zero()
-    counts = _profile_counts(m, vmax)
+    counts = base.level_zero()
+    kernel = _profile_counts(m, vmax)
     multinomial = [
         [binomial(m, t) * binomial(m - t, s) for s in range(m - t + 1)]
         for t in range(min(m, vmax) + 1)
     ]
     for v in range(1, vmax + 1):
-        weight = factorial(v) * 2**v
         for t in range(1, min(v, m) + 1):
-            for s, c in enumerate(counts[v][t]):
+            row = multinomial[t]
+            for s, c in enumerate(kernel[v][t]):
                 if c:
-                    entries[(v, t, s)] = Fraction(multinomial[t][s] * c, weight)
-    return CoeffTable(params, vmax, base, entries)
+                    counts[(v, t, s)] = row[s] * c
+    return CoeffTable(params, vmax, base, counts)
 
 
 def _first_block_counts(tmax: int, nmax: int) -> list[list[int]]:
@@ -390,50 +427,44 @@ def _first_block_counts(tmax: int, nmax: int) -> list[list[int]]:
 def verify_table(table: CoeffTable) -> list[str]:
     """Independent recheck of every invariant; returns violation messages.
 
-    Rechecks, independent of fill order: support (nothing stored outside the
-    index ranges, v = 0 plane matches the base config), the paper's
-    unfactored three-term recurrence at every (v, t, s) with s >= 1 in
-    support (including entries stored as zero by omission), and the
-    boundary identity
+    Rechecks, independent of fill order: support (nothing stored outside
+    the index ranges or the profile support 2t + s <= 2v, v = 0 plane
+    matches the base config), the paper's unfactored three-term
+    recurrence at every (v, t, s) with s >= 1 in the profile support
+    (including entries stored as zero by omission), and the boundary
+    identity
     v! * 2^v * A(v,t,0) == binom(m,t) * (2v)! * [x^(2v)] (e^x - 1 - x)^t.
-    Both checks run on B = v! * 2^v * A: the int num * (v! 2^v // den)
-    where den divides v! * 2^v, and the exact Fraction otherwise, so a
-    corrupt entry is compared exactly.  The recurrence is checked as
-    s * B(v,t,s) == 2v * R(B(v-1)) with R its right-hand side.  The
-    boundary side is binom(m,t) * P_t[2v] from _first_block_counts, an
-    integer binomial convolution independent of the kernel the fill uses.
+    Both checks read the integer counts B = v! * 2^v * A.  The recurrence
+    is checked as s * B(v,t,s) == 2v * R(B(v-1)) with R its right-hand
+    side; outside the profile support both sides vanish once no entry is
+    stored there, so those rows are not visited.  The boundary side is
+    binom(m,t) * P_t[2v] from _first_block_counts, an integer binomial
+    convolution independent of the kernel the fill uses.
     """
     m = table.m
     vmax = table.vmax
+    counts = table.counts
     bad: list[str] = []
     origin = table.base.level_zero()
-    weight = [factorial(v) * 2**v for v in range(vmax + 1)]
-    scaled: dict[tuple[int, int, int], int | Fraction] = {}
-    for (v, t, s), val in sorted(table.entries.items()):
-        if val == 0:
+    for (v, t, s), b in sorted(counts.items()):
+        if b == 0:
             bad.append("stored zero at (%d,%d,%d)" % (v, t, s))
-        if 0 <= v <= vmax:
-            scaled[(v, t, s)] = _scaled(val, weight[v])
         if v == 0:
-            if origin.get((v, t, s)) != val:
+            if origin.get((v, t, s)) != b:
                 bad.append("v=0 entry (%d,%d,%d)=%s conflicts with base %s"
-                           % (v, t, s, val, table.base.value))
+                           % (v, t, s, b, table.base.value))
             continue
         if v > vmax or not (1 <= t <= m) or not (0 <= s <= m - t):
             bad.append("entry outside support at (%d,%d,%d)" % (v, t, s))
-    tmax = min(m, vmax)  # P_t[2v] vanishes for v < t
-    blocks = _first_block_counts(tmax, 2 * vmax)
-    stopping = {
-        (v, t): binomial(m, t) * blocks[t][2 * v]
-        for t in range(1, tmax + 1)
-        for v in range(t, vmax + 1)
-    }
-    get = scaled.get
+        elif 2 * t + s > 2 * v:
+            bad.append("entry outside profile support 2t+s <= 2v at (%d,%d,%d)" % (v, t, s))
+    blocks = _first_block_counts(min(m, vmax), 2 * vmax)
+    get = counts.get
     for v in range(1, vmax + 1):
-        for t in range(1, m + 1):
-            if get((v, t, 0), 0) != stopping.get((v, t), 0):
+        for t in range(1, min(v, m) + 1):
+            if get((v, t, 0), 0) != binomial(m, t) * blocks[t][2 * v]:
                 bad.append("boundary identity fails at (v=%d,t=%d)" % (v, t))
-            for s in range(1, m - t + 1):
+            for s in range(1, min(m - t, 2 * (v - t)) + 1):
                 u = m - t - s
                 rhs = get((v - 1, t, s - 1), 0) * t + get((v - 1, t - 1, s), 0) * s
                 if s >= 2:
@@ -466,44 +497,57 @@ def growth_exponent(table: CoeffTable, v: int, t: int, base=10) -> float:
     return log_fraction(val / binomial(table.m, t), base=base)
 
 
-def boundary_layer(m: int, vmax: int, t_values) -> dict[int, dict[int, Fraction]]:
-    """Exact s = 0 boundary values A(v, t, 0) for the requested t's.
+def _boundary_counts(m: int, vmax: int, t_values) -> tuple[list[int], list[list[int]]]:
+    """The requested t's, validated and sorted, and P_t[n] for n <= 2 vmax.
 
-    One integer tabulation of P_t[2v] up to the largest t covers every t at
-    once; this is how deep profiles (m = 100, v up to 100) stay cheap
-    without filling the full three-index table.  Each t maps to its values
-    at v = t..vmax (all nonzero).
+    One integer tabulation up to the largest t covers every t at once;
+    this is how deep profiles (m = 100, v up to 100) stay cheap without
+    filling the full three-index table.
     """
     t_set = {int(t) for t in t_values}
     if not t_set:
-        return {}
+        return [], []
     if min(t_set) < 1:
         raise ValidationError("t values must be >= 1")
     if max(t_set) > m:
         raise ValidationError("t values must not exceed m = %d" % (m,))
     if vmax < 0:
         raise ValidationError("vmax must be >= 0, got %r" % (vmax,))
-    counts = _block_counts(max(t_set), 2 * vmax)
-    weight = [factorial(v) * 2**v for v in range(vmax + 1)]
+    return sorted(t_set), _block_counts(max(t_set), 2 * vmax)
+
+
+def boundary_layer(m: int, vmax: int, t_values) -> dict[int, dict[int, Fraction]]:
+    """Exact s = 0 boundary values A(v, t, 0) for the requested t's.
+
+    A(v,t,0) = binom(m,t) * P_t[2v] / (v! * 2^v).  Each t maps to its
+    values at v = t..vmax (all nonzero).
+    """
+    t_list, counts = _boundary_counts(m, vmax, t_values)
     return {
         t: {
-            v: Fraction(binomial(m, t) * counts[t][2 * v], weight[v])
+            v: Fraction(binomial(m, t) * counts[t][2 * v], _weight(v))
             for v in range(t, vmax + 1)
         }
-        for t in sorted(t_set)
+        for t in t_list
     }
 
 
 def growth_profile(m: int, vmax: int, t_values, base=10) -> dict[int, list[tuple[int, float]]]:
     """Growth exponents g(v) = log(A(v,t,0)/binom(m,t)) per requested t.
 
-    Rows run over the v where the exponent is defined (v >= t).
+    Rows run over the v where the exponent is defined (v >= t).  The ratio
+    is P_t[2v] / (v! * 2^v); both sides are divided by their gcd and the
+    log taken side by side, which gives log_fraction's float exactly with
+    no Fraction built.
     """
-    layer = boundary_layer(m, vmax, t_values)
+    t_list, counts = _boundary_counts(m, vmax, t_values)
     out: dict[int, list[tuple[int, float]]] = {}
-    for t, vals in layer.items():
-        ct = binomial(m, t)
-        out[t] = [(v, log_fraction(vals[v] / ct, base=base)) for v in sorted(vals)]
+    for t in t_list:
+        row = out[t] = []
+        for v in range(t, vmax + 1):
+            p, w = counts[t][2 * v], _weight(v)
+            g = gcd(p, w)
+            row.append((v, log_ratio(p // g, w // g, base=base)))
     return out
 
 
@@ -523,8 +567,10 @@ def save_table(table: CoeffTable, path) -> None:
     file cannot load.
     """
     lines = [_HEADER_MAGIC, "m=%d vmax=%d base=%s" % (table.m, table.vmax, table.base.value)]
-    for (v, t, s), val in sorted(table.entries.items()):
-        lines.append("%d %d %d %d/%d" % (v, t, s, val.numerator, val.denominator))
+    for (v, t, s), b in sorted(table.counts.items()):
+        w = _weight(v)
+        g = gcd(b, w)
+        lines.append("%d %d %d %d/%d" % (v, t, s, b // g, w // g))
     body = ("\n".join(lines) + "\n").encode("ascii")
     with open(path, "wb") as fh:
         fh.write(body + b"end sha256=%s\n" % hashlib.sha256(body).hexdigest().encode())
@@ -576,9 +622,10 @@ def load_table(path) -> CoeffTable:
     changed byte.  Then the body must be ASCII, and: header magic and
     fields, row syntax, lowest-terms normalization with positive
     denominator, strictly increasing (v, t, s) order, no zero values,
-    indices inside the declared support, v = 0 rows consistent with the
-    base config, the base config's rows present, and rows up to exactly
-    the declared vmax.
+    indices inside the declared support, a denominator that divides
+    v! * 2^v (the table stores the integer B = v! * 2^v * A), v = 0 rows
+    consistent with the base config, the base config's rows present, and
+    rows up to exactly the declared vmax.
     """
     with open(path, "rb") as fh:
         lines = _checked_body(fh.read())
@@ -599,18 +646,17 @@ def load_table(path) -> CoeffTable:
     if params is None:
         raise TableFormatError("m must be >= 1", line=2)
 
-    entries: dict[tuple[int, int, int], Fraction] = {}
+    origin = base.level_zero()
+    counts: dict[tuple[int, int, int], int] = {}
     prev_key = None
     for idx, line in enumerate(lines[2:], start=3):
         row = _ROW_RE.match(line)
         if not row:
             raise TableFormatError("bad row %r" % (line,), line=idx)
-        v, t, s = int(row.group(1)), int(row.group(2)), int(row.group(3))
-        num, den = int(row.group(4)), int(row.group(5))
-        val = Fraction(num, den)
-        if val == 0:
+        v, t, s, num, den = map(int, row.groups())
+        if num == 0:
             raise TableFormatError("zero entries must be omitted", line=idx)
-        if val.numerator != num or val.denominator != den:
+        if gcd(num, den) != 1:
             raise TableFormatError("%d/%d is not in lowest terms" % (num, den), line=idx)
         key = (v, t, s)
         if prev_key is not None and key <= prev_key:
@@ -618,21 +664,25 @@ def load_table(path) -> CoeffTable:
         prev_key = key
         if v > vmax:
             raise TableFormatError("v exceeds declared vmax", line=idx)
-        if v == 0:
-            if base.level_zero().get(key) != val:
-                raise TableFormatError(
-                    "v=0 row conflicts with base=%s" % (base.value,), line=idx
-                )
-        elif not (1 <= t <= m) or not (0 <= s <= m - t):
+        if v and (not (1 <= t <= m) or not (0 <= s <= m - t)):
             raise TableFormatError("indices outside support", line=idx)
-        entries[key] = val
+        w = _weight(v)
+        scale, rest = divmod(w, den)
+        if rest:
+            raise TableFormatError(
+                "denominator %d does not divide v! * 2^v = %d" % (den, w), line=idx
+            )
+        b = num * scale
+        if v == 0 and origin.get(key) != b:
+            raise TableFormatError("v=0 row conflicts with base=%s" % (base.value,), line=idx)
+        counts[key] = b
 
-    max_v = max((key[0] for key in entries), default=0)
+    max_v = max((key[0] for key in counts), default=0)
     if max_v != vmax:
         raise TableFormatError(
             "rows stop at v=%d but the header declares vmax=%d" % (max_v, vmax), line=2
         )
-    for key, val in base.level_zero().items():
-        if entries.get(key) != val:
+    for key, b in origin.items():
+        if counts.get(key) != b:
             raise TableFormatError("file is missing base row %r" % (key,), line=3)
-    return CoeffTable(params, vmax, base, entries)
+    return CoeffTable(params, vmax, base, counts)

@@ -93,8 +93,9 @@ def test_verify_flags_corruption(tmp_path, capsys):
     rc, _, err = run_cli(capsys, "--out", out, "table", "verify", "--file", str(path))
     assert rc == 2
     assert "sha256" in err
-    # a wrong value saved with a valid trailer loads and fails the recheck
-    table.entries[(1, 1, 0)] = Fraction(5, 2)
+    # a wrong value saved with a valid trailer loads and fails the recheck:
+    # B(1,1,0) = 1! 2^1 A = 5 is saved as 5/2
+    table.counts[(1, 1, 0)] = 5
     save_table(table, path)
     rc, outtext, _ = run_cli(capsys, "--out", out, "table", "verify", "--file", str(path))
     assert rc == 2
@@ -177,6 +178,13 @@ def test_alpha_survey_lists_six_cases(tmp_path, capsys):
         assert "case=%d" % idx in out
     # the alpha=2 row has exact rational roots
     assert "1 (mult 1)" in out and "7/2 (mult 1)" in out
+    # the survey file holds exactly what was printed
+    assert (tmp_path / "alpha_survey.txt").read_text() == out
+    # a single alpha prints only and writes nothing
+    single = tmp_path / "single"
+    rc, _, _ = run_cli(capsys, "--out", str(single), "pde", "alpha", "--alpha", "2")
+    assert rc == 0
+    assert not single.exists()
 
 
 def test_residual_operators_and_exit_codes(tmp_path, capsys):
@@ -303,6 +311,17 @@ def test_threads_option_is_a_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sub", [["eval", "--eps", "1/10"], ["sweep", "--eps-list", "1/10"]])
+def test_errprob_vmax_is_a_usage_error(sub, tmp_path, capsys):
+    # the table behind E_B always runs to v = n, so there is nothing to choose
+    out = tmp_path / "fresh"
+    rc, _, err = run_cli(capsys, "--out", str(out), "errprob", sub[0], "--n", "4",
+                         "--r", "1/2", *sub[1:], "--vmax", "4")
+    assert rc == 1
+    assert err.startswith("usage:")
+    assert not out.exists()
+
+
 def test_reconcile_report(tmp_path, capsys):
     rc, out, _ = run_cli(
         capsys, "--out", str(tmp_path),
@@ -378,8 +397,8 @@ _HASHED_REPORTS = sorted(
 )
 
 
-def test_hashed_reports_are_the_expected_four():
-    assert _HASHED_REPORTS == ["appendix", "expansion", "reconcile", "residual"]
+def test_hashed_reports_are_the_expected_five():
+    assert _HASHED_REPORTS == ["alpha", "appendix", "expansion", "reconcile", "residual"]
 
 
 @pytest.mark.parametrize("name", _HASHED_REPORTS)

@@ -446,7 +446,7 @@ def test_residual_linearity(m5_table):
         m5_table.params,
         m5_table.vmax,
         m5_table.base,
-        {k: 3 * v for k, v in m5_table.entries.items()},
+        {k: 3 * b for k, b in m5_table.counts.items()},
     )
     a = pde_residual(m5_table, coefficients=pde_coefficients(m5_table.params))
     b = pde_residual(scaled, coefficients=pde_coefficients(scaled.params))

@@ -10,10 +10,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclepoisson.combinatorics import binomial, block_partition_count, factorial
+from cyclepoisson.combinatorics import binomial, block_partition_count, factorial, log_fraction
 from cyclepoisson.errors import GuardError, ValidationError
 from cyclepoisson.series import poisson_block_series
 from cyclepoisson.simulator import _erasure_fails
@@ -177,6 +177,23 @@ def test_fill_vmax_bounds():
         fill_table(p, vmax=-1)
 
 
+def test_entries_is_a_read_only_fraction_view():
+    table = fill_table(EnsembleParams.from_checks(5), vmax=5)
+    view = table.entries
+    assert len(view) == len(table.counts) > 0
+    for key, val in view.items():
+        assert type(val) is Fraction
+        assert val == table.value(*key)
+        assert val * factorial(key[0]) * 2 ** key[0] == table.counts[key]
+    assert (1, 1, 1) not in view and table.value(1, 1, 1) == 0
+    with pytest.raises(TypeError):
+        view[(1, 1, 0)] = Fraction(1)
+    with pytest.raises(TypeError):
+        del view[(1, 1, 0)]
+    with pytest.raises(AttributeError):
+        table.entries = {}
+
+
 def test_origin_value_never_feeds_recurrence():
     # the only recurrence term reading level v-1 at t-1 carries a factor s,
     # so A(0,0,0) is inert: both base configs yield the same v >= 1 entries
@@ -193,33 +210,19 @@ def test_verify_table_clean():
 
 
 def test_verify_table_flags_corruption():
+    # A(2,1,1) + 1, that is B(2,1,1) + 2! 2^2
     table = fill_table(EnsembleParams.from_checks(4), vmax=3)
-    table.entries[(2, 1, 1)] += 1
+    table.counts[(2, 1, 1)] += 8
     problems = verify_table(table)
     assert problems
     assert any("(2,1,1)" in msg or "(3," in msg for msg in problems)
-
-
-@pytest.mark.parametrize("delta", [Fraction(1, 7), Fraction(1, 16)])
-def test_verify_table_flags_fractional_corruption(delta):
-    # B = v! 2^v A is no longer integral at the corrupt entry (8/16 = 1/2
-    # would vanish under floor division); the check still compares it
-    # exactly, flags the same rows and does not raise
-    table = fill_table(EnsembleParams.from_checks(4), vmax=3)
-    table.entries[(2, 1, 1)] += delta
-    assert verify_table(table) == [
-        "recurrence fails at (2,1,1)",
-        "recurrence fails at (3,1,2)",
-        "recurrence fails at (3,1,3)",
-        "recurrence fails at (3,2,1)",
-    ]
 
 
 def test_verify_table_flags_top_level_recurrence_corruption():
     # no recurrence row reads level vmax, so a wrong s >= 1 entry there is
     # caught by its own row only
     table = fill_table(EnsembleParams.from_checks(4), vmax=3)
-    table.entries[(3, 1, 2)] += 1
+    table.counts[(3, 1, 2)] += 48
     assert verify_table(table) == ["recurrence fails at (3,1,2)"]
 
 
@@ -227,20 +230,39 @@ def test_verify_table_flags_boundary_corruption():
     # no recurrence row reads level vmax, so only the boundary oracle can
     # catch a wrong s = 0 entry there
     table = fill_table(EnsembleParams.from_checks(4), vmax=3)
-    table.entries[(3, 2, 0)] += 1
+    table.counts[(3, 2, 0)] += 48
     assert verify_table(table) == ["boundary identity fails at (v=3,t=2)"]
 
 
-def test_verify_table_flags_fractional_boundary_corruption():
-    # B(2,1,0) = 8 * (A + 1/7) is no longer integral; the boundary row and
-    # the two level-3 rows that read it compare it exactly
+def test_verify_table_flags_every_single_count_change():
+    # every stored count, the edges of the profile support included, is
+    # read by some visited row
+    table = fill_table(EnsembleParams.from_checks(4), vmax=4)
+    for key in list(table.counts):
+        table.counts[key] += 1
+        assert verify_table(table), key
+        table.counts[key] -= 1
+    assert verify_table(table) == []
+
+
+@pytest.mark.parametrize(
+    "key, expect",
+    [
+        # read by row (3,2,2), which is in the support; the rows (3,3,1)
+        # and (3,2,3) that also read it are outside and not visited
+        ((2, 2, 1), ["recurrence fails at (3,2,2)"]),
+        # level vmax: no row reads it, and its own row is not visited
+        ((3, 3, 1), []),
+        ((2, 3, 0), []),
+    ],
+)
+def test_verify_table_flags_entry_outside_profile_support(key, expect):
+    # 2t + s > 2v: no assignment of v variables has this profile
     table = fill_table(EnsembleParams.from_checks(4), vmax=3)
-    table.entries[(2, 1, 0)] += Fraction(1, 7)
+    table.counts[key] = 1
     assert verify_table(table) == [
-        "boundary identity fails at (v=2,t=1)",
-        "recurrence fails at (3,1,1)",
-        "recurrence fails at (3,1,2)",
-    ]
+        "entry outside profile support 2t+s <= 2v at (%d,%d,%d)" % key
+    ] + expect
 
 
 def _recurrence_fill(m, vmax, base):
@@ -316,15 +338,13 @@ def test_level_sum_is_positive():
     m=st.integers(1, 6),
     vmax=st.integers(0, 7),
     key=st.tuples(st.integers(0, 8), st.integers(0, 6), st.integers(0, 6)),
-    num=st.integers(-50, 50).filter(bool),
-    den=st.integers(1, 10**4),
+    count=st.integers(-50, 50).filter(bool),
 )
-@example(m=4, vmax=3, key=(2, 1, 1), num=1, den=7)  # 7 does not divide 2! 2^2
-def test_level_sums_match_fraction_sums(m, vmax, key, num, den):
+def test_level_sums_match_fraction_sums(m, vmax, key, count):
     # the one-pass integer sums against a per-level Fraction sum, with one
-    # injected entry whose denominator need not divide v! 2^v
+    # injected count anywhere, inside the table or not
     table = fill_table(_params(m, vmax), vmax)
-    table.entries[key] = Fraction(num, den)
+    table.counts[key] = count
     sums = table.level_sums()
     for v in range(10):
         expect = sum(
@@ -367,10 +387,57 @@ def test_table_counts_cyclic_assignments(m):
     for v in range(1, vmax + 1):
         census = _cyclic_census(m, v)
         weight = factorial(v) * 2**v
-        stored = {
-            (t, s): weight * a for (vv, t, s), a in table.entries.items() if vv == v
-        }
+        stored = {(t, s): b for (vv, t, s), b in table.counts.items() if vv == v}
         assert stored == census, (m, v)
+        assert all(weight * table.value(v, t, s) == b for (t, s), b in stored.items())
+
+
+def _leaf_deletions(m, v):
+    """Tally (cyclic assignment, leaf) pairs by profile (t, s) and kind.
+
+    The kind is the degree of the other endpoint of the leaf's edge, capped
+    at 3: deleting that edge leaves profile (t, s-1), (t-1, s) or (t, s-2)
+    for kinds 3, 2 and 1.
+    """
+    counts = {}
+    for assign in itertools.product(range(m), repeat=2 * v):
+        if not _erasure_fails(assign, range(v), m):
+            continue
+        deg = [0] * m
+        for c in assign:
+            deg[c] += 1
+        t, s = sum(d >= 2 for d in deg), deg.count(1)
+        for end, check in enumerate(assign):
+            if deg[check] == 1:
+                key = (t, s, min(deg[assign[end ^ 1]], 3))
+                counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+_PEEL_PAIRS = [(m, v) for m, v in _CENSUS_PAIRS if m <= 4]
+
+
+@pytest.mark.parametrize("m", sorted({m for m, _ in _PEEL_PAIRS}))
+def test_recurrence_terms_count_leaf_deletions(m):
+    # s * B(v,t,s) = 2v (u+1) (t B(v-1,t,s-1) + s B(v-1,t-1,s) + (u+2) B(v-1,t,s-2)):
+    # each term alone is the number of (cyclic assignment, leaf) pairs whose
+    # leaf edge ends, on its other side, at a check of degree >= 3, 2 or 1
+    vmax = max(v for mm, v in _PEEL_PAIRS if mm == m)
+    b = fill_table(_params(m, vmax), vmax).counts.get
+    for v in range(1, vmax + 1):
+        terms = {}
+        for t in range(1, m + 1):
+            for s in range(1, m - t + 1):
+                u = m - t - s
+                scale = 2 * v * (u + 1)
+                for kind, term in (
+                    (3, t * b((v - 1, t, s - 1), 0)),
+                    (2, s * b((v - 1, t - 1, s), 0)),
+                    (1, (u + 2) * b((v - 1, t, s - 2), 0) if s >= 2 else 0),
+                ):
+                    if term:
+                        terms[(t, s, kind)] = scale * term
+        assert terms == _leaf_deletions(m, v), (m, v)
 
 
 def test_cyclic_census_excludes_forests():
@@ -422,6 +489,26 @@ def test_boundary_layer_matches_fill(case):
     for (v, t, s), val in table.entries.items():
         if s == 0 and t in t_set and v >= 1:
             assert layer[t][v] == val
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(1, 60),
+    vmax=st.integers(0, 80),
+    base=st.sampled_from([10, "e"]),
+    data=st.data(),
+)
+def test_growth_profile_equals_log_fraction(m, vmax, base, data):
+    # the gcd-reduced integer ratio gives the Fraction path's float exactly,
+    # past the 25-digit prefix of log10_int as well
+    t_set = data.draw(st.sets(st.integers(1, m), max_size=4), label="t_set")
+    layer = boundary_layer(m, vmax, t_set)
+    profile = growth_profile(m, vmax, t_set, base)
+    assert set(profile) == set(layer)
+    for t, vals in layer.items():
+        assert profile[t] == [
+            (v, log_fraction(vals[v] / binomial(m, t), base)) for v in sorted(vals)
+        ]
 
 
 def test_boundary_layer_frozen_values():

@@ -5,11 +5,13 @@ so no truncation or changed byte can load; the rows are then validated.
 """
 
 import hashlib
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclepoisson.combinatorics import factorial
 from cyclepoisson.errors import TableFormatError
 from cyclepoisson.table import (
     BaseConfig,
@@ -148,6 +150,33 @@ def test_load_rejects_origin_conflict(tmp_path):
     text = "CPTABLE 2\nm=3 vmax=1 base=unit-origin\n0 0 0 2/1\n1 1 0 3/2\n"
     with pytest.raises(TableFormatError):
         load_table(write(tmp_path, text))
+
+
+@pytest.mark.parametrize(
+    "key, delta",
+    [
+        ((2, 1, 1), Fraction(1, 7)),
+        # 2! 2^2 * 1/16 is a half, which a floor division would lose
+        ((2, 1, 1), Fraction(1, 16)),
+        ((2, 1, 0), Fraction(1, 7)),
+        ((0, 0, 0), Fraction(1, 2)),
+    ],
+    ids=["recurrence-7", "recurrence-16", "boundary-7", "origin-2"],
+)
+def test_load_rejects_non_integral_count(table4, tmp_path, key, delta):
+    # a table holds B = v! 2^v A as an integer, so a row whose reduced
+    # denominator does not divide v! 2^v cannot load, even when signed
+    _params, table, path = table4
+    text = path.read_text()
+    lines = text[: text.rindex("end sha256=")].split("\n")
+    prefix = "%d %d %d " % key
+    idx = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+    val = table.entries[key] + delta
+    lines[idx] = prefix + "%d/%d" % (val.numerator, val.denominator)
+    with pytest.raises(TableFormatError) as err:
+        load_table(write(tmp_path, "\n".join(lines)))
+    assert err.value.line == idx + 1
+    assert "does not divide v! * 2^v = %d" % (factorial(key[0]) * 2 ** key[0]) in str(err.value)
 
 
 def test_load_complete_requires_origin_row(tmp_path):
