@@ -37,6 +37,7 @@ from .pde import (
     alpha_substitution,
     classify_point,
     expansion_audit,
+    pde_coefficients,
     pde_residual,
     region_map,
     residual_reconciliation,
@@ -65,15 +66,22 @@ def _frac(text: str) -> Fraction:
         raise argparse.ArgumentTypeError("not a rational: %r" % (text,))
 
 
+def _nonempty(values: list, text: str) -> list:
+    if not values:
+        raise argparse.ArgumentTypeError("empty list: %r" % (text,))
+    return values
+
+
 def _frac_list(text: str) -> list[Fraction]:
-    return [_frac(tok) for tok in text.split(",") if tok.strip()]
+    return _nonempty([_frac(tok) for tok in text.split(",") if tok.strip()], text)
 
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        values = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError("not a comma-separated integer list: %r" % (text,))
+    return _nonempty(values, text)
 
 
 def _range_pair(text: str) -> tuple[Fraction, Fraction]:
@@ -85,7 +93,9 @@ def _range_pair(text: str) -> tuple[Fraction, Fraction]:
 
 def _params_for_checks(m: int, depth: int) -> EnsembleParams:
     """Parameters with exactly m checks and enough variables for depth."""
-    n = max(m, depth, 1)
+    if m < 1:
+        raise ValidationError("m must be >= 1, got %d" % m)
+    n = max(m, depth)
     return EnsembleParams(n=n, r=Fraction(n - m, n))
 
 
@@ -164,7 +174,7 @@ def _cmd_table_build(args, run: _Run) -> int:
 def _cmd_table_exponents(args, run: _Run) -> int:
     m = args.m
     vmax = args.vmax if args.vmax is not None else m
-    t_list = args.t_list or list(DEFAULT_T_LIST)
+    t_list = list(dict.fromkeys(args.t_list or DEFAULT_T_LIST))  # first occurrence order
     profile = growth_profile(m, vmax, t_list)
     out_names = []
     top = None
@@ -276,8 +286,8 @@ def _cmd_pde_alpha(args, run: _Run) -> int:
 
 def _poly1_str(poly) -> str:
     terms = []
-    for deg in sorted(poly.terms, reverse=True):
-        terms.append("%s z^%d" % (poly.terms[deg], deg))
+    for (deg,) in sorted(poly.terms, reverse=True):
+        terms.append("%s z^%d" % (poly.terms[(deg,)], deg))
     return " + ".join(terms) if terms else "0"
 
 
@@ -293,8 +303,6 @@ def _cmd_pde_residual(args, run: _Run) -> int:
     else:
         coeffs = None
         if args.operator == "printed":
-            from .pde import pde_coefficients
-
             coeffs = pde_coefficients(params)
         rep = pde_residual(table, coefficients=coeffs, operator_name=args.operator)
         reports = {args.operator: rep}

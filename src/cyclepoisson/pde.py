@@ -11,7 +11,8 @@ This module builds the six coefficient polynomials exactly, classifies the
 (y,z) plane by the sign of the discriminant B^2 - AC, reproduces the
 y = alpha*z case split, and checks the operator against a filled table by
 applying it to the truncated G and listing every monomial of the residual
-that lies in the interior window.
+that lies in the interior window.  All of this algebra runs on one sparse
+exact polynomial type, `Poly`, in z, (y, z) or (x, y, z).
 
 Two variants of the d2/dy2 slot are carried side by side.  The
 classification set (`pde_coefficients`) uses A = y^2 (y - 1), which all of
@@ -24,6 +25,7 @@ annihilates the table, so the residual check defaults to it and
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -33,9 +35,7 @@ from .errors import ValidationError
 from .table import CoeffTable, EnsembleParams
 
 __all__ = [
-    "Poly1",
-    "Poly2",
-    "Poly3",
+    "Poly",
     "Root",
     "PointClassification",
     "RegionMap",
@@ -86,118 +86,75 @@ def _label_of_sign(value, tol=0) -> str:
 # ----------------------------------------------------------------------
 
 
-class Poly1:
-    """Sparse exact univariate polynomial (variable named z throughout)."""
+class Poly:
+    """Sparse exact polynomial in a fixed number of variables.
 
-    __slots__ = ("terms",)
+    `terms` maps exponent tuples, one entry per variable, to nonzero
+    Fractions.  The arity is part of the value, so the zero polynomial in
+    (y, z) is not the zero polynomial in z, and arithmetic between two
+    arities raises.  In this module arity 1 is a polynomial in z, arity 2
+    in (y, z) and arity 3 in (x, y, z).
+    """
 
-    def __init__(self, terms=None):
-        clean: dict[int, Fraction] = {}
-        items = terms.items() if isinstance(terms, dict) else (terms or ())
-        for deg, coeff in items:
-            coeff = _rational(coeff)
-            if coeff:
-                deg = int(deg)
-                acc = clean.get(deg, Fraction(0)) + coeff
-                if acc:
-                    clean[deg] = acc
-                else:
-                    clean.pop(deg, None)
-        self.terms = clean
+    __slots__ = ("arity", "terms")
 
-    @property
-    def degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        return max(self.terms, default=-1)
-
-    def coeff(self, deg: int) -> Fraction:
-        return self.terms.get(deg, Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def evaluate(self, z):
-        if isinstance(z, float):
-            return sum(float(c) * z**d for d, c in self.terms.items())
-        z = Fraction(z)
-        return sum((c * z**d for d, c in self.terms.items()), Fraction(0))
-
-    def scale(self, factor) -> "Poly1":
-        factor = _rational(factor)
-        return Poly1({d: c * factor for d, c in self.terms.items()})
-
-    def shift_degree(self, k: int) -> "Poly1":
-        return Poly1({d + k: c for d, c in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, Poly1):
-            return NotImplemented
-        return self.terms == other.terms
-
-    __hash__ = None
-
-    def __repr__(self):
-        if not self.terms:
-            return "Poly1(0)"
-        parts = []
-        for deg in sorted(self.terms, reverse=True):
-            parts.append("%s*z^%d" % (self.terms[deg], deg))
-        return "Poly1(%s)" % " + ".join(parts)
-
-
-class Poly2:
-    """Sparse exact polynomial in (y, z); zero coefficients are never stored."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean: dict[tuple[int, int], Fraction] = {}
-        items = terms.items() if isinstance(terms, dict) else (terms or ())
+    def __init__(self, arity: int, terms=()):
+        clean: dict[tuple[int, ...], Fraction] = {}
+        items = terms.items() if isinstance(terms, dict) else terms
         for key, coeff in items:
             coeff = _rational(coeff)
+            key = tuple(int(e) for e in key)
+            if len(key) != arity or min(key, default=0) < 0:
+                raise ValidationError(
+                    "exponent %r is not %d nonnegative integers" % (key, arity)
+                )
             if coeff:
-                key = (int(key[0]), int(key[1]))
-                acc = clean.get(key, Fraction(0)) + coeff
+                acc = clean.get(key, 0) + coeff
                 if acc:
                     clean[key] = acc
                 else:
-                    clean.pop(key, None)
+                    del clean[key]
+        self.arity = arity
         self.terms = clean
 
     @classmethod
-    def const(cls, value) -> "Poly2":
-        return cls({(0, 0): value})
+    def var(cls, arity: int, axis: int) -> "Poly":
+        """The variable number `axis` as a polynomial of the given arity."""
+        return cls(arity, {tuple(int(i == axis) for i in range(arity)): 1})
 
-    @classmethod
-    def y(cls) -> "Poly2":
-        return cls({(1, 0): 1})
+    @property
+    def degree(self) -> int:
+        """Total degree; -1 for the zero polynomial."""
+        return max((sum(key) for key in self.terms), default=-1)
 
-    @classmethod
-    def z(cls) -> "Poly2":
-        return cls({(0, 1): 1})
+    def coeff(self, *exps: int) -> Fraction:
+        return self.terms.get(exps, Fraction(0))
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def _coerced(self, other):
-        if isinstance(other, Poly2):
+        if isinstance(other, Poly):
+            if other.arity != self.arity:
+                raise ValidationError(
+                    "cannot combine polynomials of arity %d and %d"
+                    % (self.arity, other.arity)
+                )
             return other
         if isinstance(other, (int, Fraction)):
-            return Poly2.const(other)
+            return Poly(self.arity, {(0,) * self.arity: other})
         return None
 
     def __add__(self, other):
         other = self._coerced(other)
         if other is None:
             return NotImplemented
-        merged = dict(self.terms)
-        out = list(merged.items()) + list(other.terms.items())
-        return Poly2(out)
+        return Poly(self.arity, [*self.terms.items(), *other.terms.items()])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly2({k: -c for k, c in self.terms.items()})
+        return Poly(self.arity, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerced(other)
@@ -210,136 +167,101 @@ class Poly2:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = _rational(other)
-            return Poly2({k: c * other for k, c in self.terms.items()})
-        if not isinstance(other, Poly2):
+            return self.scale(other)
+        other = self._coerced(other)
+        if other is None:
             return NotImplemented
-        out: list = []
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                out.append(((a1 + a2, b1 + b2), c1 * c2))
-        return Poly2(out)
+        return Poly(
+            self.arity,
+            [
+                (tuple(a + b for a, b in zip(k1, k2)), c1 * c2)
+                for k1, c1 in self.terms.items()
+                for k2, c2 in other.terms.items()
+            ],
+        )
 
     __rmul__ = __mul__
 
     def __pow__(self, exp: int):
         if exp < 0:
             raise ValidationError("negative exponent")
-        out = Poly2.const(1)
+        out = Poly(self.arity, {(0,) * self.arity: 1})
         for _ in range(exp):
             out = out * self
         return out
 
-    def evaluate(self, y, z):
-        if isinstance(y, float) or isinstance(z, float):
-            yf, zf = float(y), float(z)
-            return sum(float(c) * yf**a * zf**b for (a, b), c in self.terms.items())
-        y, z = Fraction(y), Fraction(z)
-        return sum(
-            (c * y**a * z**b for (a, b), c in self.terms.items()), Fraction(0)
-        )
-
-    def substitute_y(self, alpha) -> Poly1:
-        """Exact substitution y = alpha*z, collapsing to a polynomial in z."""
-        alpha = _rational(alpha)
-        out: list = []
-        for (a, b), c in self.terms.items():
-            out.append((a + b, c * alpha**a))
-        return Poly1(out)
-
-    def __eq__(self, other):
-        if not isinstance(other, Poly2):
-            return NotImplemented
-        return self.terms == other.terms
-
-    __hash__ = None
-
-    def __repr__(self):
-        if not self.terms:
-            return "Poly2(0)"
-        parts = []
-        for a, b in sorted(self.terms, reverse=True):
-            parts.append("%s*y^%d*z^%d" % (self.terms[(a, b)], a, b))
-        return "Poly2(%s)" % " + ".join(parts)
-
-
-class Poly3:
-    """Sparse exact polynomial in (x, y, z) with partial derivatives in y, z."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean: dict[tuple[int, int, int], Fraction] = {}
-        items = terms.items() if isinstance(terms, dict) else (terms or ())
-        for key, coeff in items:
-            coeff = _rational(coeff)
-            if coeff:
-                key = (int(key[0]), int(key[1]), int(key[2]))
-                acc = clean.get(key, Fraction(0)) + coeff
-                if acc:
-                    clean[key] = acc
-                else:
-                    clean.pop(key, None)
-        self.terms = clean
-
-    @classmethod
-    def from_table(cls, table: CoeffTable, trunc: tuple[int, int, int]) -> "Poly3":
-        bv, bt, bs = trunc
-        return cls(
-            {
-                key: table.value(*key)
-                for key in table.counts
-                if key[0] <= bv and key[1] <= bt and key[2] <= bs
-            }
-        )
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coeff(self, v: int, t: int, s: int) -> Fraction:
-        return self.terms.get((v, t, s), Fraction(0))
-
-    def diff_y(self) -> "Poly3":
-        return Poly3(
-            {(v, t - 1, s): c * t for (v, t, s), c in self.terms.items() if t}
-        )
-
-    def diff_z(self) -> "Poly3":
-        return Poly3(
-            {(v, t, s - 1): c * s for (v, t, s), c in self.terms.items() if s}
-        )
-
-    def shift(self, dv: int, dt: int, ds: int) -> "Poly3":
-        return Poly3(
-            {(v + dv, t + dt, s + ds): c for (v, t, s), c in self.terms.items()}
-        )
-
-    def __add__(self, other):
-        if not isinstance(other, Poly3):
-            return NotImplemented
-        return Poly3(list(self.terms.items()) + list(other.terms.items()))
-
-    def __sub__(self, other):
-        if not isinstance(other, Poly3):
-            return NotImplemented
-        return Poly3(
-            list(self.terms.items())
-            + [(k, -c) for k, c in other.terms.items()]
-        )
-
-    def scale(self, factor) -> "Poly3":
+    def scale(self, factor) -> "Poly":
         factor = _rational(factor)
-        return Poly3({k: c * factor for k, c in self.terms.items()})
+        return Poly(self.arity, {k: c * factor for k, c in self.terms.items()})
+
+    def shift(self, *deltas: int) -> "Poly":
+        """Multiply by the monomial with exponents `deltas`."""
+        if len(deltas) != self.arity:
+            raise ValidationError("shift needs %d exponents" % self.arity)
+        return Poly(
+            self.arity,
+            {
+                tuple(e + d for e, d in zip(key, deltas)): c
+                for key, c in self.terms.items()
+            },
+        )
+
+    def diff(self, axis: int) -> "Poly":
+        """Partial derivative in variable number `axis`."""
+        return Poly(
+            self.arity,
+            {
+                key[:axis] + (key[axis] - 1,) + key[axis + 1 :]: c * key[axis]
+                for key, c in self.terms.items()
+                if key[axis]
+            },
+        )
+
+    def evaluate(self, *point):
+        """Value at `point`: exact for int or Fraction input, float if any is float."""
+        if len(point) != self.arity:
+            raise ValidationError("evaluate needs %d coordinates" % self.arity)
+        if any(isinstance(x, float) for x in point):
+            point = [float(x) for x in point]
+            return sum(
+                math.prod((x**e for x, e in zip(point, key)), start=float(c))
+                for key, c in self.terms.items()
+            )
+        # over the common denominator lcm(coefficient denominators) *
+        # prod(d_i ** top_i) every term is an integer, so the sum is too
+        point = [Fraction(x) for x in point]
+        tops = [max((key[i] for key in self.terms), default=0) for i in range(self.arity)]
+        powers = [
+            [x.numerator**e * x.denominator ** (top - e) for e in range(top + 1)]
+            for x, top in zip(point, tops)
+        ]
+        den = math.lcm(*(c.denominator for c in self.terms.values()))
+        total = 0
+        for key, c in self.terms.items():
+            term = c.numerator * (den // c.denominator)
+            for row, e in zip(powers, key):
+                term *= row[e]
+            total += term
+        for x, top in zip(point, tops):
+            den *= x.denominator**top
+        return Fraction(total, den)
+
+    def substitute_y(self, alpha) -> "Poly":
+        """Exact substitution y = alpha*z into a (y, z) polynomial, giving one in z."""
+        if self.arity != 2:
+            raise ValidationError("substitute_y needs a polynomial in (y, z)")
+        alpha = _rational(alpha)
+        return Poly(1, [((a + b,), c * alpha**a) for (a, b), c in self.terms.items()])
 
     def __eq__(self, other):
-        if not isinstance(other, Poly3):
+        if not isinstance(other, Poly):
             return NotImplemented
-        return self.terms == other.terms
+        return self.arity == other.arity and self.terms == other.terms
 
     __hash__ = None
 
     def __repr__(self):
-        return "Poly3(%d terms)" % len(self.terms)
+        return "Poly(%d, %r)" % (self.arity, self.terms)
 
 
 # ----------------------------------------------------------------------
@@ -347,7 +269,7 @@ class Poly3:
 # ----------------------------------------------------------------------
 
 
-def pde_coefficients(params: EnsembleParams) -> dict[str, Poly2]:
+def pde_coefficients(params: EnsembleParams) -> dict[str, Poly]:
     """The classification coefficient set.
 
     A = y^2 (y-1), B = y(2z^2 - y - z)/2, C = z(z^2 - y),
@@ -356,7 +278,7 @@ def pde_coefficients(params: EnsembleParams) -> dict[str, Poly2]:
     analysis below depends on them alone.
     """
     k = params.k
-    y, z = Poly2.y(), Poly2.z()
+    y, z = Poly.var(2, 0), Poly.var(2, 1)
     return {
         "A": y**2 * (y - 1),
         "B": y * (2 * z**2 - y - z) * Fraction(1, 2),
@@ -367,34 +289,28 @@ def pde_coefficients(params: EnsembleParams) -> dict[str, Poly2]:
     }
 
 
-def recurrence_pde_coefficients(params: EnsembleParams) -> dict[str, Poly2]:
+def recurrence_pde_coefficients(params: EnsembleParams) -> dict[str, Poly]:
     """Coefficient set translated directly from the three-term recurrence.
 
     Identical to `pde_coefficients` except the second-y-derivative slot,
     which comes out as A = y^2 (z-1).  This is the set whose operator
     annihilates the filled table (see `pde_residual`).
     """
-    y, z = Poly2.y(), Poly2.z()
+    y, z = Poly.var(2, 0), Poly.var(2, 1)
     out = pde_coefficients(params)
     out["A"] = y**2 * (z - 1)
     return out
 
 
-_DISCRIMINANT: Poly2 | None = None
+@functools.cache
+def discriminant() -> Poly:
+    """Exact B^2 - AC, a polynomial in (y, z).
 
-
-def discriminant(params: EnsembleParams | None = None) -> Poly2:
-    """Exact B^2 - AC.  Independent of k, so the parameters are optional."""
-    global _DISCRIMINANT
-    if _DISCRIMINANT is None:
-        coeffs = pde_coefficients(EnsembleParams.from_checks(1))
-        _DISCRIMINANT = coeffs["B"] * coeffs["B"] - coeffs["A"] * coeffs["C"]
-    if params is not None:
-        coeffs = pde_coefficients(params)
-        check = coeffs["B"] * coeffs["B"] - coeffs["A"] * coeffs["C"]
-        if check != _DISCRIMINANT:
-            raise ValidationError("discriminant unexpectedly depends on k")
-    return _DISCRIMINANT
+    A, B and C do not involve k, so any parameters give the same result;
+    it is built once and shared, and callers must not modify it.
+    """
+    coeffs = pde_coefficients(EnsembleParams.from_checks(1))
+    return coeffs["B"] * coeffs["B"] - coeffs["A"] * coeffs["C"]
 
 
 @dataclass(frozen=True)
@@ -461,22 +377,22 @@ def region_map(y_range, z_range, grid_n: int) -> RegionMap:
 # ----------------------------------------------------------------------
 
 
-def printed_f(alpha) -> Poly1:
+def printed_f(alpha) -> Poly:
     """The printed quadratic f(z) = (4-alpha) z^2 - 3(1+alpha) z + 1+alpha+alpha^2.
 
     Carried verbatim as a claim to audit; the exact counterpart is the
     `exact` field of `alpha_substitution`.
     """
     alpha = _rational(alpha)
-    return Poly1({2: 4 - alpha, 1: -3 * (1 + alpha), 0: 1 + alpha + alpha**2})
+    return Poly(1, {(2,): 4 - alpha, (1,): -3 * (1 + alpha), (0,): 1 + alpha + alpha**2})
 
 
 @dataclass(frozen=True)
 class AlphaSubstitution:
     alpha: Fraction
-    exact: Poly1  # y = alpha*z substituted into 4(B^2 - AC)
-    printed: Poly1  # alpha^2 z^4 f(z) with the printed f
-    printed_f: Poly1
+    exact: Poly  # y = alpha*z substituted into 4(B^2 - AC)
+    printed: Poly  # alpha^2 z^4 f(z) with the printed f
+    printed_f: Poly
     equal: bool
 
 
@@ -492,7 +408,7 @@ def alpha_substitution(alpha) -> AlphaSubstitution:
     alpha = _rational(alpha)
     exact = (4 * discriminant()).substitute_y(alpha)
     f = printed_f(alpha)
-    printed = f.shift_degree(4).scale(alpha**2)
+    printed = f.shift(4).scale(alpha**2)
     return AlphaSubstitution(
         alpha=alpha, exact=exact, printed=printed, printed_f=f, equal=exact == printed
     )
@@ -562,8 +478,8 @@ def _sqrt_interval(q: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
 ROOT_WIDTH = Fraction(1, 10**10)
 
 
-def quadratic_roots(poly: Poly1, width: Fraction = ROOT_WIDTH) -> list[Root]:
-    """Real roots of a polynomial of degree <= 2, sorted increasing.
+def quadratic_roots(poly: Poly, width: Fraction = ROOT_WIDTH) -> list[Root]:
+    """Real roots of a polynomial in z of degree <= 2, sorted increasing.
 
     Exact roots whenever the quadratic discriminant is a rational square
     (and always in the linear and double-root cases); otherwise validated
@@ -616,7 +532,7 @@ class AlphaCase:
 
     alpha: Fraction
     index: int
-    f: Poly1
+    f: Poly
     roots: tuple[Root, ...]
 
     def classify(self, z) -> str:
@@ -651,7 +567,7 @@ def alpha_case(alpha) -> AlphaCase:
 # ----------------------------------------------------------------------
 
 
-def printed_expansion() -> Poly2:
+def printed_expansion() -> Poly:
     """The printed expanded form of 4(B^2 - AC), transcribed term by term.
 
     y^2 (4z^4 - 3z^3 + z^2 + y^2 - yz^3 - 3yz^3 + yz); the two yz^3 terms
@@ -659,7 +575,7 @@ def printed_expansion() -> Poly2:
     exact expansion y^2 (4z^4 - 4yz^3 - 4yz^2 + 4y^2 z + y^2 + z^2 - 2yz);
     `expansion_audit` measures the disagreement point by point.
     """
-    y, z = Poly2.y(), Poly2.z()
+    y, z = Poly.var(2, 0), Poly.var(2, 1)
     bracket = (
         4 * z**4
         - 3 * z**3
@@ -749,7 +665,7 @@ def expansion_audit(n_points: int = 1000, seed: int = 20260816) -> AuditReport:
 # ----------------------------------------------------------------------
 
 
-def _operator_terms(coeffs: dict[str, Poly2]) -> list[tuple[Poly2, int, int]]:
+def _operator_terms(coeffs: dict[str, Poly]) -> list[tuple[Poly, int, int]]:
     """Bracket terms as (coefficient polynomial, d/dy order, d/dz order)."""
     return [
         (coeffs["F"], 0, 0),
@@ -772,7 +688,7 @@ def _falling(n: int, k: int) -> int:
 class ResidualReport:
     operator: str
     trunc: tuple[int, int, int]
-    residual: Poly3
+    residual: Poly
     interior_nonzero: list[tuple[tuple[int, int, int], Fraction]]
     excluded: list[tuple[tuple[int, int, int], Fraction]]
 
@@ -801,7 +717,7 @@ class ResidualReport:
 def pde_residual(
     table: CoeffTable,
     trunc: tuple[int, int, int] | None = None,
-    coefficients: dict[str, Poly2] | None = None,
+    coefficients: dict[str, Poly] | None = None,
     operator_name: str | None = None,
 ) -> ResidualReport:
     """Apply the operator to the truncated G and report the residual.
@@ -835,16 +751,23 @@ def pde_residual(
         operator_name = "custom"
     ops = _operator_terms(coefficients)
 
-    G = Poly3.from_table(table, trunc)
-    residual = Poly3({k: c * k[2] for k, c in G.terms.items() if k[2]})  # z dG/dz
+    G = [
+        (v, t, s, table.value(v, t, s))
+        for (v, t, s), b in table.counts.items()
+        if b and v <= bv and t <= bt and s <= bs
+    ]
+    acc = {(v, t, s): c * s for v, t, s, c in G if s}  # z dG/dz
     for poly, p, q in ops:
-        d = G
-        for _ in range(p):
-            d = d.diff_y()
-        for _ in range(q):
-            d = d.diff_z()
-        for (a, b), w in poly.terms.items():
-            residual = residual - d.shift(1, a, b + 1).scale(w)
+        for v, t, s, c in G:
+            # x z y^a z^b d^p/dy^p d^q/dz^q of c y^t z^s
+            weight = _falling(t, p) * _falling(s, q)
+            if not weight:
+                continue
+            cw = c * weight
+            for (a, b), w in poly.terms.items():
+                key = (v + 1, t - p + a, s - q + b + 1)
+                acc[key] = acc.get(key, 0) - cw * w
+    residual = Poly(3, acc)
 
     base_rows = table.base.level_zero()
 

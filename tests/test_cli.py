@@ -322,6 +322,47 @@ def test_errprob_vmax_is_a_usage_error(sub, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["reconcile", "--n", "4", "--eps-list", ","],
+        ["errprob", "sweep", "--n", "4", "--r", "1/2", "--eps-list", ","],
+        ["table", "exponents", "--m", "4", "--t-list", " , "],
+    ],
+)
+def test_empty_list_is_a_usage_error(argv, tmp_path, capsys):
+    out = tmp_path / "fresh"
+    rc, _, err = run_cli(capsys, "--out", str(out), *argv)
+    assert rc == 1
+    assert "empty list" in err
+    assert not out.exists()
+
+
+def test_exponents_repeated_t_written_once(tmp_path, capsys):
+    rc, out, _ = run_cli(
+        capsys, "--out", str(tmp_path), "table", "exponents", "--m", "4", "--t-list", "2,1,2"
+    )
+    assert rc == 0
+    assert "wrote 2 profile files" in out
+    plot = (tmp_path / "plot_exponents.gnuplot").read_text()
+    assert plot.count("g_t2_m4.csv") == plot.count("g_t1_m4.csv") == 1
+    assert plot.index("g_t2_m4.csv") < plot.index("g_t1_m4.csv")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "build", "--m", "0", "--vmax", "3"],
+        ["stopping-sets", "count", "--m", "0", "--v", "2", "--t", "1"],
+        ["pde", "residual", "--m", "0"],
+    ],
+)
+def test_m_zero_is_a_validation_error(argv, tmp_path, capsys):
+    rc, _, err = run_cli(capsys, "--out", str(tmp_path / "fresh"), *argv)
+    assert rc == 2
+    assert err.startswith("error: m must be >= 1")
+
+
 def test_reconcile_report(tmp_path, capsys):
     rc, out, _ = run_cli(
         capsys, "--out", str(tmp_path),

@@ -11,6 +11,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclepoisson.errors import ValidationError
 from cyclepoisson.pde import (
@@ -18,9 +20,7 @@ from cyclepoisson.pde import (
     HYPERBOLIC,
     PARABOLIC,
     AlphaCase,
-    Poly1,
-    Poly2,
-    Poly3,
+    Poly,
     alpha_case,
     alpha_discriminant,
     alpha_substitution,
@@ -38,8 +38,8 @@ from cyclepoisson.pde import (
 )
 from cyclepoisson.table import BaseConfig, CoeffTable, EnsembleParams, fill_table
 
-Y = Poly2.y()
-Z = Poly2.z()
+Y = Poly.var(2, 0)
+Z = Poly.var(2, 1)
 
 
 # ----------------------------------------------------------------------
@@ -48,8 +48,12 @@ Z = Poly2.z()
 
 
 def test_poly2_accumulates_duplicates():
-    p = Poly2([((1, 1), 2), ((1, 1), -2), ((0, 0), 5)])
+    p = Poly(2, [((1, 1), 2), ((1, 1), -2), ((0, 0), 5)])
     assert p.terms == {(0, 0): Fraction(5)}
+    assert Poly(1, [((2,), 1), ((2,), -1)]) == Poly(1)
+    for bad_key in ((1,), (1, -1)):
+        with pytest.raises(ValidationError):
+            Poly(2, {bad_key: 1})
 
 
 def test_poly2_arithmetic():
@@ -61,7 +65,9 @@ def test_poly2_arithmetic():
 
 def test_poly2_rejects_float_coefficients():
     with pytest.raises(ValidationError):
-        Poly2({(0, 0): 0.5})
+        Poly(2, {(0, 0): 0.5})
+    with pytest.raises(ValidationError):
+        Y.scale(0.5)
 
 
 def test_poly1_substitution_consistency():
@@ -72,10 +78,95 @@ def test_poly1_substitution_consistency():
 
 
 def test_poly3_derivatives():
-    g = Poly3({(1, 2, 3): Fraction(5)})
-    assert g.diff_y() == Poly3({(1, 1, 3): 10})
-    assert g.diff_z() == Poly3({(1, 2, 2): 15})
-    assert g.shift(1, 0, 1) == Poly3({(2, 2, 4): 5})
+    g = Poly(3, {(1, 2, 3): Fraction(5)})
+    assert g.diff(1) == Poly(3, {(1, 1, 3): 10})
+    assert g.diff(2) == Poly(3, {(1, 2, 2): 15})
+    assert g.diff(2).diff(2).diff(2).diff(2) == Poly(3)
+    assert g.shift(1, 0, 1) == Poly(3, {(2, 2, 4): 5})
+    assert g.coeff(1, 2, 3) == 5 and g.coeff(0, 0, 0) == 0
+    assert g.degree == 6 and Poly(3).degree == -1
+
+
+# small polynomials of arity 1-3 with rational coefficients
+
+
+def _fractions(span=6, den=4):
+    return st.builds(Fraction, st.integers(-span, span), st.integers(1, den))
+
+
+def _polys(arity):
+    key = st.tuples(*[st.integers(0, 3)] * arity)
+    return st.dictionaries(key, _fractions(), max_size=4).map(
+        lambda terms: Poly(arity, terms)
+    )
+
+
+def _poly_pairs_and_point():
+    return st.integers(1, 3).flatmap(
+        lambda n: st.tuples(
+            _polys(n), _polys(n), st.tuples(*[_fractions()] * n)
+        )
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _poly_pairs_and_point(),
+    _fractions(),
+    st.integers(0, 3),
+    st.lists(st.integers(0, 2), min_size=3, max_size=3),
+)
+def test_poly_arithmetic_agrees_with_evaluate(pqx, k, exp, deltas):
+    p, q, x = pqx
+    px, qx = p.evaluate(*x), q.evaluate(*x)
+    assert (p + q).evaluate(*x) == px + qx
+    assert (p - q).evaluate(*x) == px - qx
+    assert (-p).evaluate(*x) == -px
+    assert (p * q).evaluate(*x) == px * qx
+    assert (k * p).evaluate(*x) == (p * k).evaluate(*x) == k * px
+    assert (p + k).evaluate(*x) == (k + p).evaluate(*x) == px + k
+    assert (k - p).evaluate(*x) == k - px
+    assert (p**exp).evaluate(*x) == px**exp
+    assert p.scale(k).evaluate(*x) == k * px
+    deltas = deltas[: p.arity]
+    assert p.shift(*deltas).evaluate(*x) == px * math.prod(
+        c**d for c, d in zip(x, deltas)
+    )
+    assert abs(p.evaluate(*map(float, x)) - float(px)) <= 1e-9 * (1 + abs(px))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_poly_pairs_and_point(), st.integers(0, 2))
+def test_poly_diff_product_rule(pqx, axis):
+    p, q, _x = pqx
+    axis %= p.arity
+    assert (p * q).diff(axis) == p.diff(axis) * q + p * q.diff(axis)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_polys(2), _fractions(), _fractions())
+def test_poly_substitute_y_agrees_with_evaluate(p, alpha, z):
+    sub = p.substitute_y(alpha)
+    assert sub.arity == 1
+    assert sub.evaluate(z) == p.evaluate(alpha * z, z)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+def test_poly_mixing_arities_raises(a, b, data):
+    if a == b:
+        b = a % 3 + 1
+    p, q = data.draw(_polys(a)), data.draw(_polys(b))
+    for combine in (
+        lambda: p + q,
+        lambda: p - q,
+        lambda: p * q,
+        lambda: p.evaluate(*[1] * b),
+        lambda: p.shift(*[1] * b),
+    ):
+        with pytest.raises(ValidationError):
+            combine()
+    assert p != q
 
 
 # ----------------------------------------------------------------------
@@ -116,9 +207,9 @@ def test_discriminant_expansion():
 
 
 def test_discriminant_k_free():
-    a = discriminant(EnsembleParams.from_checks(2))
-    b = discriminant(EnsembleParams(n=60, r=Fraction(1, 3)))
-    assert a == b
+    for m in (1, 2, 40):
+        coeffs = pde_coefficients(EnsembleParams.from_checks(m))
+        assert coeffs["B"] * coeffs["B"] - coeffs["A"] * coeffs["C"] == discriminant()
 
 
 def test_discriminant_spot_values():
@@ -185,14 +276,14 @@ def test_region_map_validation():
 
 def test_alpha_substitution_frozen():
     sub = alpha_substitution(2)
-    assert sub.exact == Poly1({6: -16, 5: 32, 4: 4})
+    assert sub.exact == Poly(1, {(6,): -16, (5,): 32, (4,): 4})
     assert not sub.equal
 
 
 def test_alpha_substitution_vanishes_at_one():
     sub = alpha_substitution(1)
     assert sub.exact.is_zero()
-    assert sub.printed == Poly1({6: 3, 5: -6, 4: 3})  # 3 z^4 (z-1)^2
+    assert sub.printed == Poly(1, {(6,): 3, (5,): -6, (4,): 3})  # 3 z^4 (z-1)^2
     assert not sub.equal
 
 
@@ -228,8 +319,8 @@ def test_alpha_discriminant_cubic_identity():
 
 
 def test_printed_f_shapes():
-    assert printed_f(4) == Poly1({1: -15, 0: 21})
-    assert printed_f(1) == Poly1({2: 3, 1: -6, 0: 3})
+    assert printed_f(4) == Poly(1, {(1,): -15, (0,): 21})
+    assert printed_f(1) == Poly(1, {(2,): 3, (1,): -6, (0,): 3})
 
 
 def test_quadratic_roots_exact_square():
@@ -247,7 +338,7 @@ def test_quadratic_roots_double():
 def test_quadratic_roots_linear_and_empty():
     assert [r.exact for r in quadratic_roots(printed_f(4))] == [Fraction(7, 5)]
     assert quadratic_roots(printed_f(Fraction(1, 2))) == []
-    assert quadratic_roots(Poly1({0: 3})) == []
+    assert quadratic_roots(Poly(1, {(0,): 3})) == []
 
 
 def test_quadratic_roots_interval_case():
@@ -263,9 +354,9 @@ def test_quadratic_roots_interval_case():
 
 def test_quadratic_roots_validation():
     with pytest.raises(ValidationError):
-        quadratic_roots(Poly1({}))
+        quadratic_roots(Poly(1))
     with pytest.raises(ValidationError):
-        quadratic_roots(Poly1({3: 1}))
+        quadratic_roots(Poly(1, {(3,): 1}))
 
 
 # ----------------------------------------------------------------------
@@ -438,6 +529,22 @@ def test_residual_m5_printed_matches_slot_difference(m5_table):
         predicted = t * (t - 1) * m5_table.value(v - 1, t, s - 2) - (t - 1) * (
             t - 2
         ) * m5_table.value(v - 1, t - 1, s - 1)
+        assert val == predicted
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m + 1))))
+def test_residual_small_tables(m_vmax):
+    # the m = 5 checks above, for every m <= 6 and vmax <= m + 1
+    m, vmax = m_vmax
+    n = max(m, vmax)
+    table = fill_table(EnsembleParams(n=n, r=Fraction(n - m, n)), vmax)
+    reports = residual_reconciliation(table)
+    assert reports["recurrence"].passed
+    for (v, t, s), val in reports["printed"].interior_nonzero:
+        predicted = t * (t - 1) * table.value(v - 1, t, s - 2) - (t - 1) * (
+            t - 2
+        ) * table.value(v - 1, t - 1, s - 1)
         assert val == predicted
 
 
