@@ -28,5 +28,5 @@ for v in range(1, 5):
 
 print()
 print("level sums feed the error-probability series:")
-for v in range(1, 6):
-    print("  sum_t,s A(%d,t,s) = %s" % (v, table.level_sum(v)))
+for v, total in sorted(table.level_sums().items()):
+    print("  sum_t,s A(%d,t,s) = %s" % (v, total))

@@ -21,6 +21,7 @@ exact rational arithmetic throughout:
 from .combinatorics import (
     binomial,
     block_partition_count,
+    block_partition_table,
     double_factorial_odd,
     factorial,
     log10_fraction,
@@ -83,7 +84,6 @@ from .simulator import (
     wilson_interval,
 )
 from .table import (
-    BaseConfig,
     CoeffTable,
     EnsembleParams,
     boundary_coefficient,
@@ -115,13 +115,13 @@ __all__ = [
     "stirling_factorial",
     "stirling_relative_error",
     "block_partition_count",
+    "block_partition_table",
     "log10_int",
     "log10_fraction",
     "log_fraction",
     "log_ratio",
     # table
     "EnsembleParams",
-    "BaseConfig",
     "CoeffTable",
     "constellation_count",
     "stopping_set_count",

@@ -45,7 +45,6 @@ from .pde import (
 from .series import geometric_series, poisson_block_series
 from .simulator import estimate_block_error
 from .table import (
-    BaseConfig,
     EnsembleParams,
     fill_table,
     growth_profile,
@@ -91,11 +90,15 @@ def _range_pair(text: str) -> tuple[Fraction, Fraction]:
     return (_frac(parts[0]), _frac(parts[1]))
 
 
-def _params_for_checks(m: int, depth: int) -> EnsembleParams:
-    """Parameters with exactly m checks and enough variables for depth."""
+def _check_count(m: int) -> int:
     if m < 1:
         raise ValidationError("m must be >= 1, got %d" % m)
-    n = max(m, depth)
+    return m
+
+
+def _params_for_checks(m: int, depth: int) -> EnsembleParams:
+    """Parameters with exactly m checks and enough variables for depth."""
+    n = max(_check_count(m), depth)
     return EnsembleParams(n=n, r=Fraction(n - m, n))
 
 
@@ -161,7 +164,7 @@ def _cmd_table_build(args, run: _Run) -> int:
     if args.m is None or args.vmax is None:
         raise ValidationError("table build needs --m and --vmax")
     params = _params_for_checks(args.m, args.vmax)
-    table = fill_table(params, args.vmax, base=BaseConfig.from_label(args.base))
+    table = fill_table(params, args.vmax)
     out_path = run.resolve(args.out_file or ("table_m%d_v%d.cpt" % (args.m, args.vmax)))
     print("filled m=%d vmax=%d, %d nonzero entries" % (table.m, table.vmax, len(table.counts)))
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -172,9 +175,12 @@ def _cmd_table_build(args, run: _Run) -> int:
 
 
 def _cmd_table_exponents(args, run: _Run) -> int:
-    m = args.m
+    m = _check_count(args.m)
     vmax = args.vmax if args.vmax is not None else m
-    t_list = list(dict.fromkeys(args.t_list or DEFAULT_T_LIST))  # first occurrence order
+    if args.t_list is None:
+        t_list = [t for t in DEFAULT_T_LIST if t <= m]
+    else:
+        t_list = list(dict.fromkeys(args.t_list))  # first occurrence order
     profile = growth_profile(m, vmax, t_list)
     out_names = []
     top = None
@@ -222,7 +228,7 @@ def _cmd_table_verify(args, run: _Run) -> int:
         for p in problems:
             print("FAIL %s" % p)
         return 2
-    print("ok: support, base, boundary and recurrence checks all pass")
+    print("ok: support, origin, boundary and recurrence checks all pass")
     return 0
 
 
@@ -546,7 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
     build = leaf(table_sub, "build", _cmd_table_build, "table build", help="fill a table and save it")
     build.add_argument("--m", type=int, default=None)
     build.add_argument("--vmax", type=int, default=None)
-    build.add_argument("--base", choices=["unit-origin", "empty"], default="unit-origin")
     build.add_argument("--out", dest="out_file", default=None, help="output table file")
     expo = leaf(
         table_sub,

@@ -11,6 +11,8 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import ValidationError
+
 __all__ = [
     "factorial",
     "double_factorial_odd",
@@ -18,6 +20,7 @@ __all__ = [
     "stirling_factorial",
     "stirling_relative_error",
     "block_partition_count",
+    "block_partition_table",
     "log10_int",
     "log10_fraction",
     "log_fraction",
@@ -36,10 +39,10 @@ def factorial(n: int) -> int:
         n: nonnegative integer.
 
     Raises:
-        ValueError: if n is negative.
+        ValidationError: if n is negative.
     """
     if n < 0:
-        raise ValueError("factorial requires n >= 0, got %r" % (n,))
+        raise ValidationError("factorial requires n >= 0, got %r" % (n,))
     return math.factorial(n)
 
 
@@ -50,7 +53,7 @@ def double_factorial_odd(v: int) -> int:
     can be tested against an independent code path.
     """
     if v < 0:
-        raise ValueError("double_factorial_odd requires v >= 0, got %r" % (v,))
+        raise ValidationError("double_factorial_odd requires v >= 0, got %r" % (v,))
     out = 1
     for j in range(1, 2 * v, 2):
         out *= j
@@ -60,7 +63,7 @@ def double_factorial_odd(v: int) -> int:
 def binomial(n: int, k: int) -> int:
     """Binomial coefficient C(n, k); zero when k is outside 0..n."""
     if n < 0:
-        raise ValueError("binomial requires n >= 0, got %r" % (n,))
+        raise ValidationError("binomial requires n >= 0, got %r" % (n,))
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
@@ -74,11 +77,11 @@ def stirling_factorial(n: int) -> float:
     stirling_relative_error, which works in log space.
 
     Raises:
-        ValueError: if n < 1 (the formula is not claimed at n = 0).
+        ValidationError: if n < 1 (the formula is not claimed at n = 0).
         OverflowError: if the value exceeds float range.
     """
     if n < 1:
-        raise ValueError("stirling_factorial requires n >= 1, got %r" % (n,))
+        raise ValidationError("stirling_factorial requires n >= 1, got %r" % (n,))
     return math.sqrt((2 * n + 1.0 / 3.0) * math.pi) * (n / math.e) ** n
 
 
@@ -90,40 +93,57 @@ def stirling_relative_error(n: int) -> float:
     stays valid far past float range.
     """
     if n < 1:
-        raise ValueError("stirling_relative_error requires n >= 1, got %r" % (n,))
+        raise ValidationError("stirling_relative_error requires n >= 1, got %r" % (n,))
     log_formula = 0.5 * math.log((2 * n + 1.0 / 3.0) * math.pi) + n * (math.log(n) - 1.0)
     log_exact = log10_int(math.factorial(n)) * math.log(10.0)
     return abs(math.expm1(log_formula - log_exact))
 
 
+def block_partition_table(blocks: int, elements: int, min_block: int) -> list[list[int]]:
+    """P[t][n] = block_partition_count(n, t, min_block) for t <= blocks, n <= elements.
+
+    Built bottom-up by choosing the first block: an ordered t-tuple is a
+    first block of j >= min_block items, binom(n, j) ways, followed by a
+    (t-1)-tuple covering the other n - j, so
+    P[t][n] = sum_{j >= min_block} binom(n, j) * P[t-1][n-j],
+    the binomial convolution that multiplies EGFs.  With min_block = 2,
+    P[t][n] = n! * [x^n] (e^x - 1 - x)^t.  Exact integers, zero for
+    n < t * min_block.
+    """
+    if elements < 0 or blocks < 0 or min_block < 0:
+        raise ValidationError(
+            "block partition arguments must be nonnegative, got elements=%r blocks=%r "
+            "min_block=%r" % (elements, blocks, min_block)
+        )
+    pascal = [[math.comb(n, j) for j in range(n + 1)] for n in range(elements + 1)]
+    counts = [[1] + [0] * elements]
+    for t in range(1, blocks + 1):
+        prev = counts[-1]
+        row = [0] * (elements + 1)
+        for n in range(t * min_block, elements + 1):
+            choose = pascal[n]
+            row[n] = sum(
+                choose[j] * prev[n - j] for j in range(min_block, n - (t - 1) * min_block + 1)
+            )
+        counts.append(row)
+    return counts
+
+
 @lru_cache(maxsize=None)
-def _partition_count(elements: int, blocks: int, min_block: int) -> int:
-    if blocks == 0:
-        return 1 if elements == 0 else 0
-    if elements < blocks * min_block:
-        return 0
-    total = 0
-    # Choose the members of the first block, then place the rest.
-    for j in range(min_block, elements + 1):
-        total += math.comb(elements, j) * _partition_count(elements - j, blocks - 1, min_block)
-    return total
-
-
 def block_partition_count(elements: int, blocks: int, min_block: int) -> int:
     """Ordered tuples of disjoint blocks covering a labeled set.
 
     Counts the ways to split `elements` labeled items into an ordered tuple of
     `blocks` pairwise-disjoint, jointly-exhaustive subsets, each of size at
-    least `min_block`.  Top-down recursion over (remaining elements,
-    remaining blocks) with exact binomial weights; memoized.
+    least `min_block`: the corner of block_partition_table; memoized per
+    argument triple.  Each new triple builds the table up to its corner,
+    so a sweep over many arguments should read one table instead.
 
     This is the independent oracle for coefficient extraction from the
     (e^x - 1 - x)^t family: the count equals (2v)! times the x^(2v)
     coefficient of that series when min_block = 2.
     """
-    if elements < 0 or blocks < 0 or min_block < 0:
-        raise ValueError("block_partition_count arguments must be nonnegative")
-    return _partition_count(elements, blocks, min_block)
+    return block_partition_table(blocks, elements, min_block)[blocks][elements]
 
 
 def log10_int(n: int) -> float:
@@ -134,7 +154,7 @@ def log10_int(n: int) -> float:
     integers with hundreds of digits (never converts n itself to float).
     """
     if n <= 0:
-        raise ValueError("log10_int requires n > 0, got %r" % (n,))
+        raise ValidationError("log10_int requires n > 0, got %r" % (n,))
     digits = str(n)
     d = len(digits)
     if d <= _LOG_PREFIX_DIGITS:
@@ -147,7 +167,7 @@ def log10_fraction(q: Fraction) -> float:
     """log10 of a positive rational, exact-integer path on both sides."""
     q = Fraction(q)
     if q <= 0:
-        raise ValueError("log10_fraction requires a positive value, got %r" % (q,))
+        raise ValidationError("log10_fraction requires a positive value, got %r" % (q,))
     return log10_int(q.numerator) - log10_int(q.denominator)
 
 
@@ -170,4 +190,4 @@ def _rebase(l10: float, base: int | str) -> float:
         return l10
     if base in ("e", math.e):
         return l10 * math.log(10.0)
-    raise ValueError("log base must be 10 or 'e', got %r" % (base,))
+    raise ValidationError("log base must be 10 or 'e', got %r" % (base,))

@@ -728,9 +728,9 @@ def pde_residual(
     boundary monomials.  A monomial (v,t,s) is interior iff v >= 1, t >= 1
     and every table index any operator term reads for it is either inside
     the trunc box or provably zero (outside the table's support, or on the
-    v=0 plane away from the base configuration).  Nonzero interior
-    monomials falsify the operator against the table; excluded ones are
-    truncation edge effects and are listed, not judged.
+    v=0 plane away from the origin).  Nonzero interior monomials falsify
+    the operator against the table; excluded ones are truncation edge
+    effects and are listed, not judged.
 
     The default coefficient set is `recurrence_pde_coefficients`, the
     variant that the table actually satisfies.
@@ -769,8 +769,6 @@ def pde_residual(
                 acc[key] = acc.get(key, 0) - cw * w
     residual = Poly(3, acc)
 
-    base_rows = table.base.level_zero()
-
     def known(ref: tuple[int, int, int]) -> bool:
         rv, rt, rs = ref
         if rv < 0 or rt < 0 or rs < 0:
@@ -778,7 +776,7 @@ def pde_residual(
         if rv <= bv and rt <= bt and rs <= bs:
             return True  # inside the box: value was in G
         if rv == 0:
-            return ref not in base_rows
+            return True  # the v = 0 plane is the origin, inside every box
         return not (1 <= rt <= m and 0 <= rs <= m - rt)  # outside support
 
     def interior(v: int, t: int, s: int) -> bool:

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
+from .errors import ValidationError
+
 Coeff = Union[int, str, Fraction]
 
 __all__ = ["Series", "poisson_block_series", "geometric_series", "monomial"]
@@ -30,7 +32,7 @@ class Series:
     def __init__(self, coeffs: Iterable[Coeff]):
         vals = tuple(Fraction(c) for c in coeffs)
         if not vals:
-            raise ValueError("a series needs at least the order-0 coefficient")
+            raise ValidationError("a series needs at least the order-0 coefficient")
         object.__setattr__(self, "coeffs", vals)
 
     @property
@@ -47,7 +49,7 @@ class Series:
     def truncate(self, order: int) -> "Series":
         """Drop coefficients above `order` (which must not exceed self.order)."""
         if order < 0 or order > self.order:
-            raise ValueError("cannot truncate to order %d from order %d" % (order, self.order))
+            raise ValidationError("cannot truncate to order %d from order %d" % (order, self.order))
         return Series(self.coeffs[: order + 1])
 
     # ------------------------------------------------------------------
@@ -62,10 +64,10 @@ class Series:
         """(A - a_0)/x: [a_1, .., a_N], order N-1.
 
         Raises:
-            ValueError: on an order-0 series (no coefficient survives).
+            ValidationError: on an order-0 series (no coefficient survives).
         """
         if self.order == 0:
-            raise ValueError("shift_left needs order >= 1")
+            raise ValidationError("shift_left needs order >= 1")
         return Series(self.coeffs[1:])
 
     def differentiate(self) -> "Series":
@@ -171,9 +173,9 @@ def poisson_block_series(t: int, order: int) -> Series:
     at least 2.  t = 0 gives the constant 1 at the requested order.
     """
     if t < 0:
-        raise ValueError("poisson_block_series requires t >= 0, got %r" % (t,))
+        raise ValidationError("poisson_block_series requires t >= 0, got %r" % (t,))
     if order < 0:
-        raise ValueError("poisson_block_series requires order >= 0, got %r" % (order,))
+        raise ValidationError("poisson_block_series requires order >= 0, got %r" % (order,))
     base = Series(
         [Fraction(0) if k < 2 else Fraction(1, math.factorial(k)) for k in range(order + 1)]
     )
@@ -185,11 +187,13 @@ def poisson_block_series(t: int, order: int) -> Series:
 
 def geometric_series(order: int) -> Series:
     """1/(1-x) truncated at `order`: all coefficients 1."""
+    if order < 0:
+        raise ValidationError("geometric_series requires order >= 0, got %r" % (order,))
     return Series([Fraction(1)] * (order + 1))
 
 
 def monomial(k: int, order: int) -> Series:
     """x^k truncated at `order` (k must fit in the window)."""
     if k < 0 or k > order:
-        raise ValueError("monomial exponent %d outside order %d" % (k, order))
+        raise ValidationError("monomial exponent %d outside order %d" % (k, order))
     return Series([Fraction(1) if i == k else Fraction(0) for i in range(order + 1)])

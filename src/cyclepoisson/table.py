@@ -4,7 +4,7 @@ The ensemble has n degree-2 variable nodes whose 2n edge endpoints land
 uniformly and independently on m = (1-r)n check nodes (a multigraph; both
 endpoints of a variable may hit the same check).  The table A(v, t, s) is a
 three-index family of exact rationals over 0 <= v <= vmax, 1 <= t <= m,
-0 <= s <= m-t (plus a pluggable v = 0 origin):
+0 <= s <= m-t, plus the origin A(0, 0, 0) = 1 as the whole v = 0 plane:
 
 * the s = 0 boundary layer has the closed form
   A(v, t, 0) = binom(m, t) * (2v-1)!! * [x^(2v)] (e^x - 1 - x)^t,
@@ -26,9 +26,11 @@ depend on m:
   C(v,t,s) = 2v * ((s-1)*C(v-1,t,s-2) + t*C(v-1,t,s-1) + t*C(v-1,t-1,s)).
 fill_table evaluates this form.  verify_table checks the unfactored
 recurrence, and the s = 0 layer against an integer oracle that shares no
-code with the fill: the powers of the n!-scaled EGF e^x - 1 - x as a
-binomial convolution, P_t[n] = sum_{j>=2} binom(n,j) * P_{t-1}[n-j]
-(choose the first block).
+code with the fill: combinatorics.block_partition_table, the powers of
+the n!-scaled EGF e^x - 1 - x as a binomial convolution,
+P_t[n] = sum_{j>=2} binom(n,j) * P_{t-1}[n-j] (choose the first block).
+The origin feeds no v >= 1 entry: the only term reading level v-1 at
+t-1 = 0 carries the factor s, and row t = 0 is zero for s >= 1.
 
 Entries outside the support are zero; an entry is nonzero only where
 2t + s <= 2v.  B(v, t, s) = v! * 2^v * A(v, t, s) counts the cyclic
@@ -58,7 +60,6 @@ it exceeds the table wherever a forest has the profile.
 
 from __future__ import annotations
 
-import enum
 import hashlib
 import itertools
 import re
@@ -68,12 +69,17 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .combinatorics import binomial, factorial, log_fraction, log_ratio
+from .combinatorics import (
+    binomial,
+    block_partition_table,
+    factorial,
+    log_fraction,
+    log_ratio,
+)
 from .errors import GuardError, TableFormatError, ValidationError
 
 __all__ = [
     "EnsembleParams",
-    "BaseConfig",
     "CoeffTable",
     "constellation_count",
     "stopping_set_count",
@@ -96,6 +102,10 @@ _ROW_RE = re.compile(
     r"^(0|[1-9][0-9]*) (0|[1-9][0-9]*) (0|[1-9][0-9]*) (-?(?:0|[1-9][0-9]*))/([1-9][0-9]*)$"
 )
 _TRAILER_RE = re.compile(rb"end sha256=([0-9a-f]{64})\n")
+# the v = 0 plane as counts (there 0! * 2^0 = 1, so B = A) and the header
+# label CPTABLE 2 files carry for it
+_ORIGIN = {(0, 0, 0): 1}
+_ORIGIN_LABEL = "unit-origin"
 
 
 @dataclass(frozen=True)
@@ -129,33 +139,13 @@ class EnsembleParams:
         return cls(n=m, r=Fraction(0))
 
 
-class BaseConfig(enum.Enum):
-    """Pluggable v=0 / t=0 convention for the recurrence origin."""
-
-    UNIT_ORIGIN = "unit-origin"  # A(0,0,0) = 1, everything else at v=0 zero
-    EMPTY = "empty"  # the whole v=0 plane zero
-
-    def level_zero(self) -> dict[tuple[int, int, int], int]:
-        """The v = 0 plane as counts; there 0! * 2^0 = 1, so B = A."""
-        if self is BaseConfig.UNIT_ORIGIN:
-            return {(0, 0, 0): 1}
-        return {}
-
-    @classmethod
-    def from_label(cls, label: str) -> "BaseConfig":
-        for cfg in cls:
-            if cfg.value == label:
-                return cfg
-        raise ValidationError("unknown base config %r" % (label,))
-
-
 class CoeffTable:
     """Sparse exact table of A(v, t, s), stored as integer counts.
 
     counts maps (v, t, s) to the integer B = v! * 2^v * A(v, t, s), the
     number of cyclic assignments with that profile; absent keys are zero.
     entries is a read-only view of the same table as Fractions A = B /
-    (v! * 2^v), built per access.  Equality is on (m, vmax, base, counts):
+    (v! * 2^v), built per access.  Equality is on (m, vmax, counts):
     two parameterizations with the same check count carry identical tables.
     """
 
@@ -163,12 +153,10 @@ class CoeffTable:
         self,
         params: EnsembleParams,
         vmax: int,
-        base: BaseConfig,
         counts: dict[tuple[int, int, int], int],
     ):
         self.params = params
         self.vmax = vmax
-        self.base = base
         self.counts = counts
 
     @property
@@ -193,12 +181,8 @@ class CoeffTable:
         b = self.counts.get((v, t, s))
         return Fraction(b, _weight(v)) if b else Fraction(0)
 
-    def level_sum(self, v: int) -> Fraction:
-        """Sum of A(v, t, s) over t >= 1 and all s."""
-        return self.level_sums().get(v, Fraction(0))
-
     def level_sums(self) -> dict[int, Fraction]:
-        """level_sum(v) for every level v with an entry at t >= 1, in one pass.
+        """Sum of A(v, t, s) over t >= 1 and all s, for every level v with an entry there.
 
         The counts of a level are added as integers and one Fraction, the
         sum over v! * 2^v, is built per level.
@@ -215,19 +199,13 @@ class CoeffTable:
         return (
             self.m == other.m
             and self.vmax == other.vmax
-            and self.base == other.base
             and self.counts == other.counts
         )
 
     __hash__ = None
 
     def __repr__(self):
-        return "CoeffTable(m=%d, vmax=%d, base=%s, %d entries)" % (
-            self.m,
-            self.vmax,
-            self.base.value,
-            len(self.counts),
-        )
+        return "CoeffTable(m=%d, vmax=%d, %d entries)" % (self.m, self.vmax, len(self.counts))
 
 
 class _EntriesView(Mapping):
@@ -366,17 +344,13 @@ def _profile_counts(width: int, vmax: int) -> list[list[list[int]]]:
     return levels
 
 
-def fill_table(
-    params: EnsembleParams,
-    vmax: int,
-    base: BaseConfig = BaseConfig.UNIT_ORIGIN,
-) -> CoeffTable:
+def fill_table(params: EnsembleParams, vmax: int) -> CoeffTable:
     """Fill A(v, t, s) for 1 <= v <= vmax as M(t,s) * C(v,t,s) / (v! * 2^v).
 
     The integers C come from the m-free kernel _profile_counts and M(t,s)
     is the multinomial m!/(t! s! (m-t-s)!); each stored count is the
     integer B = M(t,s) * C(v,t,s), and zeros are not stored.  The v = 0
-    plane is the base config's.  Every level is filled from scratch:
+    plane is the origin alone.  Every level is filled from scratch:
     refilling is faster than loading a saved table of the same size.
 
     Raises:
@@ -385,7 +359,7 @@ def fill_table(
     if vmax < 0 or vmax > params.n:
         raise ValidationError("vmax must lie in 0..n, got %r" % (vmax,))
     m = params.m
-    counts = base.level_zero()
+    counts = dict(_ORIGIN)
     kernel = _profile_counts(m, vmax)
     multinomial = [
         [binomial(m, t) * binomial(m - t, s) for s in range(m - t + 1)]
@@ -397,31 +371,7 @@ def fill_table(
             for s, c in enumerate(kernel[v][t]):
                 if c:
                     counts[(v, t, s)] = row[s] * c
-    return CoeffTable(params, vmax, base, counts)
-
-
-def _first_block_counts(tmax: int, nmax: int) -> list[list[int]]:
-    """P[t][n] = n! * [x^n] (e^x - 1 - x)^t, built by choosing the first block.
-
-    An ordered t-tuple of disjoint blocks of size >= 2 covering n labeled
-    elements is a first block of j >= 2 elements, binom(n, j) ways,
-    followed by a (t-1)-tuple covering the other n - j:
-    P[t][n] = sum_{j>=2} binom(n, j) * P[t-1][n-j], the binomial
-    convolution that multiplies EGFs.  This is verify_table's oracle for
-    the s = 0 layer and deliberately shares no code with _block_counts.
-    """
-    pascal = [[binomial(n, j) for j in range(n + 1)] for n in range(nmax + 1)]
-    counts = [[1] + [0] * nmax]
-    for t in range(1, tmax + 1):
-        prev = counts[-1]
-        row = [0] * (nmax + 1)
-        for n in range(2 * t, nmax + 1):
-            choose = pascal[n]
-            row[n] = sum(
-                choose[j] * prev[n - j] for j in range(2, n - 2 * (t - 1) + 1)
-            )
-        counts.append(row)
-    return counts
+    return CoeffTable(params, vmax, counts)
 
 
 def verify_table(table: CoeffTable) -> list[str]:
@@ -429,7 +379,7 @@ def verify_table(table: CoeffTable) -> list[str]:
 
     Rechecks, independent of fill order: support (nothing stored outside
     the index ranges or the profile support 2t + s <= 2v, v = 0 plane
-    matches the base config), the paper's unfactored three-term
+    is the origin alone), the paper's unfactored three-term
     recurrence at every (v, t, s) with s >= 1 in the profile support
     (including entries stored as zero by omission), and the boundary
     identity
@@ -438,27 +388,25 @@ def verify_table(table: CoeffTable) -> list[str]:
     is checked as s * B(v,t,s) == 2v * R(B(v-1)) with R its right-hand
     side; outside the profile support both sides vanish once no entry is
     stored there, so those rows are not visited.  The boundary side is
-    binom(m,t) * P_t[2v] from _first_block_counts, an integer binomial
-    convolution independent of the kernel the fill uses.
+    binom(m,t) * P_t[2v] from combinatorics.block_partition_table, an
+    integer binomial convolution independent of the kernel the fill uses.
     """
     m = table.m
     vmax = table.vmax
     counts = table.counts
     bad: list[str] = []
-    origin = table.base.level_zero()
     for (v, t, s), b in sorted(counts.items()):
         if b == 0:
             bad.append("stored zero at (%d,%d,%d)" % (v, t, s))
         if v == 0:
-            if origin.get((v, t, s)) != b:
-                bad.append("v=0 entry (%d,%d,%d)=%s conflicts with base %s"
-                           % (v, t, s, b, table.base.value))
+            if _ORIGIN.get((v, t, s)) != b:
+                bad.append("v=0 entry (%d,%d,%d)=%s conflicts with the origin" % (v, t, s, b))
             continue
         if v > vmax or not (1 <= t <= m) or not (0 <= s <= m - t):
             bad.append("entry outside support at (%d,%d,%d)" % (v, t, s))
         elif 2 * t + s > 2 * v:
             bad.append("entry outside profile support 2t+s <= 2v at (%d,%d,%d)" % (v, t, s))
-    blocks = _first_block_counts(min(m, vmax), 2 * vmax)
+    blocks = block_partition_table(min(m, vmax), 2 * vmax, 2)
     get = counts.get
     for v in range(1, vmax + 1):
         for t in range(1, min(v, m) + 1):
@@ -559,14 +507,14 @@ def growth_profile(m: int, vmax: int, t_values, base=10) -> dict[int, list[tuple
 def save_table(table: CoeffTable, path) -> None:
     """Write the canonical CPTABLE 2 format, ASCII with LF endings.
 
-    Line 1: "CPTABLE 2".  Line 2: "m=<m> vmax=<vmax> base=<name>".  Then one
+    Line 1: "CPTABLE 2".  Line 2: "m=<m> vmax=<vmax> base=unit-origin".  Then one
     row per nonzero entry, "<v> <t> <s> <num>/<den>" in lowest terms with a
     positive denominator, sorted lexicographically by (v, t, s).  Zero
     entries are omitted.  The last line is "end sha256=<hex>", the
     lowercase sha256 of every byte before it, so a truncated or altered
     file cannot load.
     """
-    lines = [_HEADER_MAGIC, "m=%d vmax=%d base=%s" % (table.m, table.vmax, table.base.value)]
+    lines = [_HEADER_MAGIC, "m=%d vmax=%d base=%s" % (table.m, table.vmax, _ORIGIN_LABEL)]
     for (v, t, s), b in sorted(table.counts.items()):
         w = _weight(v)
         g = gcd(b, w)
@@ -585,9 +533,7 @@ def _checked_body(data: bytes) -> list[str]:
     """
     if data.startswith(b"CPTABLE 1\n"):
         header = _HEADER_RE.match(data.split(b"\n", 2)[1].decode("ascii", "replace"))
-        rebuild = "--m %s --vmax %s --base %s" % (
-            header.groups() if header else ("<m>", "<vmax>", "<base>")
-        )
+        rebuild = "--m %s --vmax %s" % (header.groups()[:2] if header else ("<m>", "<vmax>"))
         raise TableFormatError(
             "CPTABLE 1 files are no longer read; rebuild with "
             "`cyclepoisson table build %s`" % rebuild,
@@ -623,8 +569,8 @@ def load_table(path) -> CoeffTable:
     fields, row syntax, lowest-terms normalization with positive
     denominator, strictly increasing (v, t, s) order, no zero values,
     indices inside the declared support, a denominator that divides
-    v! * 2^v (the table stores the integer B = v! * 2^v * A), v = 0 rows
-    consistent with the base config, the base config's rows present, and
+    v! * 2^v (the table stores the integer B = v! * 2^v * A), the base
+    label unit-origin, the origin row 0 0 0 1/1 as the only v = 0 row, and
     rows up to exactly the declared vmax.
     """
     with open(path, "rb") as fh:
@@ -638,15 +584,12 @@ def load_table(path) -> CoeffTable:
         raise TableFormatError("bad header %r" % (lines[1],), line=2)
     m = int(header.group(1))
     vmax = int(header.group(2))
-    try:
-        base = BaseConfig.from_label(header.group(3))
-    except ValidationError:
-        raise TableFormatError("unknown base %r" % (header.group(3),), line=2) from None
+    if header.group(3) != _ORIGIN_LABEL:
+        raise TableFormatError("unknown base %r" % (header.group(3),), line=2)
     params = EnsembleParams.from_checks(m) if m >= 1 else None
     if params is None:
         raise TableFormatError("m must be >= 1", line=2)
 
-    origin = base.level_zero()
     counts: dict[tuple[int, int, int], int] = {}
     prev_key = None
     for idx, line in enumerate(lines[2:], start=3):
@@ -673,8 +616,8 @@ def load_table(path) -> CoeffTable:
                 "denominator %d does not divide v! * 2^v = %d" % (den, w), line=idx
             )
         b = num * scale
-        if v == 0 and origin.get(key) != b:
-            raise TableFormatError("v=0 row conflicts with base=%s" % (base.value,), line=idx)
+        if v == 0 and _ORIGIN.get(key) != b:
+            raise TableFormatError("v=0 row conflicts with base=%s" % (_ORIGIN_LABEL,), line=idx)
         counts[key] = b
 
     max_v = max((key[0] for key in counts), default=0)
@@ -682,7 +625,7 @@ def load_table(path) -> CoeffTable:
         raise TableFormatError(
             "rows stop at v=%d but the header declares vmax=%d" % (max_v, vmax), line=2
         )
-    for key, b in origin.items():
+    for key, b in _ORIGIN.items():
         if counts.get(key) != b:
             raise TableFormatError("file is missing base row %r" % (key,), line=3)
-    return CoeffTable(params, vmax, base, counts)
+    return CoeffTable(params, vmax, counts)

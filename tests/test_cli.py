@@ -107,14 +107,16 @@ def test_verify_rejects_unloadable_files(tmp_path, capsys):
     run_cli(capsys, "--out", out, "table", "build", "--m", "3", "--vmax", "3", "--out", "t.cpt")
     blob = (tmp_path / "t.cpt").read_bytes()
     body = blob[: blob.rindex(b"end sha256=")].replace(b"1 1 0 3/2", b"1 1 0 3/\xff")
-    foo = blob[: blob.rindex(b"end sha256=")].replace(b"base=unit-origin", b"base=foo")
-    signed_foo = foo + b"end sha256=%s\n" % hashlib.sha256(foo).hexdigest().encode()
+    head = blob[: blob.rindex(b"end sha256=")]
+    foo = head.replace(b"base=unit-origin", b"base=foo")
+    empty = head.replace(b"base=unit-origin", b"base=empty")
     cases = {
         "v1.cpt": b"CPTABLE 1\nm=3 vmax=3 base=unit-origin\n0 0 0 1/1\n",
         "cut.cpt": blob[:-40],
         # re-signed, so strict ASCII decoding is what rejects it
         "ff.cpt": body + b"end sha256=%s\n" % hashlib.sha256(body).hexdigest().encode(),
-        "base.cpt": signed_foo,
+        "base.cpt": foo + b"end sha256=%s\n" % hashlib.sha256(foo).hexdigest().encode(),
+        "empty.cpt": empty + b"end sha256=%s\n" % hashlib.sha256(empty).hexdigest().encode(),
     }
     for name, data in cases.items():
         path = tmp_path / name
@@ -125,11 +127,30 @@ def test_verify_rejects_unloadable_files(tmp_path, capsys):
         assert "Traceback" not in err
         assert outtext == ""
         if name == "v1.cpt":
-            assert "cyclepoisson table build --m 3 --vmax 3 --base unit-origin" in err
+            assert "`cyclepoisson table build --m 3 --vmax 3`" in err
         if name == "ff.cpt":
             assert "non-ASCII" in err
         if name == "base.cpt":
             assert err.startswith("error: line 2: unknown base 'foo'")
+        if name == "empty.cpt":
+            assert err.startswith("error: line 2: unknown base 'empty'")
+
+
+@pytest.mark.parametrize(
+    "m, vmax, digest",
+    [
+        (12, 16, "1797b4e2a6b13f36d736ced8c17c1c8a28c1b3879b7f5c143633f6c89256e79b"),
+        (5, 4, "c716511d55b2c477d2e88a667a498f2f1e1e2ebdf39c77a83de04f537e17acd0"),
+        (3, 3, "a0808e7058e98fbb4f5b126e7f938cc8cf9051680a1794dc4a00c5b477793e2e"),
+    ],
+)
+def test_table_build_bytes_are_pinned(m, vmax, digest, tmp_path, capsys):
+    rc, _, _ = run_cli(
+        capsys, "--out", str(tmp_path), "table", "build", "--m", str(m), "--vmax", str(vmax),
+        "--out", "t.cpt",
+    )
+    assert rc == 0
+    assert hashlib.sha256((tmp_path / "t.cpt").read_bytes()).hexdigest() == digest
 
 
 def test_exponents_profiles_and_gaps(tmp_path, capsys):
@@ -338,6 +359,40 @@ def test_empty_list_is_a_usage_error(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_exponents_default_list_stops_at_m(tmp_path, capsys):
+    # the default t list runs to 50; only its values <= m are profiled
+    rc, out, _ = run_cli(capsys, "--out", str(tmp_path), "table", "exponents", "--m", "10")
+    assert rc == 0
+    assert "wrote 6 profile files" in out
+    names = ["g_t%d_m10.csv" % t for t in (1, 2, 3, 4, 5, 10)]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        names + ["manifest.json", "plot_exponents.gnuplot"]
+    )
+    plot = (tmp_path / "plot_exponents.gnuplot").read_text()
+    assert [plot.index(name) for name in names] == sorted(plot.index(name) for name in names)
+    # an explicit t above m is still an error
+    rc, _, err = run_cli(
+        capsys, "--out", str(tmp_path / "fresh"), "table", "exponents", "--m", "10",
+        "--t-list", "2,11",
+    )
+    assert rc == 2
+    assert "t values must not exceed m = 10" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["series", "demo", "--order", "-1"],
+        ["errprob", "hadamard-check", "--order", "-1"],
+    ],
+)
+def test_negative_order_is_a_validation_error(argv, tmp_path, capsys):
+    rc, _, err = run_cli(capsys, "--out", str(tmp_path), *argv)
+    assert rc == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_exponents_repeated_t_written_once(tmp_path, capsys):
     rc, out, _ = run_cli(
         capsys, "--out", str(tmp_path), "table", "exponents", "--m", "4", "--t-list", "2,1,2"
@@ -355,6 +410,7 @@ def test_exponents_repeated_t_written_once(tmp_path, capsys):
         ["table", "build", "--m", "0", "--vmax", "3"],
         ["stopping-sets", "count", "--m", "0", "--v", "2", "--t", "1"],
         ["pde", "residual", "--m", "0"],
+        ["table", "exponents", "--m", "0"],
     ],
 )
 def test_m_zero_is_a_validation_error(argv, tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 from cyclepoisson.combinatorics import (
     binomial,
     block_partition_count,
+    block_partition_table,
     double_factorial_odd,
     factorial,
     log10_fraction,
@@ -15,6 +16,7 @@ from cyclepoisson.combinatorics import (
     stirling_factorial,
     stirling_relative_error,
 )
+from cyclepoisson.errors import ValidationError
 
 
 def pascal_binomial(n, k):
@@ -84,12 +86,20 @@ def test_block_partition_count_brute_force():
                 count += 1
         return count
 
-    for elements in range(0, 7):
-        for blocks in range(0, 4):
-            for min_block in (1, 2, 3):
-                assert block_partition_count(elements, blocks, min_block) == brute(
-                    elements, blocks, min_block
-                )
+    # every entry of the first-block table, not only its corner
+    for min_block in (0, 1, 2, 3):
+        table = block_partition_table(3, 6, min_block)
+        for elements in range(0, 7):
+            for blocks in range(0, 4):
+                expect = brute(elements, blocks, min_block)
+                assert table[blocks][elements] == expect
+                assert block_partition_count(elements, blocks, min_block) == expect
+
+
+def test_block_partition_count_rejects_negative_arguments():
+    for args in [(-1, 1, 2), (4, -1, 2), (4, 2, -1)]:
+        with pytest.raises(ValidationError):
+            block_partition_count(*args)
 
 
 def test_stirling_factorial_small_values():

@@ -131,8 +131,9 @@ def test_expected_block_error_is_exhaustive_probability(n, m, eps):
 def test_equal_m_parameterizations_share_level_sums():
     a = fill_table(EnsembleParams(n=4, r=Fraction(1, 2)), vmax=4)
     b = fill_table(EnsembleParams.from_checks(2), vmax=2)
+    sums_a, sums_b = a.level_sums(), b.level_sums()
     for v in (1, 2):
-        assert a.level_sum(v) == b.level_sum(v)
+        assert sums_a[v] == sums_b[v]
 
 
 # ----------------------------------------------------------------------

@@ -36,7 +36,7 @@ from cyclepoisson.pde import (
     region_map,
     residual_reconciliation,
 )
-from cyclepoisson.table import BaseConfig, CoeffTable, EnsembleParams, fill_table
+from cyclepoisson.table import CoeffTable, EnsembleParams, fill_table
 
 Y = Poly.var(2, 0)
 Z = Poly.var(2, 1)
@@ -461,7 +461,7 @@ def test_expansion_audit_structure():
 
 def test_residual_empty_table():
     params = EnsembleParams.from_checks(4)
-    empty = CoeffTable(params, 3, BaseConfig.EMPTY, {})
+    empty = CoeffTable(params, 3, {})
     report = pde_residual(empty)
     assert report.passed
     assert report.residual.is_zero()
@@ -552,7 +552,6 @@ def test_residual_linearity(m5_table):
     scaled = CoeffTable(
         m5_table.params,
         m5_table.vmax,
-        m5_table.base,
         {k: 3 * b for k, b in m5_table.counts.items()},
     )
     a = pde_residual(m5_table, coefficients=pde_coefficients(m5_table.params))

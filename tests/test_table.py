@@ -18,10 +18,8 @@ from cyclepoisson.errors import GuardError, ValidationError
 from cyclepoisson.series import poisson_block_series
 from cyclepoisson.simulator import _erasure_fails
 from cyclepoisson.table import (
-    BaseConfig,
     EnsembleParams,
     _block_counts,
-    _first_block_counts,
     boundary_coefficient,
     boundary_layer,
     brute_force_profile_counts,
@@ -113,12 +111,11 @@ def test_stopping_set_matches_partition_oracle():
 @settings(max_examples=60, deadline=None)
 @given(t=st.integers(0, 12), n=st.integers(0, 40))
 def test_block_counts_match_both_oracles(t, n):
-    # the fill's integer kernel and verify's first-block convolution against
-    # the Fraction EGF power and the top-down partition recursion
+    # the fill's integer kernel against verify's first-block convolution
+    # and the Fraction EGF power
     expect = block_partition_count(n, t, 2)
     assert expect == factorial(n) * poisson_block_series(t, n).coef(n)
     assert _block_counts(t, n)[t][n] == expect
-    assert _first_block_counts(t, n)[t][n] == expect
 
 
 def test_boundary_rejects_degenerate_indices():
@@ -194,14 +191,15 @@ def test_entries_is_a_read_only_fraction_view():
         table.entries = {}
 
 
-def test_origin_value_never_feeds_recurrence():
+@settings(max_examples=30, deadline=None)
+@given(m=st.integers(1, 7), vmax=st.integers(0, 8))
+def test_origin_value_never_feeds_recurrence(m, vmax):
     # the only recurrence term reading level v-1 at t-1 carries a factor s,
-    # so A(0,0,0) is inert: both base configs yield the same v >= 1 entries
-    p = EnsembleParams.from_checks(4)
-    seeded = fill_table(p, vmax=3, base=BaseConfig.UNIT_ORIGIN)
-    empty = fill_table(p, vmax=3, base=BaseConfig.EMPTY)
-    stripped = {k: v for k, v in seeded.entries.items() if k[0] >= 1}
-    assert stripped == empty.entries
+    # so A(0,0,0) is inert: the recurrence run from an empty v = 0 plane
+    # yields the fill's v >= 1 entries
+    table = fill_table(_params(m, vmax), vmax)
+    stripped = {k: a for k, a in table.entries.items() if k[0] >= 1}
+    assert _recurrence_fill(m, vmax, {}) == stripped
 
 
 def test_verify_table_clean():
@@ -265,10 +263,10 @@ def test_verify_table_flags_entry_outside_profile_support(key, expect):
     ] + expect
 
 
-def _recurrence_fill(m, vmax, base):
-    # the paper's three-term recurrence in Fractions, level by level, with
-    # the s = 0 layer from the top-down partition count
-    entries = dict(base.level_zero())
+def _recurrence_fill(m, vmax, origin):
+    # the paper's three-term recurrence in Fractions, level by level, from
+    # the given v = 0 plane, with the s = 0 layer from the partition count
+    entries = dict(origin)
 
     def value(v, t, s):
         return entries.get((v, t, s), Fraction(0))
@@ -296,14 +294,10 @@ def _params(m, vmax):
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    m=st.integers(1, 7),
-    vmax=st.integers(0, 8),
-    base=st.sampled_from(list(BaseConfig)),
-)
-def test_factored_fill_matches_recurrence(m, vmax, base):
-    table = fill_table(_params(m, vmax), vmax, base=base)
-    assert table.entries == _recurrence_fill(m, vmax, base)
+@given(m=st.integers(1, 7), vmax=st.integers(0, 8))
+def test_factored_fill_matches_recurrence(m, vmax):
+    table = fill_table(_params(m, vmax), vmax)
+    assert table.entries == _recurrence_fill(m, vmax, {(0, 0, 0): Fraction(1)})
 
 
 @settings(max_examples=30, deadline=None)
@@ -329,8 +323,9 @@ def test_profile_counts_do_not_depend_on_m(m1, extra, vmax):
 
 def test_level_sum_is_positive():
     table = fill_table(EnsembleParams.from_checks(5), vmax=4)
-    for v in range(1, 5):
-        assert table.level_sum(v) > 0
+    sums = table.level_sums()
+    assert set(sums) == {1, 2, 3, 4}
+    assert all(total > 0 for total in sums.values())
 
 
 @settings(max_examples=40, deadline=None)
@@ -352,7 +347,6 @@ def test_level_sums_match_fraction_sums(m, vmax, key, count):
             Fraction(0),
         )
         assert sums.get(v, Fraction(0)) == expect
-        assert table.level_sum(v) == expect
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from cyclepoisson.combinatorics import factorial
 from cyclepoisson.errors import TableFormatError
 from cyclepoisson.table import (
-    BaseConfig,
     EnsembleParams,
     fill_table,
     load_table,
@@ -87,12 +86,13 @@ def test_load_bad_header(tmp_path):
 
 
 def test_load_unknown_base_is_a_format_error(tmp_path):
-    # the header regex admits any lowercase label; only BaseConfig knows
-    # which ones exist
-    with pytest.raises(TableFormatError) as err:
-        load_table(write(tmp_path, "CPTABLE 2\nm=3 vmax=0 base=foo\n0 0 0 1/1\n"))
-    assert err.value.line == 2
-    assert "'foo'" in str(err.value)
+    # the header regex admits any lowercase label; unit-origin is the only
+    # one a table has, and empty is refused like any other
+    for label in ("foo", "empty"):
+        with pytest.raises(TableFormatError) as err:
+            load_table(write(tmp_path, "CPTABLE 2\nm=3 vmax=0 base=%s\n0 0 0 1/1\n" % label))
+        assert err.value.line == 2
+        assert "unknown base '%s'" % label in str(err.value)
 
 
 def test_load_bad_row_syntax(tmp_path):
@@ -186,15 +186,14 @@ def test_load_complete_requires_origin_row(tmp_path):
     assert "base row" in str(err.value)
 
 
-def test_load_empty_base_complete(tmp_path):
-    # under the empty base config a vmax=0 table stores nothing at all
-    params = EnsembleParams.from_checks(3)
-    table = fill_table(params, vmax=0, base=BaseConfig.EMPTY)
-    path = tmp_path / "empty.cptable"
+def test_vmax0_table_is_the_origin(tmp_path):
+    # a vmax=0 table stores the origin row and nothing else
+    table = fill_table(EnsembleParams.from_checks(3), vmax=0)
+    path = tmp_path / "origin.cptable"
     save_table(table, path)
     loaded = load_table(path)
     assert loaded == table
-    assert loaded.entries == {}
+    assert loaded.entries == {(0, 0, 0): 1}
 
 
 def test_v1_file_rejected_with_rebuild_hint(tmp_path):
@@ -202,7 +201,7 @@ def test_v1_file_rejected_with_rebuild_hint(tmp_path):
     with pytest.raises(TableFormatError) as err:
         load_table(write_raw(tmp_path, text.encode()))
     assert "line 1" in str(err.value)
-    assert "cyclepoisson table build --m 4 --vmax 3 --base empty" in str(err.value)
+    assert "`cyclepoisson table build --m 4 --vmax 3`" in str(err.value)
 
 
 def test_trailer_must_match_and_end_the_file(table4, tmp_path):
@@ -274,11 +273,11 @@ def test_missing_trailing_newline_is_partial(table4, tmp_path):
 
 
 @settings(max_examples=12, deadline=None)
-@given(m=st.integers(1, 6), base=st.sampled_from(list(BaseConfig)), data=st.data())
-def test_saved_file_loads_whole_or_raises(tmp_path_factory, m, base, data):
+@given(m=st.integers(1, 6), data=st.data())
+def test_saved_file_loads_whole_or_raises(tmp_path_factory, m, data):
     # fill_table needs vmax <= n, and n = m for a table-only ensemble
     vmax = data.draw(st.integers(0, m), label="vmax")
-    table = fill_table(EnsembleParams.from_checks(m), vmax, base=base)
+    table = fill_table(EnsembleParams.from_checks(m), vmax)
     path = tmp_path_factory.mktemp("cpt") / "t.cpt"
     save_table(table, path)
     assert load_table(path) == table
