@@ -9,6 +9,13 @@ printed to stdout only, like `table verify`) writes no manifest and leaves
 any existing one untouched.  Re-running the recorded command line
 reproduces every artifact byte for byte.
 
+The global --out must come before the group.  A run builds the parser of
+the group it names and no other (see `_named_group`), so a new
+subcommand goes into its group's builder in `_GROUPS`; `--help`, an
+unknown group and any other root-level argv get the full tree.  Repeated
+values in a comma-separated list (--eps-list, --x-list, --t-list) are
+dropped, compared by value, keeping the first occurrence.
+
 Exit codes: 0 success, 1 usage, 2 validation or numeric failure, 3 I/O.
 """
 
@@ -65,14 +72,15 @@ def _frac(text: str) -> Fraction:
         raise argparse.ArgumentTypeError("not a rational: %r" % (text,))
 
 
-def _nonempty(values: list, text: str) -> list:
+def _distinct(values: list, text: str) -> list:
+    """The values with repeats (equal by value) dropped, in first-occurrence order."""
     if not values:
         raise argparse.ArgumentTypeError("empty list: %r" % (text,))
-    return values
+    return list(dict.fromkeys(values))
 
 
 def _frac_list(text: str) -> list[Fraction]:
-    return _nonempty([_frac(tok) for tok in text.split(",") if tok.strip()], text)
+    return _distinct([_frac(tok) for tok in text.split(",") if tok.strip()], text)
 
 
 def _int_list(text: str) -> list[int]:
@@ -80,7 +88,7 @@ def _int_list(text: str) -> list[int]:
         values = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError("not a comma-separated integer list: %r" % (text,))
-    return _nonempty(values, text)
+    return _distinct(values, text)
 
 
 def _range_pair(text: str) -> tuple[Fraction, Fraction]:
@@ -177,10 +185,7 @@ def _cmd_table_build(args, run: _Run) -> int:
 def _cmd_table_exponents(args, run: _Run) -> int:
     m = _check_count(args.m)
     vmax = args.vmax if args.vmax is not None else m
-    if args.t_list is None:
-        t_list = [t for t in DEFAULT_T_LIST if t <= m]
-    else:
-        t_list = list(dict.fromkeys(args.t_list))  # first occurrence order
+    t_list = args.t_list if args.t_list is not None else [t for t in DEFAULT_T_LIST if t <= m]
     profile = growth_profile(m, vmax, t_list)
     out_names = []
     top = None
@@ -521,7 +526,150 @@ def _cmd_reconcile(args, run: _Run) -> int:
 # ----------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _leaf(sub, name, handler, label, **kwargs) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, **kwargs)
+    p.set_defaults(handler=handler, cmd_label=label)
+    return p
+
+
+def _add_series(groups) -> None:
+    series = groups.add_parser("series", help="power series toolkit demo")
+    series_sub = series.add_subparsers(dest="sub", required=True, metavar="CMD")
+    demo = _leaf(series_sub, "demo", _cmd_series_demo, "series demo", help="walk through the series operations")
+    demo.add_argument("--order", type=int, default=8)
+
+
+def _add_table(groups) -> None:
+    table = groups.add_parser("table", help="coefficient tables and growth profiles")
+    table_sub = table.add_subparsers(dest="sub", required=True, metavar="CMD")
+    build = _leaf(table_sub, "build", _cmd_table_build, "table build", help="fill a table and save it")
+    build.add_argument("--m", type=int, default=None)
+    build.add_argument("--vmax", type=int, default=None)
+    build.add_argument("--out", dest="out_file", default=None, help="output table file")
+    expo = _leaf(
+        table_sub,
+        "exponents",
+        _cmd_table_exponents,
+        "table exponents",
+        help="emit growth-exponent CSV profiles and a plot script",
+    )
+    expo.add_argument("--m", type=int, default=100)
+    expo.add_argument("--vmax", type=int, default=None)
+    expo.add_argument("--t-list", dest="t_list", type=_int_list, default=None)
+    verify = _leaf(table_sub, "verify", _cmd_table_verify, "table verify", help="re-check a saved table")
+    verify.add_argument("--file", required=True)
+
+
+def _add_stopping_sets(groups) -> None:
+    stopping = groups.add_parser("stopping-sets", help="closed-form stopping-set counts")
+    stopping_sub = stopping.add_subparsers(dest="sub", required=True, metavar="CMD")
+    count = _leaf(stopping_sub, "count", _cmd_stopping_sets_count, "stopping-sets count", help="count assignments covering t checks twice")
+    count.add_argument("--m", type=int, required=True)
+    count.add_argument("--v", type=int, required=True)
+    count.add_argument("--t", type=int, required=True)
+    count.add_argument("--digits", action="store_true", help="also print the decimal digit count")
+
+
+def _add_pde(groups) -> None:
+    pde = groups.add_parser("pde", help="discriminant classification and residual checks")
+    pde_sub = pde.add_subparsers(dest="sub", required=True, metavar="CMD")
+    classify = _leaf(pde_sub, "classify", _cmd_pde_classify, "pde classify", help="classify one (y, z) point")
+    classify.add_argument("--y", type=_frac, required=True)
+    classify.add_argument("--z", type=_frac, required=True)
+    region = _leaf(pde_sub, "region", _cmd_pde_region, "pde region", help="classify a rational grid to CSV")
+    region.add_argument("--y-range", dest="y_range", type=_range_pair, default=(Fraction(0), Fraction(4)))
+    region.add_argument("--z-range", dest="z_range", type=_range_pair, default=(Fraction(0), Fraction(4)))
+    region.add_argument("--grid", type=int, default=17)
+    region.add_argument("--csv", default="region.csv")
+    alpha = _leaf(pde_sub, "alpha", _cmd_pde_alpha, "pde alpha", help="case split along the ray y = alpha z")
+    alpha.add_argument("--alpha", type=_frac, default=Fraction(1))
+    alpha.add_argument("--survey", action="store_true", help="print all six canonical cases and write them to alpha_survey.txt")
+    residual = _leaf(pde_sub, "residual", _cmd_pde_residual, "pde residual", help="apply the operator to a filled table")
+    residual.add_argument("--m", type=int, default=5)
+    residual.add_argument("--vmax", type=int, default=None)
+    residual.add_argument("--operator", choices=["recurrence", "printed", "both"], default="recurrence")
+    residual.add_argument("--json", dest="json_file", default=None)
+    audit = _leaf(
+        pde_sub,
+        "verify-paper-expansion",
+        _cmd_pde_verify_expansion,
+        "pde verify-paper-expansion",
+        help="audit the printed discriminant expansion against the exact algebra",
+    )
+    audit.add_argument("--points", type=int, default=1000)
+    audit.add_argument("--seed", type=int, default=20260816)
+    audit.add_argument("--csv", default="expansion_audit.csv")
+
+
+def _add_errprob(groups) -> None:
+    errprob = groups.add_parser("errprob", help="analytic block-error evaluation")
+    errprob_sub = errprob.add_subparsers(dest="sub", required=True, metavar="CMD")
+    ev = _leaf(errprob_sub, "eval", _cmd_errprob_eval, "errprob eval", help="evaluate the expected block error once")
+    ev.add_argument("--n", type=int, required=True)
+    ev.add_argument("--r", type=_frac, required=True)
+    ev.add_argument("--eps", type=_frac, required=True)
+    ev.add_argument("--breakdown", action="store_true")
+    sweep = _leaf(errprob_sub, "sweep", _cmd_errprob_sweep, "errprob sweep", help="sweep epsilon values to CSV")
+    sweep.add_argument("--n", type=int, required=True)
+    sweep.add_argument("--r", type=_frac, required=True)
+    sweep.add_argument("--eps-list", dest="eps_list", type=_frac_list, required=True)
+    sweep.add_argument("--csv", default="errprob_sweep.csv")
+    split = _leaf(errprob_sub, "hadamard-split", _cmd_errprob_hadamard_split, "errprob hadamard-split", help="root-test radius estimates for one (t,s) column")
+    split.add_argument("--n", type=int, required=True)
+    split.add_argument("--r", type=_frac, required=True)
+    split.add_argument("--t", type=int, required=True)
+    split.add_argument("--s", type=int, required=True)
+    split.add_argument("--vmax", type=int, default=None)
+    split.add_argument("--x-list", dest="x_list", type=_frac_list, default=None)
+    split.add_argument("--csv", default="hadamard_split.csv")
+    check = _leaf(errprob_sub, "hadamard-check", _cmd_errprob_hadamard_check, "errprob hadamard-check", help="contour quadrature vs coefficient-wise evaluation")
+    check.add_argument("--z", type=_frac, default=Fraction(1, 4))
+    check.add_argument("--rho", type=float, default=0.5)
+    check.add_argument("--tol", type=float, default=1e-8)
+    check.add_argument("--order", type=int, default=64)
+    known = _leaf(errprob_sub, "known-series", _cmd_errprob_known_series, "errprob known-series", help="finite binomial identities and the divergent factorial sum")
+    known.add_argument("--n", type=int, required=True)
+    known.add_argument("--x", type=_frac, required=True)
+
+
+def _add_simulate(groups) -> None:
+    simulate = _leaf(groups, "simulate", _cmd_simulate, "simulate", help="Monte Carlo decoder simulation")
+    simulate.add_argument("--n", type=int, required=True)
+    simulate.add_argument("--r", type=_frac, required=True)
+    simulate.add_argument("--eps", type=_frac, required=True)
+    simulate.add_argument("--trials", type=int, required=True)
+    simulate.add_argument("--seed", type=int, required=True)
+    simulate.add_argument("--json", dest="json_file", default=None)
+
+
+def _add_reconcile(groups) -> None:
+    reconcile = _leaf(groups, "reconcile", _cmd_reconcile, "reconcile", help="analytic value vs Monte Carlo, side by side")
+    reconcile.add_argument("--n", type=int, default=8)
+    reconcile.add_argument("--r", type=_frac, default=Fraction(1, 2))
+    reconcile.add_argument("--eps-list", dest="eps_list", type=_frac_list, default=[Fraction(1, 20), Fraction(1, 10)])
+    reconcile.add_argument("--trials", type=int, default=200_000)
+    reconcile.add_argument("--seed", type=int, default=1)
+    reconcile.add_argument("--json", dest="json_file", default="reconcile.json")
+
+
+# one builder per top-level group, in the order --help lists them
+_GROUPS = {
+    "series": _add_series,
+    "table": _add_table,
+    "stopping-sets": _add_stopping_sets,
+    "pde": _add_pde,
+    "errprob": _add_errprob,
+    "simulate": _add_simulate,
+    "reconcile": _add_reconcile,
+}
+
+
+def build_parser(group: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser: every group, or only the named one.
+
+    The root and the named group's branch are built exactly as in the full
+    tree, so any argv whose group token is `group` parses the same way.
+    """
     parser = argparse.ArgumentParser(
         prog="cyclepoisson",
         description="Exact stopping-set tables, PDE checks and decoder simulation "
@@ -534,128 +682,29 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: $%s or the working directory)" % OUT_ENV_VAR,
     )
     groups = parser.add_subparsers(dest="group", required=True, metavar="GROUP")
-
-    def leaf(sub, name, handler, label, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(handler=handler, cmd_label=label)
-        return p
-
-    # series
-    series = groups.add_parser("series", help="power series toolkit demo")
-    series_sub = series.add_subparsers(dest="sub", required=True, metavar="CMD")
-    demo = leaf(series_sub, "demo", _cmd_series_demo, "series demo", help="walk through the series operations")
-    demo.add_argument("--order", type=int, default=8)
-
-    # table
-    table = groups.add_parser("table", help="coefficient tables and growth profiles")
-    table_sub = table.add_subparsers(dest="sub", required=True, metavar="CMD")
-    build = leaf(table_sub, "build", _cmd_table_build, "table build", help="fill a table and save it")
-    build.add_argument("--m", type=int, default=None)
-    build.add_argument("--vmax", type=int, default=None)
-    build.add_argument("--out", dest="out_file", default=None, help="output table file")
-    expo = leaf(
-        table_sub,
-        "exponents",
-        _cmd_table_exponents,
-        "table exponents",
-        help="emit growth-exponent CSV profiles and a plot script",
-    )
-    expo.add_argument("--m", type=int, default=100)
-    expo.add_argument("--vmax", type=int, default=None)
-    expo.add_argument("--t-list", dest="t_list", type=_int_list, default=None)
-    verify = leaf(table_sub, "verify", _cmd_table_verify, "table verify", help="re-check a saved table")
-    verify.add_argument("--file", required=True)
-
-    # stopping-sets
-    stopping = groups.add_parser("stopping-sets", help="closed-form stopping-set counts")
-    stopping_sub = stopping.add_subparsers(dest="sub", required=True, metavar="CMD")
-    count = leaf(stopping_sub, "count", _cmd_stopping_sets_count, "stopping-sets count", help="count assignments covering t checks twice")
-    count.add_argument("--m", type=int, required=True)
-    count.add_argument("--v", type=int, required=True)
-    count.add_argument("--t", type=int, required=True)
-    count.add_argument("--digits", action="store_true", help="also print the decimal digit count")
-
-    # pde
-    pde = groups.add_parser("pde", help="discriminant classification and residual checks")
-    pde_sub = pde.add_subparsers(dest="sub", required=True, metavar="CMD")
-    classify = leaf(pde_sub, "classify", _cmd_pde_classify, "pde classify", help="classify one (y, z) point")
-    classify.add_argument("--y", type=_frac, required=True)
-    classify.add_argument("--z", type=_frac, required=True)
-    region = leaf(pde_sub, "region", _cmd_pde_region, "pde region", help="classify a rational grid to CSV")
-    region.add_argument("--y-range", dest="y_range", type=_range_pair, default=(Fraction(0), Fraction(4)))
-    region.add_argument("--z-range", dest="z_range", type=_range_pair, default=(Fraction(0), Fraction(4)))
-    region.add_argument("--grid", type=int, default=17)
-    region.add_argument("--csv", default="region.csv")
-    alpha = leaf(pde_sub, "alpha", _cmd_pde_alpha, "pde alpha", help="case split along the ray y = alpha z")
-    alpha.add_argument("--alpha", type=_frac, default=Fraction(1))
-    alpha.add_argument("--survey", action="store_true", help="print all six canonical cases and write them to alpha_survey.txt")
-    residual = leaf(pde_sub, "residual", _cmd_pde_residual, "pde residual", help="apply the operator to a filled table")
-    residual.add_argument("--m", type=int, default=5)
-    residual.add_argument("--vmax", type=int, default=None)
-    residual.add_argument("--operator", choices=["recurrence", "printed", "both"], default="recurrence")
-    residual.add_argument("--json", dest="json_file", default=None)
-    audit = leaf(
-        pde_sub,
-        "verify-paper-expansion",
-        _cmd_pde_verify_expansion,
-        "pde verify-paper-expansion",
-        help="audit the printed discriminant expansion against the exact algebra",
-    )
-    audit.add_argument("--points", type=int, default=1000)
-    audit.add_argument("--seed", type=int, default=20260816)
-    audit.add_argument("--csv", default="expansion_audit.csv")
-
-    # errprob
-    errprob = groups.add_parser("errprob", help="analytic block-error evaluation")
-    errprob_sub = errprob.add_subparsers(dest="sub", required=True, metavar="CMD")
-    ev = leaf(errprob_sub, "eval", _cmd_errprob_eval, "errprob eval", help="evaluate the expected block error once")
-    ev.add_argument("--n", type=int, required=True)
-    ev.add_argument("--r", type=_frac, required=True)
-    ev.add_argument("--eps", type=_frac, required=True)
-    ev.add_argument("--breakdown", action="store_true")
-    sweep = leaf(errprob_sub, "sweep", _cmd_errprob_sweep, "errprob sweep", help="sweep epsilon values to CSV")
-    sweep.add_argument("--n", type=int, required=True)
-    sweep.add_argument("--r", type=_frac, required=True)
-    sweep.add_argument("--eps-list", dest="eps_list", type=_frac_list, required=True)
-    sweep.add_argument("--csv", default="errprob_sweep.csv")
-    split = leaf(errprob_sub, "hadamard-split", _cmd_errprob_hadamard_split, "errprob hadamard-split", help="root-test radius estimates for one (t,s) column")
-    split.add_argument("--n", type=int, required=True)
-    split.add_argument("--r", type=_frac, required=True)
-    split.add_argument("--t", type=int, required=True)
-    split.add_argument("--s", type=int, required=True)
-    split.add_argument("--vmax", type=int, default=None)
-    split.add_argument("--x-list", dest="x_list", type=_frac_list, default=None)
-    split.add_argument("--csv", default="hadamard_split.csv")
-    check = leaf(errprob_sub, "hadamard-check", _cmd_errprob_hadamard_check, "errprob hadamard-check", help="contour quadrature vs coefficient-wise evaluation")
-    check.add_argument("--z", type=_frac, default=Fraction(1, 4))
-    check.add_argument("--rho", type=float, default=0.5)
-    check.add_argument("--tol", type=float, default=1e-8)
-    check.add_argument("--order", type=int, default=64)
-    known = leaf(errprob_sub, "known-series", _cmd_errprob_known_series, "errprob known-series", help="finite binomial identities and the divergent factorial sum")
-    known.add_argument("--n", type=int, required=True)
-    known.add_argument("--x", type=_frac, required=True)
-
-    # simulate
-    simulate = groups.add_parser("simulate", help="Monte Carlo decoder simulation")
-    simulate.set_defaults(handler=_cmd_simulate, cmd_label="simulate")
-    simulate.add_argument("--n", type=int, required=True)
-    simulate.add_argument("--r", type=_frac, required=True)
-    simulate.add_argument("--eps", type=_frac, required=True)
-    simulate.add_argument("--trials", type=int, required=True)
-    simulate.add_argument("--seed", type=int, required=True)
-    simulate.add_argument("--json", dest="json_file", default=None)
-
-    # reconcile
-    reconcile = groups.add_parser("reconcile", help="analytic value vs Monte Carlo, side by side")
-    reconcile.set_defaults(handler=_cmd_reconcile, cmd_label="reconcile")
-    reconcile.add_argument("--n", type=int, default=8)
-    reconcile.add_argument("--r", type=_frac, default=Fraction(1, 2))
-    reconcile.add_argument("--eps-list", dest="eps_list", type=_frac_list, default=[Fraction(1, 20), Fraction(1, 10)])
-    reconcile.add_argument("--trials", type=int, default=200_000)
-    reconcile.add_argument("--seed", type=int, default=1)
-    reconcile.add_argument("--json", dest="json_file", default="reconcile.json")
-
+    for add in _GROUPS.values() if group is None else [_GROUPS[group]]:
+        add(groups)
     return parser
+
+
+def _named_group(argv: list[str]) -> str | None:
+    """The group an argv names, or None where only the full tree parses it.
+
+    The group is the first token after any `--out VALUE` or `--out=VALUE`
+    pairs (VALUE not starting with "-"), if it is a known group name.
+    Anything else (--help, abbreviations, "--", an unknown or missing
+    group) is left to the full tree, which also owns those messages.
+    """
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        if token == "--out" and i + 1 < len(argv) and not argv[i + 1].startswith("-"):
+            i += 2
+        elif token.startswith("--out=") and not token[len("--out="):].startswith("-"):
+            i += 1
+        else:
+            return token if token in _GROUPS else None
+    return None
 
 
 def _write_manifest(run: _Run, args, argv: list[str]) -> None:
@@ -672,7 +721,7 @@ def _write_manifest(run: _Run, args, argv: list[str]) -> None:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = build_parser(_named_group(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -107,6 +107,14 @@ def splitmix64_at(seed: int, position: int) -> int:
     return z
 
 
+def _check_seed(seed) -> int:
+    """The seed as an int, which must lie in 0..2^64-1."""
+    seed = int(seed)
+    if not 0 <= seed <= _M64:
+        raise ValidationError("seed must lie in 0..2^64-1, got %d" % seed)
+    return seed
+
+
 def _mix53(z: np.ndarray) -> np.ndarray:
     """Top 53 bits of the splitmix64 output of each state z, in place.
 
@@ -133,7 +141,7 @@ class CounterRng:
     position: int = 0
 
     def __post_init__(self):
-        self.seed = int(self.seed) & _M64
+        self.seed = _check_seed(self.seed)
         if self.position < 0:
             raise ValidationError("position must be >= 0")
 
@@ -510,7 +518,7 @@ def estimate_block_error(
         raise ValidationError("epsilon must lie in [0, 1], got %s" % (eps,))
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    seed = int(seed) & _M64
+    seed = _check_seed(seed)
     n, m = params.n, params.m
     if m >= _M_LIMIT:
         raise ValidationError("m must be below 2^32, got %d" % m)

@@ -1,5 +1,6 @@
 """Command line behavior: dispatch, artifacts, manifests, exit codes."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from cyclepoisson.cli import main
+from cyclepoisson import cli
+from cyclepoisson.cli import build_parser, main
 from cyclepoisson.errprob import ErrProbQuery, expected_block_error
 from cyclepoisson.simulator import exhaustive_block_error
 from cyclepoisson.table import EnsembleParams, fill_table, load_table, save_table
@@ -73,6 +75,101 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "elliptic -63/4"
+
+
+# ----------------------------------------------------------------------
+# one parser branch per run
+# ----------------------------------------------------------------------
+
+
+def _group_choices(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def _branches(parser, path=()):
+    """Every group and leaf of the parser tree, as argv prefixes."""
+    for name, sub in _group_choices(parser).items():
+        yield (*path, name)
+        if any(isinstance(a, argparse._SubParsersAction) for a in sub._actions):
+            yield from _branches(sub, (*path, name))
+
+
+_BRANCHES = list(_branches(build_parser()))
+
+
+def _run_both(argv, monkeypatch, capsys):
+    """The group main built, then main's (rc, stdout, stderr) with and without it."""
+    built = []
+
+    def spy(group=None):
+        built.append(group)
+        return build_parser(group)
+
+    results = []
+    for builder in (spy, lambda group=None: build_parser()):
+        monkeypatch.setattr(cli, "build_parser", builder)
+        rc = main(list(argv))
+        captured = capsys.readouterr()
+        results.append((rc, captured.out, captured.err))
+    (group,) = built
+    return group, results[0], results[1]
+
+
+def test_branches_cover_every_group():
+    # 7 top-level groups (simulate and reconcile are leaves) and 15 leaves under them
+    assert len(_BRANCHES) == 22
+    assert [b for b in _BRANCHES if len(b) == 1] == [(name,) for name in cli._GROUPS]
+
+
+@pytest.mark.parametrize("branch", _BRANCHES, ids=" ".join)
+def test_named_branch_parses_like_the_full_tree(branch, tmp_path, monkeypatch, capsys):
+    # the same exit code, stdout and stderr as the full tree, from the
+    # parser of the named group alone; no-argument leaves run in tmp_path
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("CYCLEPOISSON_OUT", raising=False)
+    out = str(tmp_path / "out")
+    for argv in (
+        [*branch, "--help"],
+        [*branch],
+        [*branch, "--no-such-option"],
+        ["--out", out, *branch, "--help"],
+        ["--out=" + out, *branch, "--no-such-option", "1"],
+        ["--out", out, "--out=" + out, *branch],
+    ):
+        built, pruned, full = _run_both(argv, monkeypatch, capsys)
+        assert built == branch[0], argv
+        assert pruned == full, argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["--help"],
+        ["-h", "table"],
+        ["tabel", "build"],
+        ["--o", "DIR", "table", "build"],
+        ["--out", "DIR"],
+        ["--out", "-x", "table", "build"],
+        ["--out=-x", "table", "build"],
+        ["--out", "--help"],
+        ["--", "table"],
+        ["--out", "table"],
+    ],
+)
+def test_root_argvs_get_the_full_tree(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    built, pruned, full = _run_both(argv, monkeypatch, capsys)
+    assert built is None
+    assert pruned == full
+
+
+def test_build_parser_offers_the_named_group_only():
+    assert list(_group_choices(build_parser("table"))) == ["table"]
+    assert list(_group_choices(build_parser())) == list(cli._GROUPS)
+    with pytest.raises(SystemExit):
+        build_parser("table").parse_args(["series", "demo"])
 
 
 # ----------------------------------------------------------------------
@@ -438,6 +535,44 @@ def test_reconcile_report(tmp_path, capsys):
     assert "the exact block-failure probability" in doc["note"]
     assert "the same probability" in doc["note"]
     assert "verdict" in out
+
+
+@pytest.mark.parametrize(
+    "argv, repeated, distinct, artifact",
+    [
+        (["errprob", "sweep", "--n", "4", "--r", "1/2", "--eps-list"],
+         "1/10,1/10,2/20", "1/10", "errprob_sweep.csv"),
+        (["reconcile", "--n", "4", "--trials", "400", "--seed", "3", "--eps-list"],
+         "1/10,2/20,1/20,1/10", "1/10,1/20", "reconcile.json"),
+        (["errprob", "hadamard-split", "--n", "12", "--r", "3/4", "--t", "1", "--s", "0", "--x-list"],
+         "1/2,2,4/8,2/1", "1/2,2", "hadamard_split.csv"),
+    ],
+)
+def test_repeated_list_values_run_once(argv, repeated, distinct, artifact, tmp_path, capsys):
+    # repeats are compared by value (2/20 is 1/10) and the first one is kept,
+    # so the sweep writes one 1/10 row
+    rc, out, _ = run_cli(capsys, "--out", str(tmp_path), *argv, repeated)
+    assert rc == 0
+    data = (tmp_path / artifact).read_bytes()
+    assert run_cli(capsys, "--out", str(tmp_path), *argv, distinct) == (0, out, "")
+    assert (tmp_path / artifact).read_bytes() == data
+
+
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64), "18446744073709551623"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--n", "3", "--r", "0", "--eps", "1/3", "--trials", "10", "--json", "s.json"],
+        ["reconcile", "--n", "4", "--eps-list", "1/3", "--trials", "10"],
+    ],
+)
+def test_seed_outside_64_bits_is_a_validation_error(argv, seed, tmp_path, capsys):
+    # masking would run seed 2^64 - 1 for -1, and seed 7 for 2^64 + 7
+    out = tmp_path / "fresh"
+    rc, _, err = run_cli(capsys, "--out", str(out), *argv, "--seed", seed)
+    assert rc == 2
+    assert err == "error: seed must lie in 0..2^64-1, got %s\n" % seed
+    assert not out.exists()
 
 
 # ----------------------------------------------------------------------

@@ -657,6 +657,24 @@ def test_estimate_validation():
         estimate_block_error(P22, Fraction(1, 2), trials=0, seed=1)
 
 
+@pytest.mark.parametrize("seed", [-1, 1 << 64, (1 << 64) + 7])
+def test_seed_outside_64_bits_is_rejected(seed):
+    # a masked seed would quietly rerun another seed: -1 as 2^64 - 1, 2^64 + 7 as 7
+    with pytest.raises(ValidationError, match="seed must lie in 0..2\\^64-1"):
+        estimate_block_error(P22, Fraction(1, 2), trials=10, seed=seed)
+    with pytest.raises(ValidationError):
+        CounterRng(seed)
+    with pytest.raises(ValidationError):
+        replay_trial(P22, Fraction(1, 2), seed, 0)
+
+
+def test_seed_range_ends_are_accepted():
+    for seed in (0, (1 << 64) - 1):
+        assert estimate_block_error(P22, Fraction(1, 2), trials=10, seed=seed).seed == seed
+        assert CounterRng(seed).seed == seed
+        replay_trial(P22, Fraction(1, 2), seed, 0)
+
+
 def test_result_json_shape():
     res = estimate_block_error(P22, Fraction(1, 2), trials=1000, seed=42)
     doc = res.to_json_dict()
