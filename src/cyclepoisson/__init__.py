@@ -86,12 +86,9 @@ from .simulator import (
 from .table import (
     CoeffTable,
     EnsembleParams,
-    boundary_coefficient,
     boundary_layer,
     brute_force_profile_counts,
-    constellation_count,
     fill_table,
-    growth_exponent,
     growth_profile,
     load_table,
     save_table,
@@ -123,13 +120,10 @@ __all__ = [
     # table
     "EnsembleParams",
     "CoeffTable",
-    "constellation_count",
     "stopping_set_count",
-    "boundary_coefficient",
     "brute_force_profile_counts",
     "fill_table",
     "verify_table",
-    "growth_exponent",
     "boundary_layer",
     "growth_profile",
     "save_table",

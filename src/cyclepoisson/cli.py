@@ -44,7 +44,6 @@ from .pde import (
     alpha_substitution,
     classify_point,
     expansion_audit,
-    pde_coefficients,
     pde_residual,
     region_map,
     residual_reconciliation,
@@ -312,10 +311,7 @@ def _cmd_pde_residual(args, run: _Run) -> int:
         default_name = "residual_reconciliation_m%d.json" % args.m
         rc = 0
     else:
-        coeffs = None
-        if args.operator == "printed":
-            coeffs = pde_coefficients(params)
-        rep = pde_residual(table, coefficients=coeffs, operator_name=args.operator)
+        rep = pde_residual(table, args.operator)
         reports = {args.operator: rep}
         doc = rep.to_json_dict()
         default_name = "residual_%s_m%d.json" % (args.operator, args.m)

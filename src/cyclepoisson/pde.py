@@ -14,6 +14,14 @@ applying it to the truncated G and listing every monomial of the residual
 that lies in the interior window.  All of this algebra runs on one sparse
 exact polynomial type, `Poly`, in z, (y, z) or (x, y, z).
 
+The interior window has a closed form.  A table filled to depth vmax holds
+every A(v,t,s) with v <= vmax, and the residual's monomials (v,t,s) all
+have s >= 1 and v <= vmax + 1.  The bracket reads only level v - 1, always
+inside the table; z dG/dz reads A(v,t,s) itself, which is unknown only at
+v = vmax + 1 inside the support t + s <= m.  So (v,t,s) is interior iff
+t >= 1 and either v <= vmax or t + s > m; t = 0 is left out because the
+origin feeds F*G with nothing on the left side to cancel it.
+
 Two variants of the d2/dy2 slot are carried side by side.  The
 classification set (`pde_coefficients`) uses A = y^2 (y - 1), which all of
 the region machinery here takes as ground truth.  The operator obtained by
@@ -41,6 +49,7 @@ __all__ = [
     "RegionMap",
     "AlphaSubstitution",
     "AlphaCase",
+    "AuditReport",
     "ResidualReport",
     "pde_coefficients",
     "recurrence_pde_coefficients",
@@ -631,10 +640,13 @@ def expansion_audit(n_points: int = 1000, seed: int = 20260816) -> AuditReport:
     (exact 4(B^2-AC) against `printed_expansion`) and the substituted
     claim (exact substitution against alpha^2 z^4 f(z)).  Disagreement is
     the expected outcome at generic points; the report records it rather
-    than asserting it away.
+    than asserting it away.  The seed must be >= 0: `random.Random` seeds
+    from |seed|, so -5 would quietly rerun seed 5.
     """
     if n_points < 1:
         raise ValidationError("n_points must be >= 1")
+    if seed < 0:
+        raise ValidationError("seed must be >= 0, got %d" % (seed,))
     rng = random.Random(seed)
     exact4 = 4 * discriminant()
     printed = printed_expansion()
@@ -687,7 +699,8 @@ def _falling(n: int, k: int) -> int:
 @dataclass
 class ResidualReport:
     operator: str
-    trunc: tuple[int, int, int]
+    vmax: int
+    m: int
     residual: Poly
     interior_nonzero: list[tuple[tuple[int, int, int], Fraction]]
     excluded: list[tuple[tuple[int, int, int], Fraction]]
@@ -697,10 +710,15 @@ class ResidualReport:
         return not self.interior_nonzero
 
     def to_json_dict(self) -> dict:
-        bv, bt, bs = self.trunc
         return {
             "operator": self.operator,
-            "window": {"vmax": bv, "tmax": bt, "smax": bs, "v_min": 1, "t_min": 1},
+            "window": {
+                "vmax": self.vmax,
+                "tmax": self.m,
+                "smax": max(self.m - 1, 0),
+                "v_min": 1,
+                "t_min": 1,
+            },
             "nonzero_monomials": [
                 {"v": v, "t": t, "s": s, "value": str(val)}
                 for (v, t, s), val in self.interior_nonzero
@@ -714,50 +732,36 @@ class ResidualReport:
         }
 
 
-def pde_residual(
-    table: CoeffTable,
-    trunc: tuple[int, int, int] | None = None,
-    coefficients: dict[str, Poly] | None = None,
-    operator_name: str | None = None,
-) -> ResidualReport:
-    """Apply the operator to the truncated G and report the residual.
+_OPERATORS = {"recurrence": recurrence_pde_coefficients, "printed": pde_coefficients}
 
-    Builds G from the table entries inside the trunc box (vmax, tmax,
-    smax), forms z dG/dz - x z {bracket} G exactly, and splits the
-    residual's nonzero monomials into the interior window versus excluded
-    boundary monomials.  A monomial (v,t,s) is interior iff v >= 1, t >= 1
-    and every table index any operator term reads for it is either inside
-    the trunc box or provably zero (outside the table's support, or on the
-    v=0 plane away from the origin).  Nonzero interior monomials falsify
-    the operator against the table; excluded ones are truncation edge
-    effects and are listed, not judged.
 
-    The default coefficient set is `recurrence_pde_coefficients`, the
-    variant that the table actually satisfies.
+def pde_residual(table: CoeffTable, operator: str = "recurrence") -> ResidualReport:
+    """Apply the named operator to G and report the residual.
+
+    `operator` is "recurrence" (`recurrence_pde_coefficients`, the set the
+    table satisfies) or "printed" (`pde_coefficients`).  G is every stored
+    entry; the residual z dG/dz - x z {bracket} G is formed exactly and its
+    nonzero monomials are split into the interior window and the excluded
+    edge.  Nonzero interior monomials falsify the operator against the
+    table; excluded ones are listed, not judged.
+
+    Every residual monomial (v,t,s) has s >= 1 and 1 <= v <= vmax + 1, and
+    the bracket reads only level v - 1 <= vmax, which the table holds in
+    full.  The one read that can fall outside the table is the z dG/dz
+    entry A(v,t,s) at v = vmax + 1, and it is a known zero exactly when
+    (t,s) lies outside the support t + s <= m.  So (v,t,s) is interior iff
+    t >= 1 and either v <= vmax or t + s > m.
+
+    Raises:
+        ValidationError: an operator name other than the two above.
     """
-    m = table.m
-    if trunc is None:
-        trunc = (table.vmax, m, max(m - 1, 0))
-    bv, bt, bs = trunc
-    if bv < 0 or bv > table.vmax:
-        raise ValidationError("trunc vmax must lie in 0..table.vmax")
-    if bt < 0 or bt > m or bs < 0 or bs > max(m - 1, 0):
-        raise ValidationError("trunc (tmax, smax) outside the table support")
-    if coefficients is None:
-        coefficients = recurrence_pde_coefficients(table.params)
-        if operator_name is None:
-            operator_name = "recurrence"
-    elif operator_name is None:
-        operator_name = "custom"
-    ops = _operator_terms(coefficients)
-
-    G = [
-        (v, t, s, table.value(v, t, s))
-        for (v, t, s), b in table.counts.items()
-        if b and v <= bv and t <= bt and s <= bs
-    ]
+    if operator not in _OPERATORS:
+        raise ValidationError(
+            "unknown operator %r; expected one of %s" % (operator, ", ".join(_OPERATORS))
+        )
+    G = [(v, t, s, table.value(v, t, s)) for v, t, s in table.counts]
     acc = {(v, t, s): c * s for v, t, s, c in G if s}  # z dG/dz
-    for poly, p, q in ops:
+    for poly, p, q in _operator_terms(_OPERATORS[operator](table.params)):
         for v, t, s, c in G:
             # x z y^a z^b d^p/dy^p d^q/dz^q of c y^t z^s
             weight = _falling(t, p) * _falling(s, q)
@@ -769,50 +773,24 @@ def pde_residual(
                 acc[key] = acc.get(key, 0) - cw * w
     residual = Poly(3, acc)
 
-    def known(ref: tuple[int, int, int]) -> bool:
-        rv, rt, rs = ref
-        if rv < 0 or rt < 0 or rs < 0:
-            return True  # no such coefficient anywhere
-        if rv <= bv and rt <= bt and rs <= bs:
-            return True  # inside the box: value was in G
-        if rv == 0:
-            return True  # the v = 0 plane is the origin, inside every box
-        return not (1 <= rt <= m and 0 <= rs <= m - rt)  # outside support
-
-    def interior(v: int, t: int, s: int) -> bool:
-        if v < 1 or t < 1:
-            return False
-        if s and not known((v, t, s)):  # the z dG/dz read
-            return False
-        for poly, p, q in ops:
-            for (a, b), _w in poly.terms.items():
-                rt, rs = t + p - a, s + q - b - 1
-                if _falling(rt, p) == 0 or _falling(rs, q) == 0:
-                    continue  # derivative weight vanishes: nothing is read
-                if not known((v - 1, rt, rs)):
-                    return False
-        return True
-
+    m, vmax = table.m, table.vmax
     interior_nonzero = []
     excluded = []
     for key in sorted(residual.terms):
-        val = residual.terms[key]
-        if interior(*key):
-            interior_nonzero.append((key, val))
-        else:
-            excluded.append((key, val))
+        v, t, s = key
+        inside = t >= 1 and (v <= vmax or t + s > m)
+        (interior_nonzero if inside else excluded).append((key, residual.terms[key]))
     return ResidualReport(
-        operator=operator_name,
-        trunc=trunc,
+        operator=operator,
+        vmax=vmax,
+        m=m,
         residual=residual,
         interior_nonzero=interior_nonzero,
         excluded=excluded,
     )
 
 
-def residual_reconciliation(
-    table: CoeffTable, trunc: tuple[int, int, int] | None = None
-) -> dict[str, ResidualReport]:
+def residual_reconciliation(table: CoeffTable) -> dict[str, ResidualReport]:
     """Run the residual check under both coefficient sets.
 
     Returns reports keyed "recurrence" and "printed".  The two differ only
@@ -820,14 +798,4 @@ def residual_reconciliation(
     the first passes and the second reports the slot difference, monomial
     by monomial.
     """
-    return {
-        "recurrence": pde_residual(
-            table,
-            trunc,
-            recurrence_pde_coefficients(table.params),
-            operator_name="recurrence",
-        ),
-        "printed": pde_residual(
-            table, trunc, pde_coefficients(table.params), operator_name="printed"
-        ),
-    }
+    return {name: pde_residual(table, name) for name in _OPERATORS}

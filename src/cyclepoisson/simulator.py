@@ -115,6 +115,14 @@ def _check_seed(seed) -> int:
     return seed
 
 
+def _check_epsilon(epsilon) -> Fraction:
+    """The erasure probability as a Fraction, which must lie in [0, 1]."""
+    eps = Fraction(epsilon)
+    if not 0 <= eps <= 1:
+        raise ValidationError("epsilon must lie in [0, 1], got %s" % (eps,))
+    return eps
+
+
 def _mix53(z: np.ndarray) -> np.ndarray:
     """Top 53 bits of the splitmix64 output of each state z, in place.
 
@@ -274,9 +282,9 @@ def replay_trial(
     Uses the same counter addressing as the batched estimator, so the
     replayed failure indicator matches the batch bit for bit; the decoding
     path is the independent per-code peeling implementation rather than
-    the batched one.
+    the batched one.  epsilon must lie in [0, 1], as for the estimator.
     """
-    eps = Fraction(epsilon)
+    eps = _check_epsilon(epsilon)
     n = params.n
     rng = CounterRng(seed, position=3 * n * trial)
     code = sample_code(params, rng)
@@ -513,9 +521,7 @@ def estimate_block_error(
     Unlike the analytic query, epsilon = 1 is a perfectly good simulation
     input here.
     """
-    eps = Fraction(epsilon)
-    if not 0 <= eps <= 1:
-        raise ValidationError("epsilon must lie in [0, 1], got %s" % (eps,))
+    eps = _check_epsilon(epsilon)
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     seed = _check_seed(seed)
@@ -551,9 +557,7 @@ def exhaustive_block_error(params: EnsembleParams, epsilon) -> Fraction:
     Raises:
         GuardError: m^(2n) > 10^7 or 2^n > 2^15.
     """
-    eps = Fraction(epsilon)
-    if not 0 <= eps <= 1:
-        raise ValidationError("epsilon must lie in [0, 1], got %s" % (eps,))
+    eps = _check_epsilon(epsilon)
     n, m = params.n, params.m
     n_codes = m ** (2 * n)
     if n_codes > EXHAUSTIVE_CODE_GUARD:

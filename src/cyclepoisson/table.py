@@ -73,7 +73,6 @@ from .combinatorics import (
     binomial,
     block_partition_table,
     factorial,
-    log_fraction,
     log_ratio,
 )
 from .errors import GuardError, TableFormatError, ValidationError
@@ -81,13 +80,10 @@ from .errors import GuardError, TableFormatError, ValidationError
 __all__ = [
     "EnsembleParams",
     "CoeffTable",
-    "constellation_count",
     "stopping_set_count",
-    "boundary_coefficient",
     "brute_force_profile_counts",
     "fill_table",
     "verify_table",
-    "growth_exponent",
     "boundary_layer",
     "growth_profile",
     "save_table",
@@ -237,13 +233,6 @@ def _weight(v: int) -> int:
 # ----------------------------------------------------------------------
 
 
-def constellation_count(params: EnsembleParams, v: int) -> int:
-    """Endpoint assignments of v degree-2 variables: m^(2v) for 0 <= v <= n."""
-    if v < 0 or v > params.n:
-        return 0
-    return params.m ** (2 * v)
-
-
 def _block_counts(tmax: int, nmax: int) -> list[list[int]]:
     """P[t][n] = n! * [x^n] (e^x - 1 - x)^t for 0 <= t <= tmax, 0 <= n <= nmax.
 
@@ -273,17 +262,6 @@ def stopping_set_count(params: EnsembleParams, v: int, t: int) -> int:
     if t > params.m:
         return 0
     return binomial(params.m, t) * _block_counts(t, 2 * v)[t][2 * v]
-
-
-def boundary_coefficient(params: EnsembleParams, v: int, t: int) -> Fraction:
-    """The s = 0 layer: binom(m,t) * (2v-1)!! * [x^(2v)] (e^x - 1 - x)^t.
-
-    Equals stopping_set_count / (v! * 2^v); zero whenever v < t (the series
-    has nothing below x^(2t)).
-    """
-    if v < 1 or t < 1:
-        raise ValidationError("boundary_coefficient needs v >= 1 and t >= 1")
-    return Fraction(stopping_set_count(params, v, t), factorial(v) * 2**v)
 
 
 def brute_force_profile_counts(m: int, v: int) -> dict[tuple[int, int], int]:
@@ -425,24 +403,6 @@ def verify_table(table: CoeffTable) -> list[str]:
 # ----------------------------------------------------------------------
 # growth exponents
 # ----------------------------------------------------------------------
-
-
-def growth_exponent(table: CoeffTable, v: int, t: int, base=10) -> float:
-    """log_base of A(v,t,0) / binom(m,t), to at least 12 significant digits.
-
-    The rational is exact and can have hundreds of digits; the log goes
-    through the digit-count path, never through a float conversion of the
-    full value.
-
-    Raises:
-        ValidationError: when A(v,t,0) <= 0 (in particular whenever v < t).
-    """
-    val = table.value(v, t, 0)
-    if val <= 0:
-        raise ValidationError(
-            "growth exponent undefined at (v=%d, t=%d): A(v,t,0) = %s" % (v, t, val)
-        )
-    return log_fraction(val / binomial(table.m, t), base=base)
 
 
 def _boundary_counts(m: int, vmax: int, t_values) -> tuple[list[int], list[list[int]]]:

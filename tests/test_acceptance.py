@@ -42,7 +42,6 @@ from cyclepoisson.simulator import (
 )
 from cyclepoisson.table import (
     EnsembleParams,
-    boundary_coefficient,
     boundary_layer,
     fill_table,
     stopping_set_count,
@@ -87,9 +86,10 @@ def test_criterion_03_boundary_identity_m10():
     # v! 2^v A(v,t,0) == stopping_set_count(v,t), exactly, via
     # (2v)! = (2v-1)!! 2^v v!
     params = EnsembleParams.from_checks(10)
+    table = fill_table(params, 10)
     for v in range(1, 11):
         for t in range(1, 11):
-            lhs = factorial(v) * 2**v * boundary_coefficient(params, v, t)
+            lhs = factorial(v) * 2**v * table.value(v, t, 0)
             assert lhs == stopping_set_count(params, v, t), (v, t)
 
 

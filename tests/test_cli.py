@@ -335,6 +335,17 @@ def test_expansion_audit_report(tmp_path, capsys):
     assert (tmp_path / "expansion_audit.csv").read_bytes() == first
 
 
+def test_expansion_audit_negative_seed_is_a_validation_error(tmp_path, capsys):
+    # -5 would write seed 5's CSV while the manifest recorded -5
+    out = tmp_path / "fresh"
+    rc, _, err = run_cli(
+        capsys, "--out", str(out), "pde", "verify-paper-expansion", "--points", "4", "--seed", "-5"
+    )
+    assert rc == 2
+    assert err == "error: seed must be >= 0, got -5\n"
+    assert not out.exists()
+
+
 # ----------------------------------------------------------------------
 # errprob subcommands
 # ----------------------------------------------------------------------

@@ -454,6 +454,13 @@ def test_expansion_audit_structure():
     assert again.to_csv() == report.to_csv()
 
 
+def test_expansion_audit_rejects_negative_seed():
+    # random.Random seeds from |seed|, so -5 would rerun seed 5 unnoticed
+    with pytest.raises(ValidationError, match="seed must be >= 0"):
+        expansion_audit(n_points=3, seed=-5)
+    expansion_audit(n_points=3, seed=0)
+
+
 # ----------------------------------------------------------------------
 # residual check
 # ----------------------------------------------------------------------
@@ -520,11 +527,7 @@ def test_residual_m5_printed_matches_slot_difference(m5_table):
     # the two operators differ by y^2 (y - z) d2/dy2, so the printed
     # residual at (v,t,s) must equal
     #   t(t-1) A(v-1,t,s-2) - (t-1)(t-2) A(v-1,t-1,s-1)
-    report = pde_residual(
-        m5_table,
-        coefficients=pde_coefficients(m5_table.params),
-        operator_name="printed",
-    )
+    report = pde_residual(m5_table, operator="printed")
     for (v, t, s), val in report.interior_nonzero:
         predicted = t * (t - 1) * m5_table.value(v - 1, t, s - 2) - (t - 1) * (
             t - 2
@@ -554,18 +557,35 @@ def test_residual_linearity(m5_table):
         m5_table.vmax,
         {k: 3 * b for k, b in m5_table.counts.items()},
     )
-    a = pde_residual(m5_table, coefficients=pde_coefficients(m5_table.params))
-    b = pde_residual(scaled, coefficients=pde_coefficients(scaled.params))
+    a = pde_residual(m5_table, operator="printed")
+    b = pde_residual(scaled, operator="printed")
     assert b.residual == a.residual.scale(3)
 
 
-def test_residual_trunc_validation(m5_table):
-    with pytest.raises(ValidationError):
-        pde_residual(m5_table, trunc=(9, 5, 4))
-    with pytest.raises(ValidationError):
-        pde_residual(m5_table, trunc=(3, 6, 4))
-    with pytest.raises(ValidationError):
-        pde_residual(m5_table, trunc=(3, 5, 5))
+@pytest.mark.parametrize("name", ["custom", "both", "Printed", ""])
+def test_residual_unknown_operator_is_rejected(m5_table, name):
+    with pytest.raises(ValidationError, match="unknown operator"):
+        pde_residual(m5_table, name)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_residual_window_sees_every_bump_off_the_boundary(m):
+    # +1 on a stored count B(v,t,s) with s >= 1 moves the z dG/dz term at
+    # (v,t,s) itself by s, and every such monomial (t >= 1, v <= vmax) lies
+    # in the window, so the recurrence report must fail.  s = 0 is skipped:
+    # those entries are the boundary condition, which verify_table checks,
+    # not the operator.  A bump there moves only level v + 1, and at
+    # v = vmax that level is outside the window, so it can go unseen.
+    vmax = m + 1
+    table = fill_table(EnsembleParams(n=vmax, r=Fraction(vmax - m, vmax)), vmax)
+    assert pde_residual(table).passed
+    bumped = [key for key in table.counts if key[2] >= 1]
+    assert bumped
+    for key in bumped:
+        counts = dict(table.counts)
+        counts[key] += 1
+        report = pde_residual(CoeffTable(table.params, vmax, counts))
+        assert not report.passed, key
 
 
 def test_residual_json_shape(m5_table):

@@ -657,6 +657,13 @@ def test_estimate_validation():
         estimate_block_error(P22, Fraction(1, 2), trials=0, seed=1)
 
 
+@pytest.mark.parametrize("eps", [2, -1, Fraction(3, 2), Fraction(-1, 7)])
+def test_replay_rejects_epsilon_outside_unit_interval(eps):
+    # unchecked, eps = 2 erased every variable and eps = -1 none
+    with pytest.raises(ValidationError, match="epsilon must lie in"):
+        replay_trial(P22, eps, 1, 0)
+
+
 @pytest.mark.parametrize("seed", [-1, 1 << 64, (1 << 64) + 7])
 def test_seed_outside_64_bits_is_rejected(seed):
     # a masked seed would quietly rerun another seed: -1 as 2^64 - 1, 2^64 + 7 as 7

@@ -20,12 +20,9 @@ from cyclepoisson.simulator import _erasure_fails
 from cyclepoisson.table import (
     EnsembleParams,
     _block_counts,
-    boundary_coefficient,
     boundary_layer,
     brute_force_profile_counts,
-    constellation_count,
     fill_table,
-    growth_exponent,
     growth_profile,
     stopping_set_count,
     verify_table,
@@ -66,26 +63,18 @@ def test_params_validation():
 # ----------------------------------------------------------------------
 
 
-def test_constellation_count():
-    p = EnsembleParams.from_checks(3)
-    assert constellation_count(p, 0) == 1
-    assert constellation_count(p, 2) == 81
-    assert constellation_count(p, 4) == 0  # v beyond n
-    assert constellation_count(p, -1) == 0
-
-
 def test_boundary_single_variable():
     # one variable on t=1 check: both endpoints on the same check, m ways,
     # and A(1,1,0) = m/2 after dividing by 1! * 2^1
     for m in (1, 2, 5, 9):
         p = EnsembleParams.from_checks(m)
-        assert boundary_coefficient(p, 1, 1) == Fraction(m, 2)
+        assert boundary_layer(m, 1, [1]) == {1: {1: Fraction(m, 2)}}
         assert stopping_set_count(p, 1, 1) == m
 
 
 def test_boundary_frozen_values():
     p = EnsembleParams.from_checks(100)
-    assert boundary_coefficient(p, 2, 2) == Fraction(7425, 2)
+    assert boundary_layer(100, 2, [2])[2][2] == Fraction(7425, 2)
     assert stopping_set_count(p, 2, 2) == 29700
     # cross-check the v! 2^v weight between the two forms
     assert factorial(2) * 2**2 * Fraction(7425, 2) == 29700
@@ -116,14 +105,6 @@ def test_block_counts_match_both_oracles(t, n):
     expect = block_partition_count(n, t, 2)
     assert expect == factorial(n) * poisson_block_series(t, n).coef(n)
     assert _block_counts(t, n)[t][n] == expect
-
-
-def test_boundary_rejects_degenerate_indices():
-    p = EnsembleParams.from_checks(4)
-    with pytest.raises(ValidationError):
-        boundary_coefficient(p, 0, 1)
-    with pytest.raises(ValidationError):
-        boundary_coefficient(p, 1, 0)
 
 
 def test_brute_force_profile_counts_m3_v1():
@@ -448,20 +429,6 @@ def test_cyclic_census_excludes_forests():
 # ----------------------------------------------------------------------
 
 
-def test_growth_exponent_first_point():
-    import math
-
-    table = fill_table(EnsembleParams.from_checks(100), vmax=1)
-    g = growth_exponent(table, 1, 1)
-    assert abs(g - math.log10(0.5)) < 1e-12
-
-
-def test_growth_exponent_undefined_below_t():
-    table = fill_table(EnsembleParams.from_checks(10), vmax=2)
-    with pytest.raises(ValidationError):
-        growth_exponent(table, 1, 2)
-
-
 @st.composite
 def _layer_cases(draw):
     m = draw(st.integers(1, 7))
@@ -528,3 +495,11 @@ def test_growth_profile_first_point():
     v, g = prof[1][0]
     assert v == 1
     assert abs(g - math.log10(0.5)) < 1e-12
+
+
+def test_growth_exponent_undefined_below_t():
+    # A(v,t,0) = 0 for v < t, where the exponent has no value: the profile
+    # starts at v = t
+    prof = growth_profile(10, 3, [2, 3])
+    assert [v for v, _ in prof[2]] == [2, 3]
+    assert [v for v, _ in prof[3]] == [3]
