@@ -497,6 +497,19 @@ def test_growth_profile_first_point():
     assert abs(g - math.log10(0.5)) < 1e-12
 
 
+def test_growth_exponent_first_point():
+    # the exponent of the filled table's first point, log10 A(1,1,0)/binom(100,1)
+    # = log10(1/2), is the first point of growth_profile
+    import math
+
+    table = fill_table(EnsembleParams.from_checks(100), vmax=1)
+    ratio = table.value(1, 1, 0) / binomial(100, 1)
+    assert ratio == Fraction(1, 2)
+    prof = growth_profile(100, 1, [1])
+    assert prof[1] == [(1, log_fraction(ratio, 10))]
+    assert abs(prof[1][0][1] - math.log10(0.5)) < 1e-12
+
+
 def test_growth_exponent_undefined_below_t():
     # A(v,t,0) = 0 for v < t, where the exponent has no value: the profile
     # starts at v = t
