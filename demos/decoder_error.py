@@ -3,6 +3,7 @@ from fractions import Fraction
 from cyclepoisson import (
     EnsembleParams,
     ErrProbQuery,
+    block_error_probability,
     expected_block_error,
     fill_table,
     geometric_series,
@@ -11,17 +12,22 @@ from cyclepoisson import (
 )
 
 # Exact expected block error for a tiny ensemble, with the per-v breakdown.
+# block_error_probability counts the forests among the m^(2v) endpoint
+# assignments and fills no table; the table route must agree exactly.
 params = EnsembleParams(n=4, r=Fraction(1, 2))
-table = fill_table(params, vmax=params.n)
 
 print("E_B over erasure rates, n=%d r=%s:" % (params.n, params.r))
 for eps in (Fraction(1, 20), Fraction(1, 10), Fraction(1, 4), Fraction(1, 2)):
-    res = expected_block_error(ErrProbQuery(params=params, epsilon=eps, table=table))
+    res = block_error_probability(params, eps)
     print("  eps=%-5s E_B = %-22s (%.6g)" % (eps, res.value, float(res.value)))
 
-res = expected_block_error(
+res = block_error_probability(params, Fraction(1, 10))
+table = fill_table(params, vmax=params.n)
+assert res == expected_block_error(
     ErrProbQuery(params=params, epsilon=Fraction(1, 10), table=table)
 )
+print()
+print("the coefficient-table route gives the same result at eps=1/10")
 print()
 print("per-v terms at eps=1/10 (before the (1-eps)^n prefactor):")
 for v, term in res.per_v:

@@ -45,6 +45,7 @@ from .errprob import (
     ErrProbResult,
     HadamardSplitReport,
     KnownSeriesReport,
+    block_error_probability,
     contour_power_average,
     default_contour_radius,
     expected_block_error,
@@ -148,6 +149,7 @@ __all__ = [
     # errprob
     "ErrProbQuery",
     "ErrProbResult",
+    "block_error_probability",
     "expected_block_error",
     "inner_power_sum",
     "known_series_check",

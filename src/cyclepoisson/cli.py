@@ -32,8 +32,7 @@ from pathlib import Path
 from .combinatorics import binomial, log10_int
 from .errors import CyclePoissonError, ValidationError
 from .errprob import (
-    ErrProbQuery,
-    expected_block_error,
+    block_error_probability,
     hadamard_contour,
     hadamard_split_report,
     known_series_check,
@@ -355,16 +354,9 @@ def _cmd_pde_verify_expansion(args, run: _Run) -> int:
 # ----------------------------------------------------------------------
 
 
-def _build_query(n: int, r: Fraction, eps: Fraction) -> ErrProbQuery:
-    params = EnsembleParams(n=n, r=r)
-    table = fill_table(params, n)
-    return ErrProbQuery(params=params, epsilon=eps, table=table)
-
-
 def _cmd_errprob_eval(args, run: _Run) -> int:
-    query = _build_query(args.n, args.r, args.eps)
-    result = expected_block_error(query)
-    print("x = %s" % query.x)
+    result = block_error_probability(EnsembleParams(n=args.n, r=args.r), args.eps)
+    print("x = %s" % result.x)
     print("E_B = %s" % result.value)
     print("E_B ~ %.15g" % float(result.value))
     if args.breakdown:
@@ -375,11 +367,9 @@ def _cmd_errprob_eval(args, run: _Run) -> int:
 
 def _cmd_errprob_sweep(args, run: _Run) -> int:
     params = EnsembleParams(n=args.n, r=args.r)
-    table = fill_table(params, args.n)
     lines = ["epsilon,value,float_value"]
     for eps in args.eps_list:
-        query = ErrProbQuery(params=params, epsilon=eps, table=table)
-        result = expected_block_error(query)
+        result = block_error_probability(params, eps)
         lines.append(
             "%s,%s,%.15g" % (eps, result.value, float(result.value))
         )
@@ -468,11 +458,9 @@ _RECONCILE_NOTE = (
 def _cmd_reconcile(args, run: _Run) -> int:
     run.seed = args.seed
     params = EnsembleParams(n=args.n, r=args.r)
-    table = fill_table(params, args.n)
     rows = []
     for eps in args.eps_list:
-        query = ErrProbQuery(params=params, epsilon=eps, table=table)
-        analytic = expected_block_error(query)
+        analytic = block_error_probability(params, eps)
         mc = estimate_block_error(params, eps, trials=args.trials, seed=args.seed)
         lo, hi = mc.ci95
         verdict = "within-ci" if lo <= float(analytic.value) <= hi else "outside-ci"

@@ -1,16 +1,27 @@
 """Expected block-error evaluation and series-boundedness analysis.
 
 The block-error probability of iterative decoding over the binary erasure
-channel comes out of the coefficient table as the exact finite sum
+channel is the exact finite sum
 
     E_B = (1-eps)^n * sum_v C(n,v) v! x^v * sum_{t,s} A(v,t,s),
 
-with x = 2 eps / ((1-eps) m^2).  The same sum rearranges into per-(t,s)
-inner power sums with the n^{2v} factored out of x, and the question of
-bounding those inner series leads to the Hadamard product machinery: exact
-finite identities, a divergence demonstration, root-test radius estimates
-per coefficient sequence, and a contour-integral evaluation of the
-Hadamard product of two truncated series.
+with x = 2 eps / ((1-eps) m^2).  Two routes evaluate it, with the same
+value and per-v terms:
+
+* block_error_probability, the production route, takes the inner sum from
+  Renyi's forest count: v! 2^v sum_{t,s} A(v,t,s) = m^(2v) - W_v, where
+  W_v counts the endpoint assignments of v variables that form a forest
+  on the m checks (W_v = 0 for v >= m).  No table is filled.
+* expected_block_error, the paper's route, sums the filled coefficient
+  table level by level.  It is the oracle the forest route is checked
+  against.
+
+The same sum rearranges into per-(t,s) inner power sums with the n^{2v}
+factored out of x, and the question of bounding those inner series leads
+to the Hadamard product machinery: exact finite identities, a divergence
+demonstration, root-test radius estimates per coefficient sequence, and a
+contour-integral evaluation of the Hadamard product of two truncated
+series.
 
 E_B is the exact block-error probability of iterative decoding, not a
 bound: v! 2^v sum_{t,s} A(v,t,s) counts the endpoint assignments of v
@@ -28,6 +39,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .combinatorics import binomial, factorial, log_fraction
 from .errors import CoverageError, ToleranceNotMetError, ValidationError
@@ -38,6 +50,7 @@ __all__ = [
     "ErrProbQuery",
     "ErrProbResult",
     "InnerSum",
+    "block_error_probability",
     "expected_block_error",
     "inner_power_sum",
     "KnownSeriesReport",
@@ -50,6 +63,16 @@ __all__ = [
     "contour_power_average",
     "default_contour_radius",
 ]
+
+
+def _check_epsilon(epsilon) -> Fraction:
+    """epsilon as a Fraction in [0, 1); eps = 1 would divide x by zero."""
+    eps = Fraction(epsilon)
+    if not 0 <= eps <= 1:
+        raise ValidationError("epsilon must lie in [0, 1], got %s" % (eps,))
+    if eps == 1:
+        raise ValidationError("epsilon = 1 leaves x undefined (division by zero)")
+    return eps
 
 
 @dataclass(frozen=True)
@@ -67,12 +90,8 @@ class ErrProbQuery:
     x: Fraction = field(init=False)
 
     def __post_init__(self):
-        eps = Fraction(self.epsilon)
+        eps = _check_epsilon(self.epsilon)
         object.__setattr__(self, "epsilon", eps)
-        if not 0 <= eps <= 1:
-            raise ValidationError("epsilon must lie in [0, 1], got %s" % (eps,))
-        if eps == 1:
-            raise ValidationError("epsilon = 1 leaves x undefined (division by zero)")
         if self.table.m != self.params.m:
             raise ValidationError(
                 "table has m=%d but parameters have m=%d"
@@ -109,7 +128,9 @@ class ErrProbResult:
 
 
 def expected_block_error(query: ErrProbQuery) -> ErrProbResult:
-    """Exact finite evaluation of E_B with a per-v term breakdown.
+    """Exact finite evaluation of E_B from the table, with a per-v breakdown.
+
+    This is the paper's route and the oracle for block_error_probability.
 
     The v-th term is C(n,v) v! x^v * sum_{t>=1,s} A(v,t,s); the total is
     (1-eps)^n times their sum.  The per_v breakdown carries the terms
@@ -136,6 +157,67 @@ def expected_block_error(query: ErrProbQuery) -> ErrProbResult:
     return ErrProbResult(
         value=value, per_v=tuple(per_v), epsilon=query.epsilon, x=query.x
     )
+
+
+@lru_cache(maxsize=1)
+def _forest_counts(m: int) -> tuple[int, ...]:
+    """W_v for 0 <= v < m: endpoint assignments of v variables forming a forest.
+
+    A forest with v edges on m labelled checks has k = m - v trees, and
+    Renyi's count f(m, k) of such forests has the integer form
+        2^k m f(m,k) = binom(m,k) sum_{i=0}^{min(k,m-k)} (-1)^i 2^(k-i)
+                       binom(k,i) (k+i) (m-k)_i m^(m-k-i).
+    Each forest is v! 2^v assignments (edge labels and orientations), so
+    W_v = v! 2^v f(m, m-v).  A graph with v >= m edges on m checks has a
+    cycle, so W_v = 0 there.
+    """
+    powers = [1]  # m^j for j < m
+    for _ in range(m - 1):
+        powers.append(powers[-1] * m)
+    counts = []
+    for v in range(m):
+        k = m - v
+        total = 0
+        term_binom, falling = 1, 1  # binom(k,i) and (m-k)_i
+        for i in range(min(k, v) + 1):
+            term = term_binom * (k + i) * falling * powers[v - i] << (k - i)
+            total += -term if i & 1 else term
+            term_binom = term_binom * (k - i) // (i + 1)
+            falling *= v - i
+        forests = binomial(m, k) * total // (m << k)
+        counts.append((factorial(v) << v) * forests)
+    return tuple(counts)
+
+
+def block_error_probability(params: EnsembleParams, epsilon) -> ErrProbResult:
+    """E_B from forest counts, with no coefficient table.
+
+    The v-th term is binom(n,v) (eps/(1-eps))^v (m^(2v) - W_v) / m^(2v),
+    which equals expected_block_error's term C(n,v) v! x^v sum_{t,s}
+    A(v,t,s) exactly; value, per_v and x are those of the table route.
+    With eps = a/b and d = (b-a) m^2, the v-th term is c_v / d^v for an
+    integer c_v, so the value is (1-eps)^n sum_v c_v / d^v, one fraction
+    sum_v c_v d^(n-v) / (b^n m^(2n)) whose numerator Horner's rule forms.
+    """
+    eps = _check_epsilon(epsilon)
+    n, m = params.n, params.m
+    forests = _forest_counts(m)
+    a, b = eps.numerator, eps.denominator
+    m2 = m * m
+    d = (b - a) * m2
+    per_v = []
+    numerator = 0
+    m2v, dv = 1, 1  # m^(2v) and d^v
+    for v in range(1, n + 1):
+        m2v *= m2
+        dv *= d
+        cyclic = m2v - (forests[v] if v < m else 0)
+        count = binomial(n, v) * a**v * cyclic
+        per_v.append((v, Fraction(count, dv)))
+        numerator = numerator * d + count
+    value = Fraction(numerator, b**n * m2**n)
+    x = 2 * eps / ((1 - eps) * m2)
+    return ErrProbResult(value=value, per_v=tuple(per_v), epsilon=eps, x=x)
 
 
 @dataclass(frozen=True)
@@ -244,7 +326,7 @@ class SequenceEstimate:
     series_id: str
     window: tuple[int, int]
     estimate: float  # sup over the window of |c_v|^(1/v); 0 for all-zero
-    radius: float  # 1/estimate, inf when the window is all zero
+    radius: float  # 1/estimate; inf for an all-zero window or a finite sum
     verdict: str  # zero-radius | finite-radius | infinite-radius
     per_x: tuple[tuple[Fraction, str], ...]  # bounded | divergent | boundary
 
@@ -288,7 +370,9 @@ def hadamard_split_report(
     The sequences are {v! A(v,t,s)}, {v! A(v,t,s)/n^{2v}} and
     {C(n,v) A(v,t,s)/n^{2v}}.  The root test runs over the trailing half of
     the available v-range (at least 5 points); it is a window estimate of
-    the limsup, not a proof.  Each x in x_grid gets a verdict per sequence:
+    the limsup, not a proof.  The binomial sequence is zero for v > n, so
+    its sum is a polynomial: its radius is infinite whatever the window
+    estimate reads.  Each x in x_grid gets a verdict per sequence:
     bounded when |x| is below the estimated radius, divergent above,
     boundary at it.
 
@@ -320,6 +404,8 @@ def hadamard_split_report(
     estimates = []
     for sid in SERIES_IDS:
         est, radius = _root_test(sequences[sid], window)
+        if sid == "binomial-over-n2v":
+            radius = math.inf
         if math.isinf(radius):
             verdict = "infinite-radius"
         elif radius == 0.0:

@@ -714,10 +714,8 @@ class ResidualReport:
             "operator": self.operator,
             "window": {
                 "vmax": self.vmax,
-                "tmax": self.m,
-                "smax": max(self.m - 1, 0),
-                "v_min": 1,
-                "t_min": 1,
+                "m": self.m,
+                "interior": "t >= 1 and (v <= vmax or t + s > m)",
             },
             "nonzero_monomials": [
                 {"v": v, "t": t, "s": s, "value": str(val)}

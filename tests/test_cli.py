@@ -364,6 +364,35 @@ def test_eval_matches_library(tmp_path, capsys):
     assert "v=6 term=" in out
 
 
+def _table_route(n, r, eps):
+    params = EnsembleParams(n=n, r=r)
+    return expected_block_error(ErrProbQuery(params, eps, fill_table(params, n)))
+
+
+@pytest.mark.parametrize("n, r", [(4, Fraction(1, 2)), (6, Fraction(1, 3)), (12, Fraction(3, 4))])
+def test_eval_and_sweep_bytes_match_table_route(n, r, tmp_path, capsys):
+    # the commands take E_B from forest counts; their text is the one the
+    # table route formats, byte for byte
+    eps_list = [Fraction(0), Fraction(1, 20), Fraction(2, 7)]
+    result = _table_route(n, r, eps_list[-1])
+    expect = "x = %s\nE_B = %s\nE_B ~ %.15g\n" % (result.x, result.value, float(result.value))
+    expect += "".join(
+        "  v=%d term=%s (~%.6g)\n" % (v, term, float(term)) for v, term in result.per_v
+    )
+    rc, out, _ = run_cli(capsys, "--out", str(tmp_path), "errprob", "eval", "--n", str(n),
+                         "--r", str(r), "--eps", "2/7", "--breakdown")
+    assert rc == 0
+    assert out == expect
+    rc, _, _ = run_cli(capsys, "--out", str(tmp_path), "errprob", "sweep", "--n", str(n),
+                       "--r", str(r), "--eps-list", "0,1/20,2/7")
+    assert rc == 0
+    rows = ["epsilon,value,float_value"]
+    for eps in eps_list:
+        value = _table_route(n, r, eps).value
+        rows.append("%s,%s,%.15g" % (eps, value, float(value)))
+    assert (tmp_path / "errprob_sweep.csv").read_text() == "\n".join(rows) + "\n"
+
+
 def test_sweep_csv_format(tmp_path, capsys):
     rc, _, _ = run_cli(
         capsys, "--out", str(tmp_path),
@@ -442,7 +471,7 @@ def test_threads_option_is_a_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("sub", [["eval", "--eps", "1/10"], ["sweep", "--eps-list", "1/10"]])
 def test_errprob_vmax_is_a_usage_error(sub, tmp_path, capsys):
-    # the table behind E_B always runs to v = n, so there is nothing to choose
+    # the E_B sum always runs to v = n, so there is no depth to choose
     out = tmp_path / "fresh"
     rc, _, err = run_cli(capsys, "--out", str(out), "errprob", sub[0], "--n", "4",
                          "--r", "1/2", *sub[1:], "--vmax", "4")

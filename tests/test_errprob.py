@@ -16,6 +16,8 @@ from cyclepoisson.errors import (
 )
 from cyclepoisson.errprob import (
     ErrProbQuery,
+    _forest_counts,
+    block_error_probability,
     contour_power_average,
     default_contour_radius,
     expected_block_error,
@@ -128,6 +130,70 @@ def test_expected_block_error_is_exhaustive_probability(n, m, eps):
     assert expected_block_error(query).value == exhaustive_block_error(params, eps)
 
 
+# ----------------------------------------------------------------------
+# the forest route
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n, m", [(12, 6), (20, 5), (9, 9)])
+def test_forest_counts_complement_the_level_sums(n, m):
+    # v! 2^v sum_{t,s} A(v,t,s) counts the cyclic assignments, so the
+    # forests are the rest of the m^(2v); none are left once v >= m
+    sums = fill_table(EnsembleParams(n=n, r=1 - Fraction(m, n)), vmax=n).level_sums()
+    forests = _forest_counts(m)
+    assert len(forests) == m
+    for v in range(1, n + 1):
+        w = forests[v] if v < m else 0
+        assert factorial(v) * 2**v * sums[v] == m ** (2 * v) - w, v
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 12),
+    m_share=st.fractions(min_value=0, max_value=1),
+    eps=st.fractions(min_value=0, max_value=1, max_denominator=60),
+)
+def test_block_error_probability_matches_table_route(n, m_share, eps):
+    # value, per_v, epsilon and x all equal the table route's exactly
+    assume(eps < 1)
+    m = max(1, math.ceil(m_share * n))
+    params = EnsembleParams(n=n, r=1 - Fraction(m, n))
+    query = ErrProbQuery(params, eps, fill_table(params, vmax=n))
+    assert block_error_probability(params, eps) == expected_block_error(query)
+
+
+@pytest.mark.parametrize(
+    "eps, message",
+    [
+        (Fraction(1), "epsilon = 1 leaves x undefined (division by zero)"),
+        (Fraction(11, 10), "epsilon must lie in [0, 1], got 11/10"),
+        (Fraction(-1, 10), "epsilon must lie in [0, 1], got -1/10"),
+    ],
+)
+def test_bad_epsilon_messages_match_across_routes(n4_setup, eps, message):
+    params, table = n4_setup
+    for evaluate in (
+        lambda: block_error_probability(params, eps),
+        lambda: ErrProbQuery(params, eps, table),
+    ):
+        with pytest.raises(ValidationError) as err:
+            evaluate()
+        assert str(err.value) == message
+
+
+def test_block_error_probability_near_threshold():
+    # n = 2000, m = 1000 at the threshold eps = (1 - r)/2 = 1/4.  The bound
+    # and the count are fixed in advance: 3172 of 4000 is the failure count
+    # test_estimate_near_threshold_frozen pins at seed 7, and it must lie
+    # within |z| <= 4 of the exact value
+    params = EnsembleParams(n=2000, r=Fraction(1, 2))
+    p = float(block_error_probability(params, Fraction(1, 4)).value)
+    assert abs(p - 0.795196) < 1e-6
+    trials, failures = 4000, 3172
+    z = (failures / trials - p) / math.sqrt(p * (1 - p) / trials)
+    assert abs(z) <= 4
+
+
 def test_equal_m_parameterizations_share_level_sums():
     a = fill_table(EnsembleParams(n=4, r=Fraction(1, 2)), vmax=4)
     b = fill_table(EnsembleParams.from_checks(2), vmax=2)
@@ -235,6 +301,18 @@ def test_split_report_factorial_radius(m3_deep):
     assert dict(fac.per_x)[Fraction(1)] == "bounded"
     assert dict(fac.per_x)[Fraction(10)] == "divergent"
     assert "one (t,s)" in report.note
+
+
+def test_split_report_binomial_sequence_is_finite(m3_deep):
+    # C(n,v) vanishes for v > n, so the binomial sum is a polynomial: its
+    # radius is infinite and every x is bounded, whatever the window
+    # estimate over v <= n reads
+    report = hadamard_split_report(m3_deep, 1, 0, 12, x_grid=[10000])
+    est = {e.series_id: e for e in report.estimates}["binomial-over-n2v"]
+    assert 0.003 < est.estimate < 0.0032
+    assert math.isinf(est.radius)
+    assert est.verdict == "infinite-radius"
+    assert est.per_x == ((Fraction(10000), "bounded"),)
 
 
 def test_split_report_zero_column(m3_deep):

@@ -596,10 +596,8 @@ def test_residual_json_shape(m5_table):
     assert payload["excluded_monomials_count"] == 11
     assert payload["window"] == {
         "vmax": 6,
-        "tmax": 5,
-        "smax": 4,
-        "v_min": 1,
-        "t_min": 1,
+        "m": 5,
+        "interior": "t >= 1 and (v <= vmax or t + s > m)",
     }
     for row in payload["excluded_monomials"]:
         assert set(row) == {"v", "t", "s", "value"}
