@@ -18,8 +18,8 @@ trials' peeling residuals, so a trial fails iff one of its edges
 survives.  Trials erasing m or more variables fail without peeling,
 because a forest on m checks has at most m - 1 edges.  `peel` (per code,
 sets and a stack) and `_erasure_fails` (per code, union-find) are the
-independent per-trial oracles; tiny instances read a precomputed table of
-the same cycle test instead.
+independent per-trial oracles; tiny instances replace the batched peel by
+a precomputed table of the same cycle test.
 
 Reproducibility contract (rng id "splitmix64-ctr/v1"): draw number j of
 trial i is the splitmix64 output at counter position i*3n + j, so results
@@ -34,10 +34,9 @@ every platform agrees exactly.
 No counter array is formed: the state behind position k is
 seed + (k + 1) * golden mod 2^64, linear in k, so the state of slot j of
 trial i is a row offset seed + i*3n*golden plus a column offset
-(j + 1)*golden, one uint64 add that wraps mod 2^64.  The lookup-table path
-draws one slot of a chunk at a time; the peeling path draws a chunk's
-erasure slots as one slot-major matrix, then only the endpoints of the
-erased variables.
+(j + 1)*golden, one uint64 add that wraps mod 2^64.  The peel and the table
+share one draw stage: a chunk's erasure slots as one slot-major matrix,
+then only the endpoints of the erased variables the shortcut leaves open.
 """
 
 from __future__ import annotations
@@ -86,11 +85,11 @@ EXHAUSTIVE_CODE_GUARD = 10**7
 EXHAUSTIVE_MASK_GUARD = 1 << 15
 
 _DRAW_BLOCK = 1 << 14  # 128 KiB: measured 2-3x faster than one pass per step
-# A chunk holds at most _BATCH trials, so that one slot's lookup-table
-# draws are a single _DRAW_BLOCK and stay in cache, and at most
-# _BATCH_DRAWS / 3n, so that its (n, trials) uint64 erasure states stay
-# within 4/3 MiB; both measured faster than 4x larger chunks
-_BATCH = _DRAW_BLOCK
+# A chunk holds at most _BATCH_DRAWS / 3n trials, so that its (n, trials)
+# uint64 erasure states stay within 4/3 MiB, and at most _BATCH (binds for
+# n <= 10): at n = 3, chunks of 32,768 or 58,254 trials faulted in fresh
+# pages every chunk and ran 1.6-1.8x slower, chunks of 8192 ran 9% slower
+_BATCH = 1 << 14
 _BATCH_DRAWS = 1 << 19
 _M_LIMIT = 1 << 32  # the split multiply in _uniform_index_np is exact below this
 _LOW26 = _U((1 << 26) - 1)
@@ -380,36 +379,42 @@ def _chunk_failures(
     """Number of failures among trials start .. start+count-1."""
     n, m = params.n, params.m
     rowz, colz = _offsets(seed, start, count, n)
-    if lut is not None:
-        # slot by slot, so that no temporary is larger than one slot's draws
-        u = np.empty(count, dtype=np.uint64)
-        idx = np.zeros(count, dtype=np.uint64)
-        for j in range(2 * n):
-            _mix53(np.add(rowz, colz[j], out=u))
-            idx *= _U(m)
-            idx += _uniform_index_np(u, m)
-        idx <<= _U(n)
-        for j in range(n):
-            _mix53(np.add(rowz, colz[2 * n + j], out=u))
-            idx |= _erased_np(u, p, q).astype(np.uint64) << _U(j)
-        return int(lut[idx].sum())
     # erasure draws, slot-major: erased[j, i] is variable j of trial i
     z = np.add(colz[2 * n :, None], rowz)
     erased = _erased_np(_mix53(z), p, q)
     del z
     # a forest on m checks has at most m - 1 edges
-    failed = erased.sum(axis=0) >= m
-    erased[:, failed] = False
-    # draw only the endpoints of the edges left to peel, checks of trial
-    # `row` renumbered to row*m .. row*m + m-1
-    var, rows = np.divmod(np.flatnonzero(erased), count)
+    failed = erased.sum(axis=0, dtype=np.min_scalar_type(n)) >= m
+    erased &= ~failed
+    # draw only the endpoints of the erased variables left undecided
+    rows = np.flatnonzero(erased)
     del erased
+    var = rows // count
+    rows -= var * count
     ends = np.empty((2, rows.size), dtype=np.uint64)
     np.take(rowz, rows, out=ends[0])
     ends[0] += colz[0 : 2 * n : 2][var]
     np.add(ends[0], _GOLDEN_U, out=ends[1])
-    del var
+    if lut is None:
+        del var
     ends = _uniform_index_np(_mix53(ends), m).view(np.int64)
+    if lut is not None:
+        # a trial's table index sums (a*m + b) * (m^2)^(n-1-j) << n and 1 << j
+        # over its erased variables j (unerased ones read as digits 0, which
+        # no flag depends on); sums below LUT_GUARD are exact in float64
+        mm = m * m
+        weight = [
+            (d * mm ** (n - 1 - j) << n) + (1 << j) for j in range(n) for d in range(mm)
+        ]
+        ends[0] *= m
+        ends[0] += ends[1]
+        var *= mm
+        var += ends[0]
+        del ends
+        idx = np.bincount(rows, np.take(np.array(weight, dtype=float), var), count)
+        failed |= lut.take(idx.astype(np.intp))
+        return int(np.count_nonzero(failed))
+    # checks of trial `row` renumbered to row*m .. row*m + m-1
     rows *= m
     ends += rows
     del rows
@@ -446,14 +451,11 @@ def _two_core(degree: np.ndarray, a: np.ndarray, b: np.ndarray):
 
 
 def _range_failures(seed, lo, hi, params, p, q, lut) -> int:
-    failures = 0
-    start = lo
     per_chunk = min(_BATCH, max(1, _BATCH_DRAWS // (3 * params.n)))
-    while start < hi:
-        count = min(per_chunk, hi - start)
-        failures += _chunk_failures(seed, start, count, params, p, q, lut)
-        start += count
-    return failures
+    return sum(
+        _chunk_failures(seed, start, min(per_chunk, hi - start), params, p, q, lut)
+        for start in range(lo, hi, per_chunk)
+    )
 
 
 _Z95 = 1.959963984540054
@@ -529,20 +531,18 @@ def estimate_block_error(
     if m >= _M_LIMIT:
         raise ValidationError("m must be below 2^32, got %d" % m)
     p, q = eps.numerator, eps.denominator
-    lut = None
     # the factor 2^n alone exceeds the guard for n > 20; testing that first
     # spares computing m^(2n), a 1.7-million-bit integer at n = 10^5
-    if n <= 20 and m ** (2 * n) << n <= LUT_GUARD:
-        lut = _build_lut(params)
+    tiny = n <= 20 and m ** (2 * n) << n <= LUT_GUARD
+    lut = _build_lut(params) if tiny else None
     failures = _range_failures(seed, 0, trials, params, p, q, lut)
-    p_hat = failures / trials
     return SimResult(
         params=params,
         epsilon=eps,
         trials=trials,
         seed=seed,
         failures=failures,
-        p_hat=p_hat,
+        p_hat=failures / trials,
         ci95=wilson_interval(failures, trials),
     )
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cyclepoisson import simulator
@@ -628,6 +628,49 @@ def test_lut_and_direct_paths_agree(draws):
         assert with_lut == without == replayed, (n, m)
 
 
+@st.composite
+def _lut_chunks(draw):
+    # one chunk of up to a few thousand trials on a table-sized instance;
+    # n >= m, so trials erasing m or more variables (decided before the
+    # table is read) occur, always at eps = 1
+    n, m = draw(st.sampled_from(_LUT_PAIRS))
+    eps = draw(_EPSILONS)
+    seed = draw(st.integers(0, (1 << 64) - 1))
+    start, count = draw(st.integers(0, 10**12)), draw(st.integers(1, 3000))
+    return params_for(n, m), eps, seed, start, count
+
+
+@settings(max_examples=60, deadline=None)
+@given(chunk=_lut_chunks())
+@example(chunk=(params_for(3, 1), Fraction(1), 1, 0, 3000))
+@example(chunk=(params_for(20, 1), Fraction(1, 2), 5, 7, 3000))
+@example(chunk=(params_for(4, 4), Fraction(0), 3, 0, 3000))
+def test_chunk_lut_and_peel_branches_agree(chunk):
+    params, eps, seed, start, count = chunk
+    p, q = eps.numerator, eps.denominator
+    args = (seed, start, count, params, p, q)
+    with_lut = _chunk_failures(*args, _lut_for(params.n, params.m))
+    assert with_lut == _chunk_failures(*args, None)
+    if eps == 0:
+        assert with_lut == 0
+    if eps == 1:
+        assert with_lut == count
+
+
+def test_lut_guard_is_exact_in_float64():
+    # the table path sums each trial's index in float64 (np.bincount
+    # weights), exact only while every partial sum is an integer <= 2^53
+    assert LUT_GUARD <= 2**53
+
+
+def test_tiny_estimate_frozen():
+    # the benchmark's n = 3 run, which reads the lookup table; both counts
+    # were fixed when the table path still drew all 3n slots of every trial
+    params, eps = EnsembleParams(n=3, r=Fraction(0)), Fraction(1, 3)
+    assert estimate_block_error(params, eps, 10**6, seed=1).failures == 341099
+    assert estimate_block_error(params, eps, 10**6, seed=7).failures == 340522
+
+
 def _chunk_peak_mib(*args):
     _chunk_failures(*args)  # numpy's first-call allocations are not the chunk's
     tracemalloc.start()
@@ -644,9 +687,10 @@ def test_chunk_peak_memory():
     # uint64 erasure states are 6.1 MiB, and what lives beside them is under
     # 1 MiB; one more (2, k) endpoint temporary (2.4 MiB) would pass 8 MiB.
     assert _chunk_peak_mib(7, 0, 4000, params_for(200, 100), 1, 5, None) < 8
-    # LUT path, n = 3, 65536 trials: the row offsets, one slot's draws, the
-    # index and a temporary are 512 KiB each; a (trials, 3n) draw matrix
-    # alone is 4.5 MiB
+    # LUT path, n = 3, 65536 trials: the peak is the shared draw stage, the
+    # row offsets (512 KiB) beside the (3, trials) erasure states (1.5 MiB);
+    # the table index's edge arrays (about 39k edges at eps = 1/5) stay
+    # below it, and a (3n, trials) matrix of all draws alone is 4.5 MiB
     assert _chunk_peak_mib(7, 0, 1 << 16, P33, 1, 5, _lut_for(3, 3)) < 3
 
 
