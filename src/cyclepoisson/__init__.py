@@ -11,8 +11,9 @@ exact rational arithmetic throughout:
   discriminant classification, the case split along y = alpha z, and
   residual verification of the operator against a filled table (`pde`),
 - the analytic expected block-error count on the erasure channel, finite
-  binomial identities, and Hadamard-product tools (root-test radius
-  estimates and contour quadrature) (`errprob`),
+  binomial identities, and Hadamard-product tools (the exact radius of
+  convergence of each split coefficient sequence and contour quadrature)
+  (`errprob`),
 - a reproducible Monte Carlo peeling-decoder simulator with an
   exhaustive small-instance oracle (`simulator`),
 - a subcommand CLI emitting CSV/JSON artifacts with run manifests (`cli`).
@@ -46,7 +47,6 @@ from .errprob import (
     HadamardSplitReport,
     KnownSeriesReport,
     block_error_probability,
-    contour_power_average,
     default_contour_radius,
     expected_block_error,
     hadamard_contour,
@@ -157,7 +157,6 @@ __all__ = [
     "hadamard_split_report",
     "HadamardSplitReport",
     "hadamard_contour",
-    "contour_power_average",
     "default_contour_radius",
     "ContourResult",
     # simulator

@@ -386,7 +386,7 @@ def _cmd_errprob_hadamard_split(args, run: _Run) -> int:
     path = run.write_text(args.csv, report.to_csv())
     for est in report.estimates:
         print(
-            "%s: window v=%d..%d estimate=%.6g radius=%.6g (%s)"
+            "%s: window v=%d..%d estimate=%.6g radius=%s (%s)"
             % (est.series_id, est.window[0], est.window[1], est.estimate, est.radius, est.verdict)
         )
         for x, verdict in est.per_x:
@@ -598,7 +598,7 @@ def _add_errprob(groups) -> None:
     sweep.add_argument("--r", type=_frac, required=True)
     sweep.add_argument("--eps-list", dest="eps_list", type=_frac_list, required=True)
     sweep.add_argument("--csv", default="errprob_sweep.csv")
-    split = _leaf(errprob_sub, "hadamard-split", _cmd_errprob_hadamard_split, "errprob hadamard-split", help="root-test radius estimates for one (t,s) column")
+    split = _leaf(errprob_sub, "hadamard-split", _cmd_errprob_hadamard_split, "errprob hadamard-split", help="exact radii and verdicts for one (t,s) column")
     split.add_argument("--n", type=int, required=True)
     split.add_argument("--r", type=_frac, required=True)
     split.add_argument("--t", type=int, required=True)

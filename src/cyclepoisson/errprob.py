@@ -19,7 +19,8 @@ value and per-v terms:
 The same sum rearranges into per-(t,s) inner power sums with the n^{2v}
 factored out of x, and the question of bounding those inner series leads
 to the Hadamard product machinery: exact finite identities, a divergence
-demonstration, root-test radius estimates per coefficient sequence, and a
+demonstration, the exact radius of convergence of each (t,s) coefficient
+sequence (one column's v! A terms grow like (t^2/2)^v), and a
 contour-integral evaluation of the Hadamard product of two truncated
 series.
 
@@ -60,7 +61,6 @@ __all__ = [
     "hadamard_split_report",
     "ContourResult",
     "hadamard_contour",
-    "contour_power_average",
     "default_contour_radius",
 ]
 
@@ -284,7 +284,7 @@ def known_series_check(n: int, x) -> KnownSeriesReport:
 
     The factorial series sum_v v! x^v has term ratio (v+1) x, unbounded for
     any x != 0, so it diverges everywhere; the report lists the first few
-    ratios and where they cross 1.
+    ratios and the v where they cross 1, max(1, floor(1/|x|)) exactly.
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
@@ -295,7 +295,8 @@ def known_series_check(n: int, x) -> KnownSeriesReport:
     )
     plain = sum((binomial(n, v) * x**v for v in range(n + 1)), Fraction(0))
     ratios = tuple((v, (v + 1) * abs(x)) for v in range(1, 13))
-    first = next((v for v, r in ratios if r > 1), None)
+    # the smallest v >= 1 with (v+1)|x| > 1
+    first = max(1, math.floor(1 / abs(x))) if x else None
     return KnownSeriesReport(
         n=n,
         x=x,
@@ -310,14 +311,16 @@ def known_series_check(n: int, x) -> KnownSeriesReport:
 
 
 # ----------------------------------------------------------------------
-# root-test radius estimates for the three candidate splits
+# exact radii for the three candidate splits
 # ----------------------------------------------------------------------
 
 SERIES_IDS = ("factorial", "factorial-over-n2v", "binomial-over-n2v")
 
 _SPLIT_NOTE = (
-    "estimates apply to one (t,s) coefficient column at a time; bounding "
-    "the sum over all (t,s) remains outstanding"
+    "radii are exact for one (t,s) column, whose v! A terms grow like "
+    "(t^2/2)^v; summed over all (t,s), the v-th term of the factorial "
+    "series at x = 2 eps/((1-eps) m^2) is (eps/(1-eps))^v (1 - W_v/m^(2v)) "
+    "with W_v = 0 for v >= m, so that series converges iff eps < 1/2"
 )
 
 
@@ -326,8 +329,8 @@ class SequenceEstimate:
     series_id: str
     window: tuple[int, int]
     estimate: float  # sup over the window of |c_v|^(1/v); 0 for all-zero
-    radius: float  # 1/estimate; inf for an all-zero window or a finite sum
-    verdict: str  # zero-radius | finite-radius | infinite-radius
+    radius: Fraction | float  # exact; math.inf for a zero column or a finite sum
+    verdict: str  # finite-radius | infinite-radius
     per_x: tuple[tuple[Fraction, str], ...]  # bounded | divergent | boundary
 
 
@@ -350,48 +353,74 @@ class HadamardSplitReport:
         return "\n".join(lines) + "\n"
 
 
-def _root_test(coeffs: dict[int, Fraction], window: range) -> tuple[float, float]:
-    """Sup of |c_v|^(1/v) over the window via exact logs, plus 1/sup."""
+def _root_test(coeffs: dict[int, Fraction], window: range) -> float:
+    """Sup of |c_v|^(1/v) over the window via exact logs; 0 for all-zero."""
     best = 0.0
     for v in window:
         c = coeffs.get(v)
         if c:
             best = max(best, math.exp(log_fraction(abs(c), base="e") / v))
-    if best == 0.0:
-        return 0.0, math.inf
-    return best, 1.0 / best
+    return best
+
+
+def _split_radius(series_id: str, m: int, t: int, s: int, n: int) -> Fraction | float:
+    """Exact radius of convergence of one split sequence of column (t,s).
+
+    v! A(v,t,s) = M(t,s) C(v,t,s) / 2^v, with M(t,s) = m!/(t! s! (m-t-s)!)
+    and C the m-free integers of table._profile_counts:
+        C(v,t,0) = P_t[2v] = (2v)! [x^(2v)] (e^x - 1 - x)^t,
+        C(v,t,s) = 2v ((s-1) C(v-1,t,s-2) + t C(v-1,t,s-1) + t C(v-1,t-1,s)).
+    The column is zero when t = 0 (only the origin has t = 0) or when
+    t + s > m (M = 0), and every radius is then infinite.  Otherwise
+    C(v,t,s)^(1/v) -> t^2, so the rate of v! A is t^2/2:
+
+    * lower bound: keeping only the t C(v-1,t,s-1) term s times leads down
+      to P_t[2(v-s)], so C(v,t,s) >= (2t)^s (v)_s P_t[2(v-s)], where
+      (v)_s = v (v-1) ... (v-s+1); P_t[N] counts the maps of N points onto
+      t blocks that leave every block at least 2 points, and a union bound
+      over the block left with 0 or 1 point gives, for N >= 2,
+      P_t[N] >= t^N - t (t-1)^(N-1) (N + t - 1).
+    * upper bound: each step of the recurrence lowers t + s by at least one,
+      so a path carries at most t + s factors 2v' <= 2v, its weights sum to
+      at most 2t + s per step, and it ends at some P_t'[2w] <= t'^(2w) <= t^(2v):
+      C(v,t,s) <= (2v (2t + s))^(t+s) t^(2v) for v >= 1.
+
+    Both bounds are t^(2v) times a factor whose v-th root tends to 1, so
+    the radius of sum_v v! A x^v ("factorial") is 2/t^2, and dividing the
+    terms by n^(2v) ("factorial-over-n2v") scales it to 2 n^2/t^2.
+    "binomial-over-n2v" is zero past v = n: a polynomial, infinite radius.
+    """
+    if t < 1 or t + s > m or series_id == "binomial-over-n2v":
+        return math.inf
+    radius = Fraction(2, t * t)
+    return radius * n * n if series_id == "factorial-over-n2v" else radius
 
 
 def hadamard_split_report(
     table: CoeffTable, t: int, s: int, n: int, x_grid=()
 ) -> HadamardSplitReport:
-    """Root-test radius estimates for the three candidate splits of one column.
+    """Exact radii and verdicts for the three candidate splits of one column.
 
     The sequences are {v! A(v,t,s)}, {v! A(v,t,s)/n^{2v}} and
-    {C(n,v) A(v,t,s)/n^{2v}}.  The root test runs over the trailing half of
-    the available v-range (at least 5 points); it is a window estimate of
-    the limsup, not a proof.  The binomial sequence is zero for v > n, so
-    its sum is a polynomial: its radius is infinite whatever the window
-    estimate reads.  Each x in x_grid gets a verdict per sequence:
-    bounded when |x| is below the estimated radius, divergent above,
-    boundary at it.
+    {C(n,v) A(v,t,s)/n^{2v}}; _split_radius gives each one's radius from
+    the closed-form column rate, whatever the table's depth.  Each x in
+    x_grid gets a verdict per sequence: bounded when |x| is below the
+    radius, boundary at it, divergent above.  Beside the radius, the
+    estimate is an observation only: a root test, the sup of |c_v|^(1/v)
+    over the trailing half of the table's v-range, which approaches the
+    rate 1/radius slowly.
 
     Raises:
-        CoverageError: fewer than 5 points in the trailing window.
+        ValidationError: n < 1, or a negative t or s.
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
+    if t < 0 or s < 0:
+        raise ValidationError("t and s must be >= 0, got t=%d s=%d" % (t, s))
     vmax = table.vmax
-    start = vmax // 2 + 1
-    window = range(start, vmax + 1)
-    if len(window) < 5:
-        raise CoverageError(
-            "root-test window %d-%d has %d points, need at least 5"
-            % (start, vmax, len(window)),
-            missing=list(range(vmax + 1, vmax + (5 - len(window)) + 1)),
-        )
+    window = range(vmax // 2 + 1, vmax + 1)
     n2 = Fraction(n) ** 2
-    column = {v: table.value(v, t, s) for v in range(1, vmax + 1)}
+    column = {v: table.value(v, t, s) for v in window}
     sequences = {
         "factorial": {v: factorial(v) * a for v, a in column.items()},
         "factorial-over-n2v": {
@@ -401,34 +430,25 @@ def hadamard_split_report(
             v: binomial(n, v) * a / n2**v for v, a in column.items()
         },
     }
+    x_grid = [Fraction(x) for x in x_grid]
     estimates = []
     for sid in SERIES_IDS:
-        est, radius = _root_test(sequences[sid], window)
-        if sid == "binomial-over-n2v":
-            radius = math.inf
-        if math.isinf(radius):
-            verdict = "infinite-radius"
-        elif radius == 0.0:
-            verdict = "zero-radius"
-        else:
-            verdict = "finite-radius"
+        radius = _split_radius(sid, table.m, t, s, n)
         per_x = []
         for x in x_grid:
-            x = Fraction(x)
-            ax = abs(x)
-            if ax < radius:
+            if abs(x) < radius:
                 per_x.append((x, "bounded"))
-            elif ax == radius:
+            elif abs(x) == radius:
                 per_x.append((x, "boundary"))
             else:
                 per_x.append((x, "divergent"))
         estimates.append(
             SequenceEstimate(
                 series_id=sid,
-                window=(start, vmax),
-                estimate=est,
+                window=(window.start, vmax),
+                estimate=_root_test(sequences[sid], window),
                 radius=radius,
-                verdict=verdict,
+                verdict="infinite-radius" if math.isinf(radius) else "finite-radius",
                 per_x=tuple(per_x),
             )
         )
@@ -440,22 +460,6 @@ def hadamard_split_report(
 # ----------------------------------------------------------------------
 # Hadamard product by contour quadrature
 # ----------------------------------------------------------------------
-
-
-def contour_power_average(j: int, rho: float, nodes: int) -> complex:
-    """(1/N) sum_k w_k^j on the circle of radius rho.
-
-    Discrete orthogonality: exactly rho^j when N divides j (in particular
-    1 at j=0) and 0 for every other |j| < N, up to float rounding.  This is
-    the identity the Hadamard quadrature rests on.
-    """
-    if nodes < 1:
-        raise ValidationError("nodes must be >= 1")
-    total = 0j
-    for k in range(nodes):
-        w = rho * cmath.exp(2j * cmath.pi * k / nodes)
-        total += w**j
-    return total / nodes
 
 
 def default_contour_radius(z) -> float:

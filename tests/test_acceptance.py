@@ -26,14 +26,14 @@ from cyclepoisson.combinatorics import (
     log10_fraction,
     stirling_relative_error,
 )
-from cyclepoisson.errprob import contour_power_average, hadamard_contour, known_series_check
+from cyclepoisson.errprob import hadamard_contour, known_series_check
 from cyclepoisson.pde import (
     alpha_discriminant,
     classify_point,
     pde_residual,
     residual_reconciliation,
 )
-from cyclepoisson.series import geometric_series, poisson_block_series
+from cyclepoisson.series import geometric_series, monomial, poisson_block_series
 from cyclepoisson.simulator import (
     _build_lut,
     _range_failures,
@@ -243,11 +243,12 @@ def test_criterion_10_hadamard_quadrature():
     result = hadamard_contour(geo, geo, 0.25, rho=0.5, tol=1e-8)
     assert result.nodes <= 256
     assert abs(result.value - exact) < 1e-8
-    for nodes in (4, 8, 16):
-        for j in range(-(nodes - 1), nodes):
-            avg = contour_power_average(j, 1.0, nodes)
-            expect = 1.0 if j == 0 else 0.0
-            assert abs(avg - expect) < 1e-12, (j, nodes)
+    # discrete orthogonality, the identity the quadrature rests on: the
+    # Hadamard product of z^i and z^j is z^i when i == j and 0 otherwise,
+    # also where |i - j| aliases at the first node counts
+    for i, j in itertools.product(range(8), repeat=2):
+        value = hadamard_contour(monomial(i, 8), monomial(j, 8), 0.5, rho=1.0).value
+        assert abs(value - (0.5**i if i == j else 0.0)) < 1e-12, (i, j)
 
 
 def test_criterion_11_known_series_identities():

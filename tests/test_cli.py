@@ -419,7 +419,38 @@ def test_hadamard_split_csv(tmp_path, capsys):
     assert rows[0] == "t,s,series_id,v_window,root_test_estimate,verdict"
     assert len(rows) == 4
     assert "x=1/2 -> bounded" in out
-    assert "x=2 -> divergent" in out
+    # 2 is the factorial sequence's exact radius 2/t^2 at t = 1
+    assert "x=2 -> boundary" in out
+    assert "factorial: window v=7..12 estimate=0.584965 radius=2 (finite-radius)" in out
+
+
+def test_hadamard_split_t5_uses_the_exact_radius(tmp_path, capsys):
+    # the window estimate over v = 5..9 reads radius 0.0446 < 1/20; the
+    # exact radius is 2/25
+    rc, out, _ = run_cli(
+        capsys, "--out", str(tmp_path),
+        "errprob", "hadamard-split", "--n", "10", "--r", "0",
+        "--t", "5", "--s", "0", "--vmax", "9", "--x-list", "1/20",
+    )
+    assert rc == 0
+    lines = out.splitlines()
+    assert lines[0].startswith("factorial: window v=5..9 ")
+    assert lines[0].endswith(" radius=2/25 (finite-radius)")
+    assert lines[1] == "  x=1/20 -> bounded"
+    assert "radius=inf (infinite-radius)" in out
+
+
+@pytest.mark.parametrize("column", [["--t", "-1", "--s", "0"], ["--t", "1", "--s", "-2"]])
+def test_hadamard_split_negative_column_exits_2(column, tmp_path, capsys):
+    out_dir = tmp_path / "fresh"
+    rc, out, err = run_cli(
+        capsys, "--out", str(out_dir),
+        "errprob", "hadamard-split", "--n", "12", "--r", "3/4", *column,
+    )
+    assert rc == 2
+    assert out == ""
+    assert "t and s must be >= 0" in err
+    assert not out_dir.exists()
 
 
 def test_hadamard_check_passes(tmp_path, capsys):
@@ -435,6 +466,15 @@ def test_known_series_output(tmp_path, capsys):
     assert rc == 0
     assert "diverges: True" in out
     assert "polynomial identities" in out
+
+
+def test_known_series_crossing_past_the_listed_ratios(tmp_path, capsys):
+    # (v+1)/20 > 1 first at v = 20, beyond the twelve ratios the report lists
+    rc, out, _ = run_cli(
+        capsys, "--out", str(tmp_path), "errprob", "known-series", "--n", "12", "--x", "1/20"
+    )
+    assert rc == 0
+    assert "  term ratio (v+1)|x| first exceeds 1 at v=20\n" in out
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,6 @@ from cyclepoisson.errprob import (
     ErrProbQuery,
     _forest_counts,
     block_error_probability,
-    contour_power_average,
     default_contour_radius,
     expected_block_error,
     hadamard_contour,
@@ -28,7 +27,7 @@ from cyclepoisson.errprob import (
 )
 from cyclepoisson.series import Series, geometric_series, monomial
 from cyclepoisson.simulator import EXHAUSTIVE_CODE_GUARD, exhaustive_block_error
-from cyclepoisson.table import EnsembleParams, fill_table
+from cyclepoisson.table import EnsembleParams, _profile_counts, fill_table
 
 
 @pytest.fixture(scope="module")
@@ -278,8 +277,23 @@ def test_known_series_factorial_trivial_at_zero():
     assert report.first_ratio_above_one is None
 
 
+@pytest.mark.parametrize(
+    "x, first",
+    [(Fraction(1, 20), 20), (Fraction(-1, 20), 20), (Fraction(2, 5), 2),
+     (Fraction(1, 100), 100), (Fraction(1, 3), 3), (Fraction(7), 1), (Fraction(1), 1)],
+)
+def test_known_series_first_crossing_past_the_listed_ratios(x, first):
+    # the crossing is the smallest v >= 1 with (v+1)|x| > 1, also where the
+    # listed ratios (v <= 12) stay below 1, as at x = 1/20
+    report = known_series_check(12, x)
+    assert report.first_ratio_above_one == first
+    assert (first + 1) * abs(x) > 1
+    assert first == 1 or first * abs(x) <= 1
+    assert len(report.ratios) == 12
+
+
 # ----------------------------------------------------------------------
-# root-test split report
+# exact split radii
 # ----------------------------------------------------------------------
 
 
@@ -289,18 +303,27 @@ def m3_deep():
 
 
 def test_split_report_factorial_radius(m3_deep):
-    # A(v,1,0) = 3/(2^v v!), so the factorial sequence is 3/2^v and the
-    # window estimate approaches 1/2 from above
+    # A(v,1,0) = 3/(2^v v!), so the factorial sequence is 3/2^v: radius 2
+    # exactly, while the window estimate approaches the rate 1/2 from above
     report = hadamard_split_report(m3_deep, 1, 0, 12, x_grid=[1, 10])
     est = {e.series_id: e for e in report.estimates}
     fac = est["factorial"]
     assert fac.window == (7, 12)
     assert 0.5 < fac.estimate < 0.65
-    assert 1.5 < fac.radius < 2.0
+    assert fac.radius == 2 and isinstance(fac.radius, Fraction)
     assert fac.verdict == "finite-radius"
     assert dict(fac.per_x)[Fraction(1)] == "bounded"
     assert dict(fac.per_x)[Fraction(10)] == "divergent"
-    assert "one (t,s)" in report.note
+    assert est["factorial-over-n2v"].radius == 2 * 144
+    assert "converges iff eps < 1/2" in report.note
+
+
+def test_split_report_boundary_at_the_exact_radius(m3_deep):
+    # x = 2 is the factorial sequence's radius at (t,s) = (1,0); the window
+    # estimate (0.585 over v = 7..12) used to call it divergent
+    report = hadamard_split_report(m3_deep, 1, 0, 12, x_grid=[2, Fraction(-2)])
+    fac = {e.series_id: e for e in report.estimates}["factorial"]
+    assert fac.per_x == ((Fraction(2), "boundary"), (Fraction(-2), "boundary"))
 
 
 def test_split_report_binomial_sequence_is_finite(m3_deep):
@@ -323,10 +346,79 @@ def test_split_report_zero_column(m3_deep):
         assert dict(e.per_x)[Fraction(5)] == "bounded"
 
 
-def test_split_report_window_too_short():
+def test_split_report_short_window_gives_exact_verdicts():
+    # a table of depth 3 leaves a two-point window (v = 2..3); the radii and
+    # verdicts do not depend on it
     table = fill_table(EnsembleParams.from_checks(3), vmax=3)
-    with pytest.raises(CoverageError):
-        hadamard_split_report(table, 1, 0, 3)
+    report = hadamard_split_report(table, 1, 0, 3, x_grid=[1, 2, 3])
+    est = {e.series_id: e for e in report.estimates}
+    assert est["factorial"].window == (2, 3)
+    assert est["factorial"].radius == 2
+    assert est["factorial"].per_x == (
+        (Fraction(1), "bounded"), (Fraction(2), "boundary"), (Fraction(3), "divergent"),
+    )
+    assert est["factorial-over-n2v"].radius == 18
+    assert math.isinf(est["binomial-over-n2v"].radius)
+
+
+@pytest.mark.parametrize("m, depths", [(3, (0, 1, 3, 12)), (10, (0, 4, 10)), (60, (0, 2, 9))])
+def test_split_radii_are_exact_at_every_depth(m, depths):
+    n = 4 * m
+    for vmax in depths:
+        table = fill_table(EnsembleParams(n=n, r=Fraction(3, 4)), vmax=vmax)
+        assert table.m == m
+        for t in range(6):
+            for s in range(4):
+                radii = {
+                    e.series_id: e.radius
+                    for e in hadamard_split_report(table, t, s, n).estimates
+                }
+                assert math.isinf(radii["binomial-over-n2v"])
+                if t == 0 or t + s > m:
+                    assert all(math.isinf(r) for r in radii.values()), (m, vmax, t, s)
+                else:
+                    assert radii["factorial"] == Fraction(2, t * t)
+                    assert radii["factorial-over-n2v"] == Fraction(2 * n * n, t * t)
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
+def test_column_rate_bounds_hold_to_v400(t):
+    # the two-sided bound of _split_radius's docstring, in integers:
+    #   (2t)^s (v)_s (t^N - t (t-1)^(N-1) (N + t - 1)) <= C(v,t,s), N = 2(v-s)
+    #   C(v,t,s) <= (2v (2t + s))^(t+s) t^(2v)
+    vmax = 400
+    counts = _profile_counts(t + 3, vmax)
+    for s in range(4):
+        for v in range(1, vmax + 1):
+            c = counts[v][t][s]
+            assert c <= (2 * v * (2 * t + s)) ** (t + s) * t ** (2 * v), (t, s, v)
+            if v > s:
+                falling = math.perm(v, s)
+                big_n = 2 * (v - s)
+                p_low = t**big_n - t * (t - 1) ** (big_n - 1) * (big_n + t - 1)
+                assert (2 * t) ** s * falling * p_low <= c, (t, s, v)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_all_columns_factorial_term_closed_form(m):
+    # the note's statement: at x = 2 eps/((1-eps) m^2), v! x^v sum_{t,s}
+    # A(v,t,s) = (eps/(1-eps))^v (1 - W_v/m^(2v)), with W_v = 0 for v >= m
+    n = 2 * m + 2
+    table = fill_table(EnsembleParams(n=n, r=Fraction(n - m, n)), vmax=n)
+    sums = table.level_sums()
+    forests = _forest_counts(m)
+    for eps in (Fraction(1, 10), Fraction(1, 2), Fraction(3, 4)):
+        x = 2 * eps / ((1 - eps) * m * m)
+        for v in range(1, n + 1):
+            w = forests[v] if v < m else 0
+            expect = (eps / (1 - eps)) ** v * (1 - Fraction(w, m ** (2 * v)))
+            assert factorial(v) * x**v * sums.get(v, Fraction(0)) == expect, (m, eps, v)
+
+
+@pytest.mark.parametrize("t, s", [(-1, 0), (1, -2), (-3, -1)])
+def test_split_report_rejects_negative_column(m3_deep, t, s):
+    with pytest.raises(ValidationError, match="t and s must be >= 0"):
+        hadamard_split_report(m3_deep, t, s, 12)
 
 
 def test_split_report_csv(m3_deep):
@@ -342,16 +434,6 @@ def test_split_report_csv(m3_deep):
 # ----------------------------------------------------------------------
 # contour quadrature
 # ----------------------------------------------------------------------
-
-
-def test_contour_orthogonality():
-    rho = 0.7
-    for j in (1, -1, 5, -5, 63, -63):
-        # rounding noise scales with the term magnitude rho^j
-        assert abs(contour_power_average(j, rho, 64)) < 1e-12 * max(1.0, rho**j)
-    assert abs(contour_power_average(0, rho, 64) - 1) < 1e-12
-    # j = N wraps around to rho^N
-    assert abs(contour_power_average(64, rho, 64) - rho**64) < 1e-12
 
 
 def test_contour_geometric_case():
