@@ -328,7 +328,7 @@ _SPLIT_NOTE = (
 class SequenceEstimate:
     series_id: str
     window: tuple[int, int]
-    estimate: float  # sup over the window of |c_v|^(1/v); 0 for all-zero
+    estimate: float  # sup over the window of |c_v|^(1/v); 0 for all-zero, nan if empty
     radius: Fraction | float  # exact; math.inf for a zero column or a finite sum
     verdict: str  # finite-radius | infinite-radius
     per_x: tuple[tuple[Fraction, str], ...]  # bounded | divergent | boundary
@@ -354,7 +354,13 @@ class HadamardSplitReport:
 
 
 def _root_test(coeffs: dict[int, Fraction], window: range) -> float:
-    """Sup of |c_v|^(1/v) over the window via exact logs; 0 for all-zero."""
+    """Sup of |c_v|^(1/v) over the window via exact logs.
+
+    0 for a window of zeros; nan for an empty window (a table of depth 0),
+    which has no value to estimate from.
+    """
+    if not window:
+        return math.nan
     best = 0.0
     for v in window:
         c = coeffs.get(v)

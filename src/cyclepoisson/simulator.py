@@ -325,25 +325,26 @@ def _build_lut(params: EnsembleParams) -> np.ndarray:
 
 
 def _uniform_index_np(u: np.ndarray, m: int) -> np.ndarray:
-    """(u * m) >> 53 for u < 2^53 and m < 2^32, without leaving uint64.
+    """(u * m) >> 53 for u < 2^53 and m < 2^32, in place in u; returns u.
 
     u * m = (uh * 2^26 + ul) * m with uh = u >> 26 < 2^27 and ul < 2^26;
-    both partial products and their sum stay below 2^60.  For m <= 2^11,
-    u * m itself stays below 2^64.
+    both partial products and their sum stay below 2^60, so no step leaves
+    uint64, and the low part is the one temporary.  For m <= 2^11, u * m
+    itself stays below 2^64.
     """
     mu = _U(m)
     if m <= 1 << 11:
-        high = u * mu
-        high >>= _U(53)
-        return high
+        u *= mu
+        u >>= _U(53)
+        return u
     low = u & _LOW26
     low *= mu
     low >>= _U(26)
-    high = u >> _U(26)
-    high *= mu
-    high += low
-    high >>= _U(27)
-    return high
+    u >>= _U(26)
+    u *= mu
+    u += low
+    u >>= _U(27)
+    return u
 
 
 def _erased_np(u: np.ndarray, p: int, q: int) -> np.ndarray:

@@ -68,6 +68,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import add, floordiv, lt, mod, mul
 
 from .combinatorics import (
     binomial,
@@ -94,9 +95,12 @@ BRUTE_FORCE_GUARD = 10**8
 
 _HEADER_MAGIC = "CPTABLE 2"
 _HEADER_RE = re.compile(r"^m=(0|[1-9][0-9]*) vmax=(0|[1-9][0-9]*) base=([a-z-]+)$")
-_ROW_RE = re.compile(
-    r"^(0|[1-9][0-9]*) (0|[1-9][0-9]*) (0|[1-9][0-9]*) (-?(?:0|[1-9][0-9]*))/([1-9][0-9]*)$"
-)
+# one row "<v> <t> <s> <num>/<den>", or several joined by newlines
+_ROW = r"(?:0|[1-9][0-9]*) (?:0|[1-9][0-9]*) (?:0|[1-9][0-9]*) -?(?:0|[1-9][0-9]*)/[1-9][0-9]*"
+_ROWS_RE = re.compile(r"(?:%s\n)*%s" % (_ROW, _ROW))
+# rows that load_table checks per pass: one batch's parsed columns stay
+# small beside the table they fill
+_LOAD_BATCH = 4096
 _TRAILER_RE = re.compile(rb"end sha256=([0-9a-f]{64})\n")
 # the v = 0 plane as counts (there 0! * 2^0 = 1, so B = A) and the header
 # label CPTABLE 2 files carry for it
@@ -362,7 +366,9 @@ def verify_table(table: CoeffTable) -> list[str]:
     (including entries stored as zero by omission), and the boundary
     identity
     v! * 2^v * A(v,t,0) == binom(m,t) * (2v)! * [x^(2v)] (e^x - 1 - x)^t.
-    Both checks read the integer counts B = v! * 2^v * A.  The recurrence
+    Both checks read the integer counts B = v! * 2^v * A, a level at a
+    time as rows of lists (_level_rows), so an entry stored outside the
+    support is read wherever a check names its key.  The recurrence
     is checked as s * B(v,t,s) == 2v * R(B(v-1)) with R its right-hand
     side; outside the profile support both sides vanish once no entry is
     stored there, so those rows are not visited.  The boundary side is
@@ -385,19 +391,43 @@ def verify_table(table: CoeffTable) -> list[str]:
         elif 2 * t + s > 2 * v:
             bad.append("entry outside profile support 2t+s <= 2v at (%d,%d,%d)" % (v, t, s))
     blocks = block_partition_table(min(m, vmax), 2 * vmax, 2)
-    get = counts.get
-    for v in range(1, vmax + 1):
+    levels = _level_rows(counts, m, vmax)
+    prev = next(levels)
+    for v, level in enumerate(levels, start=1):
         for t in range(1, min(v, m) + 1):
-            if get((v, t, 0), 0) != binomial(m, t) * blocks[t][2 * v]:
+            cur, same, left = level[t], prev[t], prev[t - 1]
+            if cur[0] != binomial(m, t) * blocks[t][2 * v]:
                 bad.append("boundary identity fails at (v=%d,t=%d)" % (v, t))
             for s in range(1, min(m - t, 2 * (v - t)) + 1):
                 u = m - t - s
-                rhs = get((v - 1, t, s - 1), 0) * t + get((v - 1, t - 1, s), 0) * s
+                rhs = same[s - 1] * t + left[s] * s
                 if s >= 2:
-                    rhs += get((v - 1, t, s - 2), 0) * (u + 2)
-                if s * get((v, t, s), 0) != 2 * v * (u + 1) * rhs:
+                    rhs += same[s - 2] * (u + 2)
+                if s * cur[s] != 2 * v * (u + 1) * rhs:
                     bad.append("recurrence fails at (%d,%d,%d)" % (v, t, s))
+        prev = level
     return bad
+
+
+def _level_rows(counts: dict[tuple[int, int, int], int], m: int, vmax: int):
+    """Each level v = 0..vmax in turn, as rows[t][s] = counts.get((v, t, s), 0).
+
+    The rows cover t <= min(v + 1, m, vmax) and s <= min(m - t,
+    2 (vmax - t)): every key the checks of verify_table read at level v,
+    as the level checked and as the one below level v + 1, stored or not
+    and inside the profile support or not.  The rows of every level are a
+    prefix of one key layout, so one map over it fetches a level.
+    """
+    widths = [min(m - t, 2 * (vmax - t)) + 1 for t in range(min(m, vmax) + 1)]
+    ts = [t for t, w in enumerate(widths) for _ in range(w)]
+    ss = [s for w in widths for s in range(w)]
+    ends = list(itertools.accumulate(widths))
+    spans = list(zip([0] + ends, ends))
+    for v in range(vmax + 1):
+        top = min(v + 1, len(widths) - 1)
+        keys = zip(itertools.repeat(v, ends[top]), ts, ss)
+        flat = list(map(counts.get, keys, itertools.repeat(0)))
+        yield [flat[a:b] for a, b in spans[: top + 1]]
 
 
 # ----------------------------------------------------------------------
@@ -475,8 +505,10 @@ def save_table(table: CoeffTable, path) -> None:
     file cannot load.
     """
     lines = [_HEADER_MAGIC, "m=%d vmax=%d base=%s" % (table.m, table.vmax, _ORIGIN_LABEL)]
+    level = w = None
     for (v, t, s), b in sorted(table.counts.items()):
-        w = _weight(v)
+        if v != level:
+            level, w = v, _weight(v)
         g = gcd(b, w)
         lines.append("%d %d %d %d/%d" % (v, t, s, b // g, w // g))
     body = ("\n".join(lines) + "\n").encode("ascii")
@@ -484,13 +516,17 @@ def save_table(table: CoeffTable, path) -> None:
         fh.write(body + b"end sha256=%s\n" % hashlib.sha256(body).hexdigest().encode())
 
 
-def _checked_body(data: bytes) -> list[str]:
-    """The lines before the trailer, once the trailer's sha256 matches them.
+def _checked_body(path) -> list[str]:
+    """The file's lines before the trailer, once the trailer's sha256 matches them.
 
     The trailer must be the file's last line, so a file cut anywhere, or
     with anything after the trailer, is rejected here.  CPTABLE 1 files
     have no trailer; they are rejected with the command that rebuilds them.
+    The body is hashed and decoded through a view, and the raw bytes are
+    dropped before the split, so at most two copies of the body are alive.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
     if data.startswith(b"CPTABLE 1\n"):
         header = _HEADER_RE.match(data.split(b"\n", 2)[1].decode("ascii", "replace"))
         rebuild = "--m %s --vmax %s" % (header.groups()[:2] if header else ("<m>", "<vmax>"))
@@ -500,63 +536,79 @@ def _checked_body(data: bytes) -> list[str]:
             line=1,
         )
     start = data.rfind(b"\n", 0, len(data) - 1) + 1
-    body = data[:start]
     trailer = _TRAILER_RE.fullmatch(data, start)
     if not trailer:
         raise TableFormatError(
             "last line is not the trailer 'end sha256=<64 hex>' (truncated file?)",
-            line=body.count(b"\n") + 1,
+            line=data.count(b"\n", 0, start) + 1,
         )
-    if hashlib.sha256(body).hexdigest().encode() != trailer.group(1):
-        raise TableFormatError(
-            "sha256 of the body does not match the trailer", line=body.count(b"\n") + 1
-        )
-    try:
-        text = body.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise TableFormatError(
-            "non-ASCII byte at offset %d" % exc.start, line=body.count(b"\n", 0, exc.start) + 1
-        ) from None
+    with memoryview(data)[:start] as body:
+        if hashlib.sha256(body).hexdigest().encode() != trailer.group(1):
+            raise TableFormatError(
+                "sha256 of the body does not match the trailer",
+                line=data.count(b"\n", 0, start) + 1,
+            )
+        try:
+            text = str(body, "ascii")
+        except UnicodeDecodeError as exc:
+            raise TableFormatError(
+                "non-ASCII byte at offset %d" % exc.start,
+                line=data.count(b"\n", 0, exc.start) + 1,
+            ) from None
+    del data, trailer
     return text.split("\n")[:-1]
 
 
-def load_table(path) -> CoeffTable:
-    """Load a CPTABLE 2 file completely, or raise TableFormatError.
+def _batch_rows(batch: list[str], prev_key, m: int, vmax: int, small: dict[str, int]):
+    """Keys and counts of a batch of rows when every row check passes, else None.
 
-    The trailer is checked first: it must be the last line and its sha256
-    must match every byte before it, which rules out any truncation or
-    changed byte.  Then the body must be ASCII, and: header magic and
-    fields, row syntax, lowest-terms normalization with positive
-    denominator, strictly increasing (v, t, s) order, no zero values,
-    indices inside the declared support, a denominator that divides
-    v! * 2^v (the table stores the integer B = v! * 2^v * A), the base
-    label unit-origin, the origin row 0 0 0 1/1 as the only v = 0 row, and
-    rows up to exactly the declared vmax.
+    Each check is one pass over the whole batch (a regex match of the
+    joined rows, then map and zip over the parsed columns), so no row runs
+    interpreter code of its own.  The checks are those of _walk_rows.
+    small maps decimal strings to ints, which a dict lookup does several
+    times faster than int(); a row with an index it lacks goes to
+    _walk_rows.
     """
-    with open(path, "rb") as fh:
-        lines = _checked_body(fh.read())
-    if not lines or lines[0] != _HEADER_MAGIC:
-        raise TableFormatError("bad magic, expected %r" % (_HEADER_MAGIC,), line=1)
-    if len(lines) < 2:
-        raise TableFormatError("missing header line", line=2)
-    header = _HEADER_RE.match(lines[1])
-    if not header:
-        raise TableFormatError("bad header %r" % (lines[1],), line=2)
-    m = int(header.group(1))
-    vmax = int(header.group(2))
-    if header.group(3) != _ORIGIN_LABEL:
-        raise TableFormatError("unknown base %r" % (header.group(3),), line=2)
-    params = EnsembleParams.from_checks(m) if m >= 1 else None
-    if params is None:
-        raise TableFormatError("m must be >= 1", line=2)
+    text = "\n".join(batch)
+    if not _ROWS_RE.fullmatch(text):
+        return None
+    tokens = text.replace("/", " ").split()
+    try:
+        vs, ts, ss = (list(map(small.__getitem__, tokens[i::5])) for i in range(3))
+    except KeyError:
+        return None
+    nums, dens = (list(map(int, tokens[i::5])) for i in (3, 4))
+    keys = list(zip(vs, ts, ss))
+    # a v = 0 row can only be the origin, and only as the body's first row
+    origin = prev_key is None and keys[0] == (0, 0, 0) and nums[0] == dens[0] == 1
+    if (
+        0 in nums
+        or max(map(gcd, nums, dens)) != 1
+        or not (prev_key is None or prev_key < keys[0])
+        or not all(map(lt, keys, itertools.islice(keys, 1, None)))
+        or max(vs) > vmax
+        or vs.count(0) != origin
+        or ts.count(0) != origin
+        or max(map(add, ts, ss)) > m
+    ):
+        return None
+    ws = list(map(_weight, vs))  # cached: one v! * 2^v per level
+    if any(map(mod, ws, dens)):
+        return None
+    return keys, list(map(mul, nums, map(floordiv, ws, dens)))
 
-    counts: dict[tuple[int, int, int], int] = {}
-    prev_key = None
-    for idx, line in enumerate(lines[2:], start=3):
-        row = _ROW_RE.match(line)
-        if not row:
+
+def _walk_rows(batch: list[str], first_line: int, prev_key, m: int, vmax: int):
+    """Keys and counts of a batch of rows, checked one row at a time.
+
+    Raises TableFormatError at the first row that fails a check, with the
+    file line number; first_line is the line of batch[0].
+    """
+    keys, values = [], []
+    for idx, line in enumerate(batch, start=first_line):
+        if not _ROWS_RE.fullmatch(line):
             raise TableFormatError("bad row %r" % (line,), line=idx)
-        v, t, s, num, den = map(int, row.groups())
+        v, t, s, num, den = map(int, line.replace("/", " ").split())
         if num == 0:
             raise TableFormatError("zero entries must be omitted", line=idx)
         if gcd(num, den) != 1:
@@ -578,9 +630,58 @@ def load_table(path) -> CoeffTable:
         b = num * scale
         if v == 0 and _ORIGIN.get(key) != b:
             raise TableFormatError("v=0 row conflicts with base=%s" % (_ORIGIN_LABEL,), line=idx)
-        counts[key] = b
+        keys.append(key)
+        values.append(b)
+    return keys, values
 
-    max_v = max((key[0] for key in counts), default=0)
+
+def load_table(path) -> CoeffTable:
+    """Load a CPTABLE 2 file completely, or raise TableFormatError.
+
+    The trailer is checked first: it must be the last line and its sha256
+    must match every byte before it, which rules out any truncation or
+    changed byte.  Then the body must be ASCII, and: header magic and
+    fields, row syntax, lowest-terms normalization with positive
+    denominator, strictly increasing (v, t, s) order, no zero values,
+    indices inside the declared support, a denominator that divides
+    v! * 2^v (the table stores the integer B = v! * 2^v * A), the base
+    label unit-origin, the origin row 0 0 0 1/1 as the only v = 0 row, and
+    rows up to exactly the declared vmax.  The rows are checked
+    _LOAD_BATCH at a time, each check one pass over the batch; a batch
+    that fails one is walked row by row, so the error names the first
+    failing line and check.
+    """
+    lines = _checked_body(path)
+    if not lines or lines[0] != _HEADER_MAGIC:
+        raise TableFormatError("bad magic, expected %r" % (_HEADER_MAGIC,), line=1)
+    if len(lines) < 2:
+        raise TableFormatError("missing header line", line=2)
+    header = _HEADER_RE.match(lines[1])
+    if not header:
+        raise TableFormatError("bad header %r" % (lines[1],), line=2)
+    m = int(header.group(1))
+    vmax = int(header.group(2))
+    if header.group(3) != _ORIGIN_LABEL:
+        raise TableFormatError("unknown base %r" % (header.group(3),), line=2)
+    params = EnsembleParams.from_checks(m) if m >= 1 else None
+    if params is None:
+        raise TableFormatError("m must be >= 1", line=2)
+
+    counts: dict[tuple[int, int, int], int] = {}
+    # a filled table's file has a row (v, 1, s) for every s level v uses, so
+    # its indices stay below its line count, which bounds this map however
+    # large a header declares m or vmax
+    small = {str(i): i for i in range(min(max(m, vmax), len(lines)) + 1)}
+    prev_key = None
+    for lo in range(2, len(lines), _LOAD_BATCH):
+        batch = lines[lo : lo + _LOAD_BATCH]
+        keys, values = _batch_rows(batch, prev_key, m, vmax, small) or _walk_rows(
+            batch, lo + 1, prev_key, m, vmax
+        )
+        counts.update(zip(keys, values))
+        prev_key = keys[-1]
+
+    max_v = prev_key[0] if prev_key else 0
     if max_v != vmax:
         raise TableFormatError(
             "rows stop at v=%d but the header declares vmax=%d" % (max_v, vmax), line=2

@@ -440,6 +440,24 @@ def test_hadamard_split_t5_uses_the_exact_radius(tmp_path, capsys):
     assert "radius=inf (infinite-radius)" in out
 
 
+def test_hadamard_split_depth_0_estimate_is_nan(tmp_path, capsys):
+    # a depth-0 table leaves the window v = 1..0 empty: nothing was
+    # measured, so the estimate reads nan, not 0; the radii stay exact
+    rc, out, _ = run_cli(
+        capsys, "--out", str(tmp_path),
+        "errprob", "hadamard-split", "--n", "20", "--r", "1/2",
+        "--t", "1", "--s", "0", "--vmax", "0",
+    )
+    assert rc == 0
+    assert "factorial: window v=1..0 estimate=nan radius=2 (finite-radius)" in out
+    rows = (tmp_path / "hadamard_split.csv").read_text().splitlines()
+    assert rows[1:] == [
+        "1,0,factorial,1-0,nan,finite-radius",
+        "1,0,factorial-over-n2v,1-0,nan,finite-radius",
+        "1,0,binomial-over-n2v,1-0,nan,infinite-radius",
+    ]
+
+
 @pytest.mark.parametrize("column", [["--t", "-1", "--s", "0"], ["--t", "1", "--s", "-2"]])
 def test_hadamard_split_negative_column_exits_2(column, tmp_path, capsys):
     out_dir = tmp_path / "fresh"

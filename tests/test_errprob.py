@@ -341,6 +341,8 @@ def test_split_report_binomial_sequence_is_finite(m3_deep):
 def test_split_report_zero_column(m3_deep):
     report = hadamard_split_report(m3_deep, 3, 1, 12, x_grid=[5])
     for e in report.estimates:
+        # a window of zeros reads 0; only an empty window reads nan
+        assert e.estimate == 0
         assert e.verdict == "infinite-radius"
         assert math.isinf(e.radius)
         assert dict(e.per_x)[Fraction(5)] == "bounded"

@@ -427,7 +427,8 @@ def test_estimate_very_wide_rationals_match_replay():
 def test_uint64_draw_maps_match_big_ints(u, m, q, data):
     p = data.draw(st.integers(0, q))
     arr = np.array(u, dtype=np.uint64)
-    assert _uniform_index_np(arr, m).tolist() == [(x * m) >> 53 for x in u]
+    # the map is in place, and arr is read again below
+    assert _uniform_index_np(arr.copy(), m).tolist() == [(x * m) >> 53 for x in u]
     assert _erased_np(arr, p, q).tolist() == [x * q < p << 53 for x in u]
 
 
@@ -694,6 +695,10 @@ def test_chunk_peak_memory():
     # lifts the peak to 2.78 MiB, and a (3n, trials) matrix of all draws
     # alone is 4.5 MiB
     assert _chunk_peak_mib(7, 0, 1 << 16, P33, 1, 5, _lut_for(3, 3)) < 2.5
+    # LUT path at eps = 1/2: about half the variables are erased, so the
+    # endpoint stage is the peak; the endpoints are mapped in place, and a
+    # fresh (2, k) product beside them lifts the peak above the bound
+    assert _chunk_peak_mib(7, 0, 1 << 16, P33, 1, 2, _lut_for(3, 3)) < 3.6
 
 
 def test_estimate_validation():

@@ -13,11 +13,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclepoisson.combinatorics import binomial, block_partition_count, factorial, log_fraction
+from cyclepoisson.combinatorics import (
+    binomial,
+    block_partition_count,
+    block_partition_table,
+    factorial,
+    log_fraction,
+)
 from cyclepoisson.errors import GuardError, ValidationError
 from cyclepoisson.series import poisson_block_series
 from cyclepoisson.simulator import _erasure_fails
 from cyclepoisson.table import (
+    _ORIGIN,
     EnsembleParams,
     _block_counts,
     boundary_layer,
@@ -242,6 +249,68 @@ def test_verify_table_flags_entry_outside_profile_support(key, expect):
     assert verify_table(table) == [
         "entry outside profile support 2t+s <= 2v at (%d,%d,%d)" % key
     ] + expect
+
+
+def _per_entry_verify(table):
+    # verify_table as it was before it read counts in rows: one counts.get
+    # per key each check reads, so an entry outside the support is read
+    # exactly where a visited row names it
+    m = table.m
+    vmax = table.vmax
+    counts = table.counts
+    bad = []
+    for (v, t, s), b in sorted(counts.items()):
+        if b == 0:
+            bad.append("stored zero at (%d,%d,%d)" % (v, t, s))
+        if v == 0:
+            if _ORIGIN.get((v, t, s)) != b:
+                bad.append("v=0 entry (%d,%d,%d)=%s conflicts with the origin" % (v, t, s, b))
+            continue
+        if v > vmax or not (1 <= t <= m) or not (0 <= s <= m - t):
+            bad.append("entry outside support at (%d,%d,%d)" % (v, t, s))
+        elif 2 * t + s > 2 * v:
+            bad.append("entry outside profile support 2t+s <= 2v at (%d,%d,%d)" % (v, t, s))
+    blocks = block_partition_table(min(m, vmax), 2 * vmax, 2)
+    get = counts.get
+    for v in range(1, vmax + 1):
+        for t in range(1, min(v, m) + 1):
+            if get((v, t, 0), 0) != binomial(m, t) * blocks[t][2 * v]:
+                bad.append("boundary identity fails at (v=%d,t=%d)" % (v, t))
+            for s in range(1, min(m - t, 2 * (v - t)) + 1):
+                u = m - t - s
+                rhs = get((v - 1, t, s - 1), 0) * t + get((v - 1, t - 1, s), 0) * s
+                if s >= 2:
+                    rhs += get((v - 1, t, s - 2), 0) * (u + 2)
+                if s * get((v, t, s), 0) != 2 * v * (u + 1) * rhs:
+                    bad.append("recurrence fails at (%d,%d,%d)" % (v, t, s))
+    return bad
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.integers(1, 6), data=st.data())
+def test_verify_table_matches_per_entry_reference(m, data):
+    # edits change, delete or insert counts: stored keys, any key of the
+    # levels the checks read (t = 0, t > v and t + s > m included), and
+    # keys a step outside the index ranges; from vmax = 2 on, some
+    # recurrence row reads level v - 1 at t - 1 = 0
+    vmax = data.draw(st.integers(min(m, 2), m), label="vmax")
+    table = fill_table(EnsembleParams.from_checks(m), vmax)
+    keys = st.one_of(
+        st.sampled_from(sorted(table.counts)),
+        st.tuples(st.integers(0, vmax), st.integers(0, m), st.integers(0, m)),
+        st.tuples(st.integers(1, vmax), st.just(0), st.integers(1, m)),
+        st.tuples(st.integers(-1, vmax + 1), st.integers(-1, m + 1), st.integers(-1, m + 1)),
+    )
+    # None deletes the key; an integer is added to its count (0 on an
+    # absent key stores a zero)
+    edit = st.tuples(keys, st.one_of(st.none(), st.integers(-3, 3)))
+    edits = data.draw(st.lists(edit, min_size=1, max_size=6), label="edits")
+    for key, delta in edits:
+        if delta is None:
+            table.counts.pop(key, None)
+        else:
+            table.counts[key] = table.counts.get(key, 0) + delta
+    assert verify_table(table) == _per_entry_verify(table)
 
 
 def _recurrence_fill(m, vmax, origin):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from cyclepoisson.combinatorics import factorial
 from cyclepoisson.errors import TableFormatError
 from cyclepoisson.table import (
+    _LOAD_BATCH,
     EnsembleParams,
     fill_table,
     load_table,
@@ -177,6 +178,95 @@ def test_load_rejects_non_integral_count(table4, tmp_path, key, delta):
         load_table(write(tmp_path, "\n".join(lines)))
     assert err.value.line == idx + 1
     assert "does not divide v! * 2^v = %d" % (factorial(key[0]) * 2 ** key[0]) in str(err.value)
+
+
+def _edit(lines, idx, row):
+    lines[idx] = row
+
+
+def _swap(lines, idx):
+    lines[idx], lines[idx + 1] = lines[idx + 1], lines[idx]
+
+
+def _cut(lines, idx):
+    del lines[idx:]
+
+
+def _scale_row(lines, idx, k):
+    # the same value with numerator and denominator both times k
+    key, frac = lines[idx].rsplit(" ", 1)
+    num, den = map(int, frac.split("/"))
+    lines[idx] = "%s %d/%d" % (key, num * k, den * k)
+
+
+# m = 4, vmax = 3: file line 3 is the origin "0 0 0 1/1", line 4 "1 1 0 2/1",
+# lines 5-8 hold v = 2 ("2 1 0 1/2" .. "2 2 0 9/2"), lines 9-16 v = 3
+ROW_FAULTS = {
+    "syntax": (lambda ls: _edit(ls, 9, "3 1 1 3//2"), 10, "bad row"),
+    "zero-value": (lambda ls: _edit(ls, 5, "2 1 1 0/1"), 6, "omitted"),
+    "unreduced": (lambda ls: _scale_row(ls, 6, 2), 7, "lowest terms"),
+    "out-of-order": (lambda ls: _swap(ls, 10), 12, "order"),
+    "v-above-vmax": (lambda ls: _edit(ls, 15, "4 1 0 1/1"), 16, "vmax"),
+    "t0-at-v1": (lambda ls: ls.insert(4, "2 0 1 1/1"), 5, "support"),
+    "t-plus-s-above-m": (lambda ls: ls.insert(8, "2 2 3 1/1"), 9, "support"),
+    "denominator": (lambda ls: _edit(ls, 12, "3 2 0 25/7"), 13, "divide"),
+    "second-v0-row": (lambda ls: ls.insert(3, "0 1 0 1/1"), 4, "conflicts"),
+    "origin-value": (lambda ls: _edit(ls, 2, "0 0 0 2/1"), 3, "conflicts"),
+    "missing-origin": (lambda ls: ls.pop(2), 3, "base row"),
+    "short-of-vmax": (lambda ls: _cut(ls, 8), 2, "vmax=3"),
+}
+
+
+def body_lines(path):
+    text = path.read_text()
+    return text[: text.rindex("end sha256=")].split("\n")[:-1]
+
+
+def load_error(tmp_path, lines) -> TableFormatError:
+    with pytest.raises(TableFormatError) as err:
+        load_table(write(tmp_path, "\n".join(lines) + "\n"))
+    return err.value
+
+
+@pytest.mark.parametrize("fault", sorted(ROW_FAULTS))
+def test_load_error_names_the_failing_line(table4, tmp_path, fault):
+    _params, _table, path = table4
+    lines = body_lines(path)
+    edit, line, word = ROW_FAULTS[fault]
+    edit(lines)
+    err = load_error(tmp_path, lines)
+    assert err.line == line
+    assert word in str(err)
+
+
+@pytest.fixture(scope="module")
+def table40_body(tmp_path_factory):
+    """The body lines of an m = vmax = 40 file: 16,611 rows, several batches."""
+    table = fill_table(EnsembleParams.from_checks(40), vmax=40)
+    assert len(table.counts) == 16611 > 2 * _LOAD_BATCH
+    path = tmp_path_factory.mktemp("cpt") / "m40.cpt"
+    save_table(table, path)
+    assert load_table(path) == table
+    return body_lines(path)
+
+
+@pytest.mark.parametrize(
+    "edit, line, word",
+    [
+        # a fault in the third batch
+        (lambda ls: _scale_row(ls, 9999, 3), 10000, "lowest terms"),
+        # the last row of the first batch swapped with the first of the next,
+        # so each batch is in order by itself and only the boundary is not
+        (lambda ls: _swap(ls, 1 + _LOAD_BATCH), 3 + _LOAD_BATCH, "order"),
+    ],
+    ids=["line-10000", "batch-boundary"],
+)
+def test_load_error_line_in_a_many_batch_table(table40_body, tmp_path, edit, line, word):
+    lines = list(table40_body)
+    edit(lines)
+    err = load_error(tmp_path, lines)
+    assert err.line == line
+    assert word in str(err)
 
 
 def test_load_complete_requires_origin_row(tmp_path):
