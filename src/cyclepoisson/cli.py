@@ -48,7 +48,7 @@ from .pde import (
     residual_reconciliation,
 )
 from .series import geometric_series, poisson_block_series
-from .simulator import estimate_block_error
+from .simulator import RNG_ID, estimate_block_error
 from .table import (
     EnsembleParams,
     fill_table,
@@ -379,10 +379,8 @@ def _cmd_errprob_sweep(args, run: _Run) -> int:
 
 
 def _cmd_errprob_hadamard_split(args, run: _Run) -> int:
-    vmax = args.vmax if args.vmax is not None else args.n
     params = EnsembleParams(n=args.n, r=args.r)
-    table = fill_table(params, vmax)
-    report = hadamard_split_report(table, args.t, args.s, args.n, x_grid=args.x_list or ())
+    report = hadamard_split_report(params, args.t, args.s, args.vmax, x_grid=args.x_list or ())
     path = run.write_text(args.csv, report.to_csv())
     for est in report.estimates:
         print(
@@ -482,7 +480,7 @@ def _cmd_reconcile(args, run: _Run) -> int:
         "m": params.m,
         "trials": args.trials,
         "seed": args.seed,
-        "rng": "splitmix64-ctr/v1",
+        "rng": RNG_ID,
         "rows": rows,
         "note": _RECONCILE_NOTE,
     }

@@ -155,12 +155,28 @@ def log10_int(n: int) -> float:
     """
     if n <= 0:
         raise ValidationError("log10_int requires n > 0, got %r" % (n,))
-    digits = str(n)
+    try:
+        digits = str(n)
+    except ValueError:  # more digits than the interpreter's int-to-str limit
+        return _log10_long(n)
     d = len(digits)
     if d <= _LOG_PREFIX_DIGITS:
         return math.log10(n)
     prefix = int(digits[:_LOG_PREFIX_DIGITS])
     return math.log10(prefix) + (d - _LOG_PREFIX_DIGITS)
+
+
+def _log10_long(n: int) -> float:
+    """log10_int(n) for n of 25 digits or more without str(n), in integers.
+
+    The same digit count d, from bit_length and one comparison, and the
+    same 25-digit prefix n // 10^(d-25) as the str() path, so the same
+    float.
+    """
+    d = int((n.bit_length() - 1) * math.log10(2)) + 1  # d is this or one more
+    if n >= 10**d:
+        d += 1
+    return math.log10(n // 10 ** (d - _LOG_PREFIX_DIGITS)) + (d - _LOG_PREFIX_DIGITS)
 
 
 def log10_fraction(q: Fraction) -> float:

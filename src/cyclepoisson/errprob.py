@@ -17,7 +17,8 @@ value and per-v terms:
   against.
 
 The same sum rearranges into per-(t,s) inner power sums with the n^{2v}
-factored out of x, and the question of bounding those inner series leads
+factored out of x, each read from one column of the m-free kernel with
+no table filled, and the question of bounding those inner series leads
 to the Hadamard product machinery: exact finite identities, a divergence
 demonstration, the exact radius of convergence of each (t,s) coefficient
 sequence (one column's v! A terms grow like (t^2/2)^v), and a
@@ -45,7 +46,8 @@ from functools import lru_cache
 from .combinatorics import binomial, factorial, log_fraction
 from .errors import CoverageError, ToleranceNotMetError, ValidationError
 from .series import Series
-from .table import CoeffTable, EnsembleParams
+from .simulator import _check_epsilon as _check_probability
+from .table import CoeffTable, EnsembleParams, _column_counts
 
 __all__ = [
     "ErrProbQuery",
@@ -67,9 +69,7 @@ __all__ = [
 
 def _check_epsilon(epsilon) -> Fraction:
     """epsilon as a Fraction in [0, 1); eps = 1 would divide x by zero."""
-    eps = Fraction(epsilon)
-    if not 0 <= eps <= 1:
-        raise ValidationError("epsilon must lie in [0, 1], got %s" % (eps,))
+    eps = _check_probability(epsilon)
     if eps == 1:
         raise ValidationError("epsilon = 1 leaves x undefined (division by zero)")
     return eps
@@ -106,16 +106,6 @@ class ErrProbQuery:
         return self.x * self.params.n**2
 
 
-def _require_depth(table: CoeffTable, n: int) -> None:
-    if table.vmax < n:
-        missing = list(range(table.vmax + 1, n + 1))
-        raise CoverageError(
-            "table reaches v=%d but the sum needs v up to %d (missing %s)"
-            % (table.vmax, n, missing),
-            missing=missing,
-        )
-
-
 @dataclass(frozen=True)
 class ErrProbResult:
     value: Fraction
@@ -140,7 +130,13 @@ def expected_block_error(query: ErrProbQuery) -> ErrProbResult:
         CoverageError: the table is shallower than v = n.
     """
     n = query.params.n
-    _require_depth(query.table, n)
+    if query.table.vmax < n:
+        missing = list(range(query.table.vmax + 1, n + 1))
+        raise CoverageError(
+            "table reaches v=%d but the sum needs v up to %d (missing %s)"
+            % (query.table.vmax, n, missing),
+            missing=missing,
+        )
     sums = query.table.level_sums()
     per_v = []
     total = Fraction(0)
@@ -228,27 +224,23 @@ class InnerSum:
     terms: tuple[tuple[int, Fraction], ...]
 
 
-def inner_power_sum(table: CoeffTable, t: int, s: int, x, n: int) -> InnerSum:
+def inner_power_sum(params: EnsembleParams, t: int, s: int, x) -> InnerSum:
     """The fixed-(t,s) inner sum S = sum_v C(n,v) v! A(v,t,s) x^v / n^{2v}.
 
-    Returns the exact value with the full per-v term list.  Summing these
-    over every (t,s) and multiplying by (1-eps)^n recovers
+    Returns the exact value with the full per-v term list, v = 1..n, from
+    the one kernel column table._column_counts: v! A = B / 2^v.  Summing
+    these over every (t,s) and multiplying by (1-eps)^n recovers
     expected_block_error when x carries the n^{2v}-factored-out scaling.
-
-    Raises:
-        CoverageError: the table is shallower than v = n.
     """
-    if n < 1:
-        raise ValidationError("n must be >= 1")
-    _require_depth(table, n)
+    n = params.n
     x = Fraction(x)
+    scale = 2 * n * n  # 2^v n^(2v) divides the v-th term
     terms = []
     total = Fraction(0)
-    for v in range(1, n + 1):
-        a = table.value(v, t, s)
-        if not a:
+    for v, b in enumerate(_column_counts(params.m, t, s, n)):
+        if not b:
             continue
-        term = binomial(n, v) * factorial(v) * a * x**v / Fraction(n) ** (2 * v)
+        term = Fraction(binomial(n, v) * b, scale**v) * x**v
         terms.append((v, term))
         total += term
     return InnerSum(t=t, s=s, value=total, terms=tuple(terms))
@@ -354,19 +346,16 @@ class HadamardSplitReport:
 
 
 def _root_test(coeffs: dict[int, Fraction], window: range) -> float:
-    """Sup of |c_v|^(1/v) over the window via exact logs.
+    """Sup of c_v^(1/v) over the window via exact logs.
 
-    0 for a window of zeros; nan for an empty window (a table of depth 0),
-    which has no value to estimate from.
+    coeffs holds the window's nonzero terms, all positive.  0 for a window
+    of zeros; nan for an empty window (vmax = 0), which has no value to
+    estimate from.
     """
     if not window:
         return math.nan
-    best = 0.0
-    for v in window:
-        c = coeffs.get(v)
-        if c:
-            best = max(best, math.exp(log_fraction(abs(c), base="e") / v))
-    return best
+    roots = (math.exp(log_fraction(c, base="e") / v) for v, c in coeffs.items())
+    return max(roots, default=0.0)
 
 
 def _split_radius(series_id: str, m: int, t: int, s: int, n: int) -> Fraction | float:
@@ -403,43 +392,44 @@ def _split_radius(series_id: str, m: int, t: int, s: int, n: int) -> Fraction | 
 
 
 def hadamard_split_report(
-    table: CoeffTable, t: int, s: int, n: int, x_grid=()
+    params: EnsembleParams, t: int, s: int, vmax: int | None = None, x_grid=()
 ) -> HadamardSplitReport:
     """Exact radii and verdicts for the three candidate splits of one column.
 
     The sequences are {v! A(v,t,s)}, {v! A(v,t,s)/n^{2v}} and
-    {C(n,v) A(v,t,s)/n^{2v}}; _split_radius gives each one's radius from
-    the closed-form column rate, whatever the table's depth.  Each x in
-    x_grid gets a verdict per sequence: bounded when |x| is below the
-    radius, boundary at it, divergent above.  Beside the radius, the
-    estimate is an observation only: a root test, the sup of |c_v|^(1/v)
-    over the trailing half of the table's v-range, which approaches the
-    rate 1/radius slowly.
+    {C(n,v) A(v,t,s)/n^{2v}}, with n and m from params; _split_radius
+    gives each one's radius from the closed-form column rate, whatever
+    vmax is.  Each x in x_grid gets a verdict per sequence: bounded when
+    |x| is below the radius, boundary at it, divergent above.  Beside the
+    radius, the estimate is an observation only: a root test, the sup of
+    |c_v|^(1/v) over the trailing half of v = 1..vmax (vmax defaults to
+    n), which approaches the rate 1/radius slowly.  The column is read
+    from table._column_counts alone: v! A = B / 2^v.
 
     Raises:
-        ValidationError: n < 1, or a negative t or s.
+        ValidationError: vmax outside 0..n, or a negative t or s.
     """
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    n = params.n
+    vmax = n if vmax is None else vmax
+    if vmax < 0 or vmax > n:
+        raise ValidationError("vmax must lie in 0..n, got %r" % (vmax,))
     if t < 0 or s < 0:
         raise ValidationError("t and s must be >= 0, got t=%d s=%d" % (t, s))
-    vmax = table.vmax
     window = range(vmax // 2 + 1, vmax + 1)
-    n2 = Fraction(n) ** 2
-    column = {v: table.value(v, t, s) for v in window}
+    counts = _column_counts(params.m, t, s, vmax)
+    column = {v: counts[v] for v in window if counts[v]}
     sequences = {
-        "factorial": {v: factorial(v) * a for v, a in column.items()},
-        "factorial-over-n2v": {
-            v: factorial(v) * a / n2**v for v, a in column.items()
-        },
+        "factorial": {v: Fraction(b, 1 << v) for v, b in column.items()},
+        "factorial-over-n2v": {v: Fraction(b, n ** (2 * v) << v) for v, b in column.items()},
         "binomial-over-n2v": {
-            v: binomial(n, v) * a / n2**v for v, a in column.items()
+            v: Fraction(binomial(n, v) * b, factorial(v) * n ** (2 * v) << v)
+            for v, b in column.items()
         },
     }
     x_grid = [Fraction(x) for x in x_grid]
     estimates = []
     for sid in SERIES_IDS:
-        radius = _split_radius(sid, table.m, t, s, n)
+        radius = _split_radius(sid, params.m, t, s, n)
         per_x = []
         for x in x_grid:
             if abs(x) < radius:

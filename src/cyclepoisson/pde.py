@@ -689,13 +689,6 @@ def _operator_terms(coeffs: dict[str, Poly]) -> list[tuple[Poly, int, int]]:
     ]
 
 
-def _falling(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out *= n - i
-    return out
-
-
 @dataclass
 class ResidualReport:
     operator: str
@@ -762,7 +755,7 @@ def pde_residual(table: CoeffTable, operator: str = "recurrence") -> ResidualRep
     for poly, p, q in _operator_terms(_OPERATORS[operator](table.params)):
         for v, t, s, c in G:
             # x z y^a z^b d^p/dy^p d^q/dz^q of c y^t z^s
-            weight = _falling(t, p) * _falling(s, q)
+            weight = math.perm(t, p) * math.perm(s, q)
             if not weight:
                 continue
             cw = c * weight

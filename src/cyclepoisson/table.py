@@ -326,6 +326,20 @@ def _profile_counts(width: int, vmax: int) -> list[list[list[int]]]:
     return levels
 
 
+def _column_counts(m: int, t: int, s: int, vmax: int) -> list[int]:
+    """B(v,t,s) = M(t,s) * C(v,t,s) for 0 <= v <= vmax: one (t,s) column.
+
+    These are fill_table's counts at (v, t, s) for v >= 1, read from the
+    kernel with width t + s, so no other column is filled.  The column is
+    zero when t = 0 (only the origin has t = 0), t + s > m (M = 0) or
+    t > vmax (C = 0 unless 2t + s <= 2v).
+    """
+    if t < 1 or s < 0 or t + s > m or t > vmax:
+        return [0] * (vmax + 1)
+    multinomial = binomial(m, t) * binomial(m - t, s)
+    return [multinomial * level[t][s] for level in _profile_counts(t + s, vmax)]
+
+
 def fill_table(params: EnsembleParams, vmax: int) -> CoeffTable:
     """Fill A(v, t, s) for 1 <= v <= vmax as M(t,s) * C(v,t,s) / (v! * 2^v).
 

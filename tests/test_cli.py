@@ -268,6 +268,20 @@ def test_exponents_profiles_and_gaps(tmp_path, capsys):
     assert "g_t1_m4.csv" in plot and "g_t2_m4.csv" in plot
 
 
+def test_exponents_past_the_int_str_limit(tmp_path, capsys):
+    # v! 2^v has more than 4300 digits at v = 1800, past the default
+    # int-to-str limit; the log is taken in integers there
+    rc, _, err = run_cli(
+        capsys, "--out", str(tmp_path), "table", "exponents", "--m", "2", "--vmax", "1800",
+        "--t-list", "1",
+    )
+    assert (rc, err) == (0, "")
+    v, g = (tmp_path / "g_t1_m2.csv").read_text().splitlines()[-1].split(",")
+    # P_1[2v] = 1, so g(v) = -log10(v! 2^v)
+    assert v == "1800"
+    assert abs(float(g) + (math.lgamma(1801) + 1800 * math.log(2)) / math.log(10)) < 1e-6
+
+
 def test_stopping_sets_count(tmp_path, capsys):
     rc, out, _ = run_cli(
         capsys, "--out", str(tmp_path), "stopping-sets", "count", "--m", "3", "--v", "2", "--t", "2"
@@ -469,6 +483,45 @@ def test_hadamard_split_negative_column_exits_2(column, tmp_path, capsys):
     assert out == ""
     assert "t and s must be >= 0" in err
     assert not out_dir.exists()
+
+
+# sha256 of "<exit code>\0<stdout>\0<stderr>\0<CSV, or empty>" for
+# `errprob hadamard-split` run with `--out .`, recorded when the command
+# still filled the whole coefficient table; reading one kernel column
+# must leave every byte as it was
+_SPLIT_DIGESTS = [
+    ("--n 12 --r 3/4 --t 1 --s 0 --x-list 1/2,2,4",
+     "f1a6cc98a564765b0571a63779b417752bbe1f2ea1f6aed0aa01991daba1cce6"),
+    ("--n 10 --r 0 --t 5 --s 0 --vmax 9 --x-list 1/20",
+     "7607e982361dac43e34ee3ecd9911a3faf0bb12d59e622e002bf3ba5f0d9cde6"),
+    ("--n 20 --r 1/2 --t 1 --s 0 --vmax 0",
+     "d97072d1dcba42407c8f83511a644207d2cb9766a0fe0693bfa5b73af7680f2f"),
+    ("--n 200 --r 1/2 --t 1 --s 0",
+     "aa5eca349f4b18181f325845ecd79bdcf139a5b9161202c7fe9962006c8cc2f1"),
+    ("--n 200 --r 1/2 --t 7 --s 3 --vmax 150 --x-list 1/100,2/49",
+     "510b0e372d811e1a27daf3f03883fcc025c634f6437f6573455c60f6fd503870"),
+    ("--n 60 --r 1/2 --t 31 --s 0",
+     "60cb3f958277ffda1ad50e5bd257ee72b43e47393db305a18052d3ebc8857ad4"),
+    ("--n 60 --r 1/2 --t 0 --s 4",
+     "6211b03cacbaf2295785035ba435ad88c9b346434c3b98ec8c091959a97c790d"),
+    ("--n 9 --r 1/3 --t 2 --s 5",
+     "b1a9939c91df86302beb71c3ab0faeb77e8cd3c030cb057e3a1f7de2dcf0cd6d"),
+    ("--n 9 --r 1/3 --t 2 --s 1 --vmax 10",
+     "21d01f9ae5f4631d4aa94948fe2e0970544d0891788439614430b3ce1cb5d844"),
+    ("--n 9 --r 1/3 --t 2 --s 1 --vmax -1",
+     "765bf567c3b7f10f9e1d1104adf91f95da374bd9be16bc58eb0090028e22bb1e"),
+    ("--n 8 --r 1/2 --t 9 --s 0 --vmax 3",
+     "09d187994cb7c503a51b176f73597cb7e4e0e9019999b280f557609312f13a73"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", _SPLIT_DIGESTS)
+def test_hadamard_split_bytes_pinned(argv, digest, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run_cli(capsys, "--out", ".", "errprob", "hadamard-split", *argv.split())
+    csv = tmp_path / "hadamard_split.csv"
+    blob = "%d\0%s\0%s\0%s" % (rc, out, err, csv.read_text() if csv.exists() else "")
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
 
 
 def test_hadamard_check_passes(tmp_path, capsys):

@@ -3,8 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from cyclepoisson.combinatorics import (
+    _log10_long,
     binomial,
     block_partition_count,
     block_partition_table,
@@ -133,6 +136,29 @@ def test_log10_int_exact_digits():
     assert abs(log10_int(n) - 374.8968886) < 1e-6
     with pytest.raises(ValueError):
         log10_int(0)
+
+
+_LONG_INTS = st.one_of(
+    # random integers of 26 to 4300 digits (4300 is the default int-to-str limit)
+    st.integers(26, 4300).flatmap(lambda d: st.integers(10 ** (d - 1), 10**d - 1)),
+    # powers of ten and their neighbours, where the digit count changes
+    st.builds(lambda k, step: 10**k + step, st.integers(25, 4299), st.integers(-1, 1)),
+)
+
+
+@given(_LONG_INTS)
+# bit_length puts 2^153 - 1 at 46 digits, not 47, and the 26-digit prefix
+# that would leave gives another float
+@example(2**153 - 1)
+def test_log10_int_branches_agree_below_the_str_limit(n):
+    # the branch taken past the interpreter's int-to-str limit gives the
+    # str() path's float bit for bit wherever both can run
+    assert _log10_long(n) == log10_int(n)
+
+
+def test_log10_int_past_the_str_limit():
+    assert log10_int(10**5000) == 5000.0
+    assert math.isfinite(stirling_relative_error(2000))
 
 
 def test_log10_fraction_and_bases():

@@ -207,9 +207,9 @@ def test_equal_m_parameterizations_share_level_sums():
 
 
 def test_inner_power_sum_hand_case(n4_setup):
-    params, table = n4_setup
+    params, _table = n4_setup
     x = Fraction(1)
-    inner = inner_power_sum(table, 1, 0, x, params.n)
+    inner = inner_power_sum(params, 1, 0, x)
     # v=1: C(4,1) 1! A(1,1,0) x / 4^2 with A(1,1,0) = 1
     assert inner.terms[0] == (1, Fraction(1, 4))
     # v=2: C(4,2) 2! A(2,1,0) x^2 / 4^4 with A(2,1,0) = 1/4
@@ -218,13 +218,14 @@ def test_inner_power_sum_hand_case(n4_setup):
 
 
 def test_inner_power_sum_zero_column(n4_setup):
-    params, table = n4_setup
-    inner = inner_power_sum(table, 2, 1, Fraction(3, 7), params.n)
+    params, _table = n4_setup
+    inner = inner_power_sum(params, 2, 1, Fraction(3, 7))
     assert inner.value == 0
     assert inner.terms == ()
 
 
 def test_rearrangement_identity(n4_setup):
+    # the per-(t,s) parts come from kernel columns, the total from the table
     params, table = n4_setup
     eps = Fraction(2, 7)
     q = ErrProbQuery(params, eps, table)
@@ -232,7 +233,7 @@ def test_rearrangement_identity(n4_setup):
     profiles = {(t, s) for (v, t, s) in table.entries if v >= 1}
     split = sum(
         (
-            inner_power_sum(table, t, s, q.x_split, params.n).value
+            inner_power_sum(params, t, s, q.x_split).value
             for t, s in sorted(profiles)
         ),
         Fraction(0),
@@ -298,14 +299,14 @@ def test_known_series_first_crossing_past_the_listed_ratios(x, first):
 
 
 @pytest.fixture(scope="module")
-def m3_deep():
-    return fill_table(EnsembleParams(n=12, r=Fraction(3, 4)), vmax=12)  # m = 3
+def m3_params():
+    return EnsembleParams(n=12, r=Fraction(3, 4))  # m = 3
 
 
-def test_split_report_factorial_radius(m3_deep):
+def test_split_report_factorial_radius(m3_params):
     # A(v,1,0) = 3/(2^v v!), so the factorial sequence is 3/2^v: radius 2
     # exactly, while the window estimate approaches the rate 1/2 from above
-    report = hadamard_split_report(m3_deep, 1, 0, 12, x_grid=[1, 10])
+    report = hadamard_split_report(m3_params, 1, 0, x_grid=[1, 10])
     est = {e.series_id: e for e in report.estimates}
     fac = est["factorial"]
     assert fac.window == (7, 12)
@@ -318,19 +319,19 @@ def test_split_report_factorial_radius(m3_deep):
     assert "converges iff eps < 1/2" in report.note
 
 
-def test_split_report_boundary_at_the_exact_radius(m3_deep):
+def test_split_report_boundary_at_the_exact_radius(m3_params):
     # x = 2 is the factorial sequence's radius at (t,s) = (1,0); the window
     # estimate (0.585 over v = 7..12) used to call it divergent
-    report = hadamard_split_report(m3_deep, 1, 0, 12, x_grid=[2, Fraction(-2)])
+    report = hadamard_split_report(m3_params, 1, 0, x_grid=[2, Fraction(-2)])
     fac = {e.series_id: e for e in report.estimates}["factorial"]
     assert fac.per_x == ((Fraction(2), "boundary"), (Fraction(-2), "boundary"))
 
 
-def test_split_report_binomial_sequence_is_finite(m3_deep):
+def test_split_report_binomial_sequence_is_finite(m3_params):
     # C(n,v) vanishes for v > n, so the binomial sum is a polynomial: its
     # radius is infinite and every x is bounded, whatever the window
     # estimate over v <= n reads
-    report = hadamard_split_report(m3_deep, 1, 0, 12, x_grid=[10000])
+    report = hadamard_split_report(m3_params, 1, 0, x_grid=[10000])
     est = {e.series_id: e for e in report.estimates}["binomial-over-n2v"]
     assert 0.003 < est.estimate < 0.0032
     assert math.isinf(est.radius)
@@ -338,8 +339,8 @@ def test_split_report_binomial_sequence_is_finite(m3_deep):
     assert est.per_x == ((Fraction(10000), "bounded"),)
 
 
-def test_split_report_zero_column(m3_deep):
-    report = hadamard_split_report(m3_deep, 3, 1, 12, x_grid=[5])
+def test_split_report_zero_column(m3_params):
+    report = hadamard_split_report(m3_params, 3, 1, x_grid=[5])
     for e in report.estimates:
         # a window of zeros reads 0; only an empty window reads nan
         assert e.estimate == 0
@@ -349,10 +350,9 @@ def test_split_report_zero_column(m3_deep):
 
 
 def test_split_report_short_window_gives_exact_verdicts():
-    # a table of depth 3 leaves a two-point window (v = 2..3); the radii and
+    # vmax = n = 3 leaves a two-point window (v = 2..3); the radii and
     # verdicts do not depend on it
-    table = fill_table(EnsembleParams.from_checks(3), vmax=3)
-    report = hadamard_split_report(table, 1, 0, 3, x_grid=[1, 2, 3])
+    report = hadamard_split_report(EnsembleParams.from_checks(3), 1, 0, x_grid=[1, 2, 3])
     est = {e.series_id: e for e in report.estimates}
     assert est["factorial"].window == (2, 3)
     assert est["factorial"].radius == 2
@@ -366,14 +366,14 @@ def test_split_report_short_window_gives_exact_verdicts():
 @pytest.mark.parametrize("m, depths", [(3, (0, 1, 3, 12)), (10, (0, 4, 10)), (60, (0, 2, 9))])
 def test_split_radii_are_exact_at_every_depth(m, depths):
     n = 4 * m
+    params = EnsembleParams(n=n, r=Fraction(3, 4))
+    assert params.m == m
     for vmax in depths:
-        table = fill_table(EnsembleParams(n=n, r=Fraction(3, 4)), vmax=vmax)
-        assert table.m == m
         for t in range(6):
             for s in range(4):
                 radii = {
                     e.series_id: e.radius
-                    for e in hadamard_split_report(table, t, s, n).estimates
+                    for e in hadamard_split_report(params, t, s, vmax).estimates
                 }
                 assert math.isinf(radii["binomial-over-n2v"])
                 if t == 0 or t + s > m:
@@ -418,19 +418,30 @@ def test_all_columns_factorial_term_closed_form(m):
 
 
 @pytest.mark.parametrize("t, s", [(-1, 0), (1, -2), (-3, -1)])
-def test_split_report_rejects_negative_column(m3_deep, t, s):
+def test_split_report_rejects_negative_column(m3_params, t, s):
     with pytest.raises(ValidationError, match="t and s must be >= 0"):
-        hadamard_split_report(m3_deep, t, s, 12)
+        hadamard_split_report(m3_params, t, s)
 
 
-def test_split_report_csv(m3_deep):
-    csv = hadamard_split_report(m3_deep, 1, 0, 12).to_csv()
+def test_split_report_csv(m3_params):
+    csv = hadamard_split_report(m3_params, 1, 0).to_csv()
     lines = csv.strip().split("\n")
     assert lines[0] == "t,s,series_id,v_window,root_test_estimate,verdict"
     assert len(lines) == 4
     for line in lines[1:]:
         assert len(line.split(",")) == 6
         assert line.startswith("1,0,")
+
+
+def test_split_report_at_n1000_reads_one_column():
+    # no table of this size is filled: the report reads column (1,0) from
+    # the kernel, and its root test takes logs of integers past the
+    # interpreter's int-to-str limit (n^(2v) has 6000 digits at v = n)
+    report = hadamard_split_report(EnsembleParams(n=1000, r=Fraction(1, 2)), 1, 0)
+    fac = {e.series_id: e for e in report.estimates}["factorial"]
+    assert fac.radius == 2
+    assert fac.window == (501, 1000)
+    assert 0.5 < fac.estimate < 0.51
 
 
 # ----------------------------------------------------------------------

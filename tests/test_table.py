@@ -27,6 +27,7 @@ from cyclepoisson.table import (
     _ORIGIN,
     EnsembleParams,
     _block_counts,
+    _column_counts,
     boundary_layer,
     brute_force_profile_counts,
     fill_table,
@@ -369,6 +370,21 @@ def test_profile_counts_do_not_depend_on_m(m1, extra, vmax):
         return out
 
     assert counts(m1) == counts(m1 + extra)
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(1, 7), vmax=st.integers(0, 8))
+def test_column_counts_match_the_filled_table(m, vmax):
+    # one kernel column against the whole fill, for every -1 <= t, s <= m + 1:
+    # negative indices, t = 0, t > vmax and t + s > m included, where the
+    # column is zero
+    counts = fill_table(_params(m, vmax), vmax).counts
+    for t in range(-1, m + 2):
+        for s in range(-1, m + 2):
+            column = _column_counts(m, t, s, vmax)
+            assert len(column) == vmax + 1
+            for v in range(1, vmax + 1):
+                assert column[v] == counts.get((v, t, s), 0), (v, t, s)
 
 
 def test_level_sum_is_positive():
