@@ -22,6 +22,7 @@ Exit codes: 0 success, 1 usage, 2 validation or numeric failure, 3 I/O.
 from __future__ import annotations
 
 import argparse
+import decimal
 import hashlib
 import json
 import os
@@ -29,7 +30,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .combinatorics import binomial, log10_int
+from .combinatorics import binomial
 from .errors import CyclePoissonError, ValidationError
 from .errprob import (
     block_error_probability,
@@ -238,9 +239,11 @@ def _cmd_table_verify(args, run: _Run) -> int:
 def _cmd_stopping_sets_count(args, run: _Run) -> int:
     params = _params_for_checks(args.m, args.v)
     count = stopping_set_count(params, args.v, args.t)
-    print(count)
+    # exact, and past the int-to-str digit limit without lifting it
+    text = str(decimal.Decimal(count))
+    print(text)
     if count > 0 and args.digits:
-        print("digits: %d" % (int(log10_int(count)) + 1))
+        print("digits: %d" % len(text))
     return 0
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .errors import ValidationError
 
@@ -121,10 +122,10 @@ def block_partition_table(blocks: int, elements: int, min_block: int) -> list[li
         prev = counts[-1]
         row = [0] * (elements + 1)
         for n in range(t * min_block, elements + 1):
-            choose = pascal[n]
-            row[n] = sum(
-                choose[j] * prev[n - j] for j in range(min_block, n - (t - 1) * min_block + 1)
-            )
+            # sum over min_block <= j <= top of binom(n, j) * prev[n - j]
+            top = n - (t - 1) * min_block
+            tail = prev[n - top : n - min_block + 1]
+            row[n] = sum(map(mul, pascal[n][min_block : top + 1], reversed(tail)))
         counts.append(row)
     return counts
 

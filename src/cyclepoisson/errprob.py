@@ -362,7 +362,8 @@ def _split_radius(series_id: str, m: int, t: int, s: int, n: int) -> Fraction | 
     """Exact radius of convergence of one split sequence of column (t,s).
 
     v! A(v,t,s) = M(t,s) C(v,t,s) / 2^v, with M(t,s) = m!/(t! s! (m-t-s)!)
-    and C the m-free integers of table._profile_counts:
+    and C the m-free integers that table._profile_levels yields, one level
+    v at a time as rows[t][s]:
         C(v,t,0) = P_t[2v] = (2v)! [x^(2v)] (e^x - 1 - x)^t,
         C(v,t,s) = 2v ((s-1) C(v-1,t,s-2) + t C(v-1,t,s-1) + t C(v-1,t-1,s)).
     The column is zero when t = 0 (only the origin has t = 0) or when

@@ -299,55 +299,61 @@ def brute_force_profile_counts(m: int, v: int) -> dict[tuple[int, int], int]:
 # ----------------------------------------------------------------------
 
 
-def _profile_counts(width: int, vmax: int) -> list[list[list[int]]]:
-    """C[v][t][s] of the factored recurrence for 0 <= v <= vmax, t + s <= width.
+def _profile_levels(widths: list[int], vmax: int):
+    """Yield C(v) for v = 0..vmax in turn, as rows[t][s] with s < widths[t].
 
     C(v,t,0) = P_t[2v] and, for s >= 1,
     C(v,t,s) = 2v * ((s-1)*C(v-1,t,s-2) + t*C(v-1,t,s-1) + t*C(v-1,t-1,s)),
     so every C is an integer and no step divides.  An entry reads only
-    smaller t and s, so the values do not depend on width, which only
-    bounds the triangle tabulated.  Rows stop at t = min(width, vmax) and
-    C(v,t,s) = 0 unless 2t + s <= 2v.  Row t = 0 is zero for s >= 1 at
-    every level, so the v = 0 origin never reaches an s >= 1 entry.
+    (t, s-1), (t, s-2) and (t-1, s) one level down, so the values do not
+    depend on the widths, which only bound the rows tabulated: the
+    triangle t + s <= m for fill_table, the rectangle t' <= t, s' <= s for
+    one column.  Widths must not increase with t, so row t - 1 of the
+    level below covers row t.  Only that level is kept while the next is
+    computed.  C(v,t,s) = 0 unless 2t + s <= 2v, and row t = 0 is zero for
+    s >= 1 at every level, so the v = 0 origin never reaches an s >= 1
+    entry.  The s = 0 seeds are _block_counts(len(widths) - 1, 2 vmax).
     """
-    tmax = min(width, vmax)
-    blocks = _block_counts(tmax, 2 * vmax)
-    levels: list[list[list[int]]] = []
+    blocks = _block_counts(len(widths) - 1, 2 * vmax)
+    prev = None
     for v in range(vmax + 1):
-        level = [[blocks[t][2 * v]] + [0] * (width - t) for t in range(tmax + 1)]
-        for t in range(1, min(v, tmax) + 1):
-            row, same, left = level[t], levels[-1][t], levels[-1][t - 1]
-            for s in range(1, min(width - t, 2 * (v - t)) + 1):
+        level = [[blocks[t][2 * v]] + [0] * (w - 1) for t, w in enumerate(widths)]
+        for t in range(1, min(v, len(widths) - 1) + 1):
+            row, same, left = level[t], prev[t], prev[t - 1]
+            for s in range(1, min(widths[t] - 1, 2 * (v - t)) + 1):
                 c = t * (same[s - 1] + left[s])
                 if s >= 2:
                     c += (s - 1) * same[s - 2]
                 row[s] = 2 * v * c
-        levels.append(level)
-    return levels
+        yield level
+        prev = level
 
 
 def _column_counts(m: int, t: int, s: int, vmax: int) -> list[int]:
     """B(v,t,s) = M(t,s) * C(v,t,s) for 0 <= v <= vmax: one (t,s) column.
 
-    These are fill_table's counts at (v, t, s) for v >= 1, read from the
-    kernel with width t + s, so no other column is filled.  The column is
-    zero when t = 0 (only the origin has t = 0), t + s > m (M = 0) or
-    t > vmax (C = 0 unless 2t + s <= 2v).
+    These are fill_table's counts at (v, t, s) for v >= 1.  The levels of
+    C come from _profile_levels over the rectangle t' <= t, s' <= s, the
+    cone the column reads, two levels at a time.  The column is zero when
+    t = 0 (only the origin has t = 0), t + s > m (M = 0) or t > vmax
+    (C = 0 unless 2t + s <= 2v).
     """
     if t < 1 or s < 0 or t + s > m or t > vmax:
         return [0] * (vmax + 1)
     multinomial = binomial(m, t) * binomial(m - t, s)
-    return [multinomial * level[t][s] for level in _profile_counts(t + s, vmax)]
+    return [multinomial * level[t][s] for level in _profile_levels([s + 1] * (t + 1), vmax)]
 
 
 def fill_table(params: EnsembleParams, vmax: int) -> CoeffTable:
     """Fill A(v, t, s) for 1 <= v <= vmax as M(t,s) * C(v,t,s) / (v! * 2^v).
 
-    The integers C come from the m-free kernel _profile_counts and M(t,s)
-    is the multinomial m!/(t! s! (m-t-s)!); each stored count is the
-    integer B = M(t,s) * C(v,t,s), and zeros are not stored.  The v = 0
-    plane is the origin alone.  Every level is filled from scratch:
-    refilling is faster than loading a saved table of the same size.
+    The integers C come a level at a time from the m-free kernel
+    _profile_levels over the triangle t + s <= m, and M(t,s) is the
+    multinomial m!/(t! s! (m-t-s)!); each stored count is the integer
+    B = M(t,s) * C(v,t,s), stored as its level arrives, and zeros are not
+    stored.  The v = 0 plane is the origin alone.  Every level is filled
+    from scratch: refilling is faster than loading a saved table of the
+    same size.
 
     Raises:
         ValidationError: vmax outside 0..n.
@@ -356,15 +362,15 @@ def fill_table(params: EnsembleParams, vmax: int) -> CoeffTable:
         raise ValidationError("vmax must lie in 0..n, got %r" % (vmax,))
     m = params.m
     counts = dict(_ORIGIN)
-    kernel = _profile_counts(m, vmax)
     multinomial = [
         [binomial(m, t) * binomial(m - t, s) for s in range(m - t + 1)]
         for t in range(min(m, vmax) + 1)
     ]
-    for v in range(1, vmax + 1):
+    levels = _profile_levels([len(row) for row in multinomial], vmax)
+    for v, level in enumerate(levels):
         for t in range(1, min(v, m) + 1):
             row = multinomial[t]
-            for s, c in enumerate(kernel[v][t]):
+            for s, c in enumerate(level[t]):
                 if c:
                     counts[(v, t, s)] = row[s] * c
     return CoeffTable(params, vmax, counts)

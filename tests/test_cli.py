@@ -1,6 +1,7 @@
 """Command line behavior: dispatch, artifacts, manifests, exit codes."""
 
 import argparse
+import decimal
 import hashlib
 import json
 import math
@@ -15,7 +16,13 @@ from cyclepoisson import cli
 from cyclepoisson.cli import build_parser, main
 from cyclepoisson.errprob import ErrProbQuery, expected_block_error
 from cyclepoisson.simulator import exhaustive_block_error
-from cyclepoisson.table import EnsembleParams, fill_table, load_table, save_table
+from cyclepoisson.table import (
+    EnsembleParams,
+    fill_table,
+    load_table,
+    save_table,
+    stopping_set_count,
+)
 
 
 def run_cli(capsys, *argv):
@@ -288,6 +295,20 @@ def test_stopping_sets_count(tmp_path, capsys):
     )
     assert rc == 0
     assert out.splitlines()[0] == "18"
+
+
+def test_stopping_sets_count_past_the_int_str_limit(tmp_path, capsys):
+    # the count has 4406 digits, past the default int-to-str limit of 4300
+    rc, out, err = run_cli(
+        capsys, "--out", str(tmp_path), "stopping-sets", "count", "--m", "20", "--v", "2200",
+        "--t", "10", "--digits",
+    )
+    assert (rc, err) == (0, "")
+    first, second = out.splitlines()[:2]
+    count = stopping_set_count(EnsembleParams(n=2200, r=Fraction(2180, 2200)), 2200, 10)
+    assert first.isdigit() and len(first) == 4406
+    assert int(decimal.Decimal(first)) == count
+    assert second == "digits: 4406"
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,7 @@ from cyclepoisson.errprob import (
 )
 from cyclepoisson.series import Series, geometric_series, monomial
 from cyclepoisson.simulator import EXHAUSTIVE_CODE_GUARD, exhaustive_block_error
-from cyclepoisson.table import EnsembleParams, _profile_counts, fill_table
+from cyclepoisson.table import EnsembleParams, _profile_levels, fill_table
 
 
 @pytest.fixture(scope="module")
@@ -388,11 +388,11 @@ def test_column_rate_bounds_hold_to_v400(t):
     # the two-sided bound of _split_radius's docstring, in integers:
     #   (2t)^s (v)_s (t^N - t (t-1)^(N-1) (N + t - 1)) <= C(v,t,s), N = 2(v-s)
     #   C(v,t,s) <= (2v (2t + s))^(t+s) t^(2v)
-    vmax = 400
-    counts = _profile_counts(t + 3, vmax)
-    for s in range(4):
-        for v in range(1, vmax + 1):
-            c = counts[v][t][s]
+    levels = _profile_levels([4] * (t + 1), 400)
+    next(levels)  # v = 0: the origin
+    for v, level in enumerate(levels, start=1):
+        for s in range(4):
+            c = level[t][s]
             assert c <= (2 * v * (2 * t + s)) ** (t + s) * t ** (2 * v), (t, s, v)
             if v > s:
                 falling = math.perm(v, s)

@@ -7,6 +7,8 @@ a cycle.
 """
 
 import itertools
+import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -385,6 +387,34 @@ def test_column_counts_match_the_filled_table(m, vmax):
             assert len(column) == vmax + 1
             for v in range(1, vmax + 1):
                 assert column[v] == counts.get((v, t, s), 0), (v, t, s)
+
+
+def test_column_counts_t1_closed_form():
+    # one check of degree >= 2 and s < v leaves hold all 2v endpoints on
+    # s + 1 checks, so the v edges close a cycle: every such assignment is
+    # counted, the leaves take distinct endpoints and the rest go to the
+    # one heavy check, C(v,1,s) = (2v)!/(2v-s)!
+    column = _column_counts(200, 1, 150, 400)
+    multinomial = 200 * math.comb(199, 150)
+    for v in range(151, 401):
+        assert column[v] == multinomial * math.perm(2 * v, 150), v
+    for m, s in ((3, 0), (3, 2), (9, 5)):
+        column = _column_counts(m, 1, s, 12)
+        for v in range(s + 1, 13):
+            assert column[v] == m * math.comb(m - 1, s) * math.perm(2 * v, s), (m, s, v)
+
+
+def test_column_counts_peak_memory():
+    # one skewed column streams its rectangle t' <= 1, s' <= 80 two levels at
+    # a time; keeping the triangle t' + s' <= 81 at every level takes about
+    # 139 MiB, and the two levels alone well under 1 MiB
+    tracemalloc.start()
+    try:
+        _column_counts(120, 1, 80, 240)
+        peak_mib = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak_mib <= 4
 
 
 def test_level_sum_is_positive():
