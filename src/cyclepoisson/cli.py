@@ -7,7 +7,11 @@ subcommand.  A run that emitted artifacts finishes by writing
 used, and a sha256 per emitted artifact.  A run that emitted none (it
 printed to stdout only, like `table verify`) writes no manifest and leaves
 any existing one untouched.  Re-running the recorded command line
-reproduces every artifact byte for byte.
+reproduces every artifact byte for byte.  An artifact or manifest that
+already exists is rewritten in place and then cut to its new length
+(`table._write_over`); the manifest is written as LF-terminated bytes
+on every platform.  A run that dies mid-write leaves a file its manifest
+does not match, as a truncating write would.
 
 The global --out must come before the group.  A run builds the parser of
 the group it names and no other (see `_named_group`), so a new
@@ -52,6 +56,7 @@ from .series import geometric_series, poisson_block_series
 from .simulator import RNG_ID, estimate_block_error
 from .table import (
     EnsembleParams,
+    _write_over,
     fill_table,
     growth_profile,
     load_table,
@@ -131,13 +136,9 @@ class _Run:
         target = self.resolve(path)
         target.parent.mkdir(parents=True, exist_ok=True)
         data = text.encode()
-        target.write_bytes(data)
+        _write_over(target, data)
         self.hashes[self._name_for(target)] = hashlib.sha256(data).hexdigest()
         return target
-
-    def record_file(self, target: Path) -> None:
-        digest = hashlib.sha256(target.read_bytes()).hexdigest()
-        self.hashes[self._name_for(target)] = digest
 
 
 # ----------------------------------------------------------------------
@@ -175,8 +176,7 @@ def _cmd_table_build(args, run: _Run) -> int:
     out_path = run.resolve(args.out_file or ("table_m%d_v%d.cpt" % (args.m, args.vmax)))
     print("filled m=%d vmax=%d, %d nonzero entries" % (table.m, table.vmax, len(table.counts)))
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    save_table(table, out_path)
-    run.record_file(out_path)
+    run.hashes[run._name_for(out_path)] = save_table(table, out_path)
     print("wrote %s" % out_path)
     return 0
 
@@ -701,7 +701,7 @@ def _write_manifest(run: _Run, args, argv: list[str]) -> None:
     }
     run.out_dir.mkdir(parents=True, exist_ok=True)
     path = run.out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_over(path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
 
 
 def main(argv=None) -> int:

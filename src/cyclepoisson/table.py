@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import os
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -514,7 +515,23 @@ def growth_profile(m: int, vmax: int, t_values, base=10) -> dict[int, list[tuple
 # ----------------------------------------------------------------------
 
 
-def save_table(table: CoeffTable, path) -> None:
+def _write_over(path, data: bytes) -> None:
+    """Make the file at path hold exactly data, rewriting an existing file in place.
+
+    The open creates a missing file but does not truncate, since an
+    O_TRUNC open of an existing file costs far more than the write on
+    some file systems (ext4 mounted with discard).  The bytes go over the
+    old ones and the file is then cut at the end of them, so an existing
+    file keeps its inode, permissions and hard links.  A crash between
+    the write and the cut can leave a longer file's tail behind.
+    """
+    flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+    with open(os.open(path, flags, 0o666), "wb") as fh:
+        fh.write(data)
+        fh.truncate()
+
+
+def save_table(table: CoeffTable, path) -> str:
     """Write the canonical CPTABLE 2 format, ASCII with LF endings.
 
     Line 1: "CPTABLE 2".  Line 2: "m=<m> vmax=<vmax> base=unit-origin".  Then one
@@ -523,6 +540,10 @@ def save_table(table: CoeffTable, path) -> None:
     entries are omitted.  The last line is "end sha256=<hex>", the
     lowercase sha256 of every byte before it, so a truncated or altered
     file cannot load.
+
+    Returns the lowercase hex sha256 of the whole file as written, trailer
+    included, from the body's hash extended by the trailer line, so the
+    caller need not read the file back.
     """
     lines = [_HEADER_MAGIC, "m=%d vmax=%d base=%s" % (table.m, table.vmax, _ORIGIN_LABEL)]
     level = w = None
@@ -532,8 +553,11 @@ def save_table(table: CoeffTable, path) -> None:
         g = gcd(b, w)
         lines.append("%d %d %d %d/%d" % (v, t, s, b // g, w // g))
     body = ("\n".join(lines) + "\n").encode("ascii")
-    with open(path, "wb") as fh:
-        fh.write(body + b"end sha256=%s\n" % hashlib.sha256(body).hexdigest().encode())
+    digest = hashlib.sha256(body)
+    trailer = b"end sha256=%s\n" % digest.hexdigest().encode()
+    _write_over(path, body + trailer)
+    digest.update(trailer)
+    return digest.hexdigest()
 
 
 def _checked_body(path) -> list[str]:

@@ -5,6 +5,7 @@ import decimal
 import hashlib
 import json
 import math
+import shutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -793,6 +794,46 @@ def test_no_manifest_for_runs_without_artifacts(tmp_path, capsys, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json", "t.cpt"]
 
 
+def test_shorter_manifest_over_a_longer_one(tmp_path, capsys, monkeypatch):
+    # a rerun into a used directory must leave the same manifest bytes as a
+    # run into a fresh one; the argv is recorded, so both run from one
+    # working directory with the same relative --out
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("CYCLEPOISSON_OUT", raising=False)
+    simulate = ["simulate", "--n", "20", "--r", "1/2", "--eps", "1/5", "--trials", "100",
+                "--seed", "3", "--json", "s.json"]
+    manifest = tmp_path / "used" / "manifest.json"
+    rc, _, _ = run_cli(capsys, "--out", "used", *simulate)
+    assert rc == 0
+    fresh = manifest.read_bytes()
+    (tmp_path / "used").rename(tmp_path / "fresh")
+    rc, _, _ = run_cli(capsys, "--out", "used", "table", "exponents", "--m", "12")
+    assert rc == 0
+    assert len(manifest.read_bytes()) > len(fresh)
+    rc, _, _ = run_cli(capsys, "--out", "used", *simulate)
+    assert rc == 0
+    rewritten = manifest.read_bytes()
+    assert json.loads(rewritten)["cmd"] == "simulate"
+    assert rewritten == fresh
+
+
+def test_table_build_digest_and_rebuild_over_a_larger_file(tmp_path, capsys):
+    def build(out, m, vmax):
+        rc, _, _ = run_cli(capsys, "--out", str(out), "table", "build",
+                           "--m", str(m), "--vmax", str(vmax), "--out", "t.cpt")
+        assert rc == 0
+        blob = (out / "t.cpt").read_bytes()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["artifact_hashes"] == {"t.cpt": hashlib.sha256(blob).hexdigest()}
+        return blob
+
+    larger = build(tmp_path, 12, 16)
+    smaller = build(tmp_path, 4, 4)
+    assert len(smaller) < len(larger)
+    assert load_table(tmp_path / "t.cpt") == fill_table(EnsembleParams.from_checks(4), 4)
+    assert smaller == build(tmp_path / "fresh", 4, 4)
+
+
 REPORTS = Path(__file__).resolve().parent.parent / "reports"
 _HASHED_REPORTS = sorted(
     p.parent.name
@@ -823,6 +864,21 @@ def test_report_reproduces_byte_for_byte(name, tmp_path, capsys):
     fresh = json.loads((tmp_path / "manifest.json").read_text())
     assert fresh["artifact_hashes"] == hashes
     assert fresh["seed"] == manifest["seed"]
+
+
+def test_appendix_report_reruns_over_itself(tmp_path, capsys):
+    # the committed files rewritten in place by their own command stay the same
+    report = REPORTS / "appendix"
+    manifest = json.loads((report / "manifest.json").read_text())
+    out = tmp_path / "appendix"
+    shutil.copytree(report, out)
+    rc, _, _ = run_cli(capsys, "--out", str(out), *manifest["args"][2:])
+    assert rc == 0
+    hashes = manifest["artifact_hashes"]
+    assert sorted(p.name for p in out.iterdir()) == sorted([*hashes, "manifest.json"])
+    for artifact, digest in hashes.items():
+        assert hashlib.sha256((out / artifact).read_bytes()).hexdigest() == digest, artifact
+    assert json.loads((out / "manifest.json").read_text())["artifact_hashes"] == hashes
 
 
 def test_print_only_run_creates_no_out_dir(tmp_path, capsys):

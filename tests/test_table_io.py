@@ -16,6 +16,7 @@ from cyclepoisson.errors import TableFormatError
 from cyclepoisson.table import (
     _LOAD_BATCH,
     EnsembleParams,
+    _write_over,
     fill_table,
     load_table,
     save_table,
@@ -379,3 +380,30 @@ def test_saved_file_loads_whole_or_raises(tmp_path_factory, m, data):
     byte = data.draw(st.integers(0, 255).filter(lambda b: b != blob[pos]), label="byte")
     with pytest.raises(TableFormatError):
         load_table(write_raw(path.parent, blob[:pos] + bytes([byte]) + blob[pos + 1:]))
+
+
+# ----------------------------------------------------------------------
+# the artifact writer: in place, then cut to the new length
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        (b"a much longer old line\nand a second one\n", b"short\n"),
+        (b"short\n", b"a much longer new line\nand a second one\n"),
+        (b"identical bytes\n", b"identical bytes\n"),
+        (None, b"a file that did not exist\n"),
+    ],
+    ids=["shorter-over-longer", "longer-over-shorter", "identical", "missing"],
+)
+def test_write_over_leaves_exactly_the_data(old, new, tmp_path):
+    path = tmp_path / "artifact.csv"
+    if old is not None:
+        path.write_bytes(old)
+        inode = path.stat().st_ino
+    _write_over(path, new)
+    assert path.read_bytes() == new
+    if old is not None:
+        assert path.stat().st_ino == inode
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact.csv"]
