@@ -227,7 +227,9 @@ def _cmd_table_exponents(args, run: _Run) -> int:
 def _cmd_table_verify(args, run: _Run) -> int:
     table = load_table(Path(args.file))
     problems = verify_table(table)
-    print("table: m=%d vmax=%d, %d entries" % (table.m, table.vmax, len(table.counts)))
+    # through decimal: a loaded header's m or vmax may be past the digit limit
+    size = "m=%s vmax=%s" % (decimal.Decimal(table.m), decimal.Decimal(table.vmax))
+    print("table: %s, %d entries" % (size, len(table.counts)))
     if problems:
         for p in problems:
             print("FAIL %s" % p)

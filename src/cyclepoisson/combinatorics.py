@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import add, mul
 
 from .errors import ValidationError
 
@@ -116,17 +116,20 @@ def block_partition_table(blocks: int, elements: int, min_block: int) -> list[li
             "block partition arguments must be nonnegative, got elements=%r blocks=%r "
             "min_block=%r" % (elements, blocks, min_block)
         )
-    pascal = [[math.comb(n, j) for j in range(n + 1)] for n in range(elements + 1)]
-    counts = [[1] + [0] * elements]
-    for t in range(1, blocks + 1):
-        prev = counts[-1]
-        row = [0] * (elements + 1)
-        for n in range(t * min_block, elements + 1):
-            # sum over min_block <= j <= top of binom(n, j) * prev[n - j]
+    counts = [[1] + [0] * elements] + [[0] * (elements + 1) for _ in range(blocks)]
+    binoms = [1]
+    for n in range(elements + 1):
+        if n:
+            # binom(n, j) for 0 <= j <= n from row n - 1, by Pascal's rule
+            binoms = [1, *map(add, binoms, binoms[1:]), 1]
+        for t in range(1, blocks + 1):
+            if n < t * min_block:
+                break
+            # sum over min_block <= j <= top of binom(n, j) * P[t-1][n-j];
+            # with min_block = 0 the j = 0 term reads P[t-1][n], set one step earlier
             top = n - (t - 1) * min_block
-            tail = prev[n - top : n - min_block + 1]
-            row[n] = sum(map(mul, pascal[n][min_block : top + 1], reversed(tail)))
-        counts.append(row)
+            tail = counts[t - 1][n - top : n - min_block + 1]
+            counts[t][n] = sum(map(mul, binoms[min_block : top + 1], reversed(tail)))
     return counts
 
 

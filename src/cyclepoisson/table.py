@@ -60,6 +60,7 @@ it exceeds the table wherever a forest has the profile.
 
 from __future__ import annotations
 
+import decimal
 import hashlib
 import itertools
 import os
@@ -69,7 +70,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import add, floordiv, lt, mod, mul
+from operator import add, lt
 
 from .combinatorics import (
     binomial,
@@ -94,19 +95,21 @@ __all__ = [
 
 BRUTE_FORCE_GUARD = 10**8
 
-_HEADER_MAGIC = "CPTABLE 2"
-_HEADER_RE = re.compile(r"^m=(0|[1-9][0-9]*) vmax=(0|[1-9][0-9]*) base=([a-z-]+)$")
-# one row "<v> <t> <s> <num>/<den>", or several joined by newlines
-_ROW = r"(?:0|[1-9][0-9]*) (?:0|[1-9][0-9]*) (?:0|[1-9][0-9]*) -?(?:0|[1-9][0-9]*)/[1-9][0-9]*"
+_HEADER_MAGIC = "CPTABLE 3"
+_HEADER_RE = re.compile(r"^m=(0|[1-9][0-9]*) vmax=(0|[1-9][0-9]*)$")
+# the magic and header of the formats no longer read, for the rebuild command
+_OLD_HEAD_RE = re.compile(rb"(CPTABLE [12])\n(?:m=([0-9]+) vmax=([0-9]+) )?")
+# one row "<v> <t> <s> <B>" with v, t and B positive, or several joined by
+# newlines
+_ROW = r"[1-9][0-9]* [1-9][0-9]* (?:0|[1-9][0-9]*) [1-9][0-9]*"
 _ROWS_RE = re.compile(r"(?:%s\n)*%s" % (_ROW, _ROW))
 # rows that load_table checks per pass: one batch's parsed columns stay
 # small beside the table they fill
 _LOAD_BATCH = 4096
 _TRAILER_RE = re.compile(rb"end sha256=([0-9a-f]{64})\n")
-# the v = 0 plane as counts (there 0! * 2^0 = 1, so B = A) and the header
-# label CPTABLE 2 files carry for it
+# the v = 0 plane as counts (there 0! * 2^0 = 1, so B = A); a CPTABLE 3
+# file holds no row for it, and load_table puts it back
 _ORIGIN = {(0, 0, 0): 1}
-_ORIGIN_LABEL = "unit-origin"
 
 
 @dataclass(frozen=True)
@@ -532,27 +535,34 @@ def _write_over(path, data: bytes) -> None:
 
 
 def save_table(table: CoeffTable, path) -> str:
-    """Write the canonical CPTABLE 2 format, ASCII with LF endings.
+    """Write the canonical CPTABLE 3 format, ASCII with LF endings.
 
-    Line 1: "CPTABLE 2".  Line 2: "m=<m> vmax=<vmax> base=unit-origin".  Then one
-    row per nonzero entry, "<v> <t> <s> <num>/<den>" in lowest terms with a
-    positive denominator, sorted lexicographically by (v, t, s).  Zero
-    entries are omitted.  The last line is "end sha256=<hex>", the
+    Line 1: "CPTABLE 3".  Line 2: "m=<m> vmax=<vmax>".  Then one row
+    "<v> <t> <s> <B>" per stored count with v >= 1, B = v! * 2^v * A(v,t,s)
+    the positive integer table.counts holds, sorted lexicographically by
+    (v, t, s).  Zero entries are omitted, and so is the v = 0 plane: the
+    origin B(0,0,0) = 1 is implied, and a table with any other v = 0 plane
+    raises ValidationError.  An s = 0 row's B is the stopping-set
+    count binom(m,t) * P_t[2v].  The last line is "end sha256=<hex>", the
     lowercase sha256 of every byte before it, so a truncated or altered
-    file cannot load.
+    file cannot load.  A count past the interpreter's int-to-str digit
+    limit is written through decimal, which has none.
 
     Returns the lowercase hex sha256 of the whole file as written, trailer
     included, from the body's hash extended by the trailer line, so the
     caller need not read the file back.
     """
-    lines = [_HEADER_MAGIC, "m=%d vmax=%d base=%s" % (table.m, table.vmax, _ORIGIN_LABEL)]
-    level = w = None
-    for (v, t, s), b in sorted(table.counts.items()):
-        if v != level:
-            level, w = v, _weight(v)
-        g = gcd(b, w)
-        lines.append("%d %d %d %d/%d" % (v, t, s, b // g, w // g))
-    body = ("\n".join(lines) + "\n").encode("ascii")
+    items = sorted(table.counts.items())
+    plane = list(itertools.takewhile(lambda item: item[0][0] == 0, items))
+    if plane != list(_ORIGIN.items()):
+        raise ValidationError("the v = 0 plane is not the origin alone, so no file can hold it")
+    rows = [(*key, b) for key, b in itertools.islice(items, len(plane), None)]
+    try:
+        lines = ["%d %d %d %d" % row for row in rows]
+    except ValueError:  # a count past the digit limit
+        lines = ["%d %d %d %s" % (v, t, s, decimal.Decimal(b)) for v, t, s, b in rows]
+    header = "m=%d vmax=%d" % (table.m, table.vmax)
+    body = "\n".join([_HEADER_MAGIC, header, *lines, ""]).encode("ascii")
     digest = hashlib.sha256(body)
     trailer = b"end sha256=%s\n" % digest.hexdigest().encode()
     _write_over(path, body + trailer)
@@ -560,23 +570,36 @@ def save_table(table: CoeffTable, path) -> str:
     return digest.hexdigest()
 
 
+def _int(token: str) -> int:
+    """int(token) for a decimal token of any length.
+
+    A token past the interpreter's int-to-str digit limit goes through
+    decimal, which has no such limit, so the limit is never lifted.
+    """
+    try:
+        return int(token)
+    except ValueError:
+        return int(decimal.Decimal(token))
+
+
 def _checked_body(path) -> list[str]:
     """The file's lines before the trailer, once the trailer's sha256 matches them.
 
     The trailer must be the file's last line, so a file cut anywhere, or
-    with anything after the trailer, is rejected here.  CPTABLE 1 files
-    have no trailer; they are rejected with the command that rebuilds them.
-    The body is hashed and decoded through a view, and the raw bytes are
-    dropped before the split, so at most two copies of the body are alive.
+    with anything after the trailer, is rejected here.  CPTABLE 1 and
+    CPTABLE 2 files are no longer read; they are rejected with the command
+    that rebuilds them.  The body is hashed and decoded through a view,
+    and the raw bytes are dropped before the split, so at most two copies
+    of the body are alive.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    if data.startswith(b"CPTABLE 1\n"):
-        header = _HEADER_RE.match(data.split(b"\n", 2)[1].decode("ascii", "replace"))
-        rebuild = "--m %s --vmax %s" % (header.groups()[:2] if header else ("<m>", "<vmax>"))
+    old = _OLD_HEAD_RE.match(data)
+    if old:
+        magic, m, vmax = (g.decode() for g in old.groups(b""))
         raise TableFormatError(
-            "CPTABLE 1 files are no longer read; rebuild with "
-            "`cyclepoisson table build %s`" % rebuild,
+            "%s files are no longer read; rebuild with "
+            "`cyclepoisson table build --m %s --vmax %s`" % (magic, m or "<m>", vmax or "<vmax>"),
             line=1,
         )
     start = data.rfind(b"\n", 0, len(data) - 1) + 1
@@ -610,90 +633,69 @@ def _batch_rows(batch: list[str], prev_key, m: int, vmax: int, small: dict[str, 
     joined rows, then map and zip over the parsed columns), so no row runs
     interpreter code of its own.  The checks are those of _walk_rows.
     small maps decimal strings to ints, which a dict lookup does several
-    times faster than int(); a row with an index it lacks goes to
-    _walk_rows.
+    times faster than int(); a row with an index it lacks, or a count
+    int() refuses, goes to _walk_rows.
     """
     text = "\n".join(batch)
     if not _ROWS_RE.fullmatch(text):
         return None
-    tokens = text.replace("/", " ").split()
+    tokens = text.split()
     try:
-        vs, ts, ss = (list(map(small.__getitem__, tokens[i::5])) for i in range(3))
-    except KeyError:
+        vs, ts, ss = (list(map(small.__getitem__, tokens[i::4])) for i in range(3))
+        counts = list(map(int, tokens[3::4]))
+    except (KeyError, ValueError):
         return None
-    nums, dens = (list(map(int, tokens[i::5])) for i in (3, 4))
     keys = list(zip(vs, ts, ss))
-    # a v = 0 row can only be the origin, and only as the body's first row
-    origin = prev_key is None and keys[0] == (0, 0, 0) and nums[0] == dens[0] == 1
     if (
-        0 in nums
-        or max(map(gcd, nums, dens)) != 1
-        or not (prev_key is None or prev_key < keys[0])
-        or not all(map(lt, keys, itertools.islice(keys, 1, None)))
-        or max(vs) > vmax
-        or vs.count(0) != origin
-        or ts.count(0) != origin
-        or max(map(add, ts, ss)) > m
+        prev_key < keys[0]
+        and all(map(lt, keys, itertools.islice(keys, 1, None)))
+        and max(vs) <= vmax
+        and max(map(add, ts, ss)) <= m
     ):
-        return None
-    ws = list(map(_weight, vs))  # cached: one v! * 2^v per level
-    if any(map(mod, ws, dens)):
-        return None
-    return keys, list(map(mul, nums, map(floordiv, ws, dens)))
+        return keys, counts
+    return None
 
 
 def _walk_rows(batch: list[str], first_line: int, prev_key, m: int, vmax: int):
     """Keys and counts of a batch of rows, checked one row at a time.
 
     Raises TableFormatError at the first row that fails a check, with the
-    file line number; first_line is the line of batch[0].
+    file line number; first_line is the line of batch[0].  The row syntax
+    makes v, t and B positive integers.
     """
     keys, values = [], []
     for idx, line in enumerate(batch, start=first_line):
         if not _ROWS_RE.fullmatch(line):
             raise TableFormatError("bad row %r" % (line,), line=idx)
-        v, t, s, num, den = map(int, line.replace("/", " ").split())
-        if num == 0:
-            raise TableFormatError("zero entries must be omitted", line=idx)
-        if gcd(num, den) != 1:
-            raise TableFormatError("%d/%d is not in lowest terms" % (num, den), line=idx)
+        tokens = line.split()
+        v, t, s, b = map(_int, tokens)
         key = (v, t, s)
-        if prev_key is not None and key <= prev_key:
-            raise TableFormatError("rows out of order at %r" % (key,), line=idx)
+        if key <= prev_key:
+            raise TableFormatError("rows out of order at (%s)" % ", ".join(tokens[:3]), line=idx)
         prev_key = key
         if v > vmax:
             raise TableFormatError("v exceeds declared vmax", line=idx)
-        if v and (not (1 <= t <= m) or not (0 <= s <= m - t)):
+        if t + s > m:
             raise TableFormatError("indices outside support", line=idx)
-        w = _weight(v)
-        scale, rest = divmod(w, den)
-        if rest:
-            raise TableFormatError(
-                "denominator %d does not divide v! * 2^v = %d" % (den, w), line=idx
-            )
-        b = num * scale
-        if v == 0 and _ORIGIN.get(key) != b:
-            raise TableFormatError("v=0 row conflicts with base=%s" % (_ORIGIN_LABEL,), line=idx)
         keys.append(key)
         values.append(b)
     return keys, values
 
 
 def load_table(path) -> CoeffTable:
-    """Load a CPTABLE 2 file completely, or raise TableFormatError.
+    """Load a CPTABLE 3 file completely, or raise TableFormatError.
 
     The trailer is checked first: it must be the last line and its sha256
     must match every byte before it, which rules out any truncation or
     changed byte.  Then the body must be ASCII, and: header magic and
-    fields, row syntax, lowest-terms normalization with positive
-    denominator, strictly increasing (v, t, s) order, no zero values,
-    indices inside the declared support, a denominator that divides
-    v! * 2^v (the table stores the integer B = v! * 2^v * A), the base
-    label unit-origin, the origin row 0 0 0 1/1 as the only v = 0 row, and
-    rows up to exactly the declared vmax.  The rows are checked
-    _LOAD_BATCH at a time, each check one pass over the batch; a batch
-    that fails one is walked row by row, so the error names the first
-    failing line and check.
+    fields, row syntax (v, t and the count B positive decimal integers
+    with no leading zero, s a nonnegative one), strictly increasing
+    (v, t, s) order, t + s <= m, and rows up to exactly the declared vmax.
+    The origin B(0,0,0) = 1 is added, as no row can hold it.  The rows are
+    checked _LOAD_BATCH at a time, each check one pass over the batch; a
+    batch that fails one is walked row by row, so the error names the
+    first failing line and check.  Numbers of any length load without
+    lifting the int-to-str digit limit.
     """
     lines = _checked_body(path)
     if not lines or lines[0] != _HEADER_MAGIC:
@@ -703,20 +705,16 @@ def load_table(path) -> CoeffTable:
     header = _HEADER_RE.match(lines[1])
     if not header:
         raise TableFormatError("bad header %r" % (lines[1],), line=2)
-    m = int(header.group(1))
-    vmax = int(header.group(2))
-    if header.group(3) != _ORIGIN_LABEL:
-        raise TableFormatError("unknown base %r" % (header.group(3),), line=2)
-    params = EnsembleParams.from_checks(m) if m >= 1 else None
-    if params is None:
+    m, vmax = map(_int, header.groups())
+    if m < 1:
         raise TableFormatError("m must be >= 1", line=2)
 
-    counts: dict[tuple[int, int, int], int] = {}
+    counts = dict(_ORIGIN)
     # a filled table's file has a row (v, 1, s) for every s level v uses, so
     # its indices stay below its line count, which bounds this map however
     # large a header declares m or vmax
     small = {str(i): i for i in range(min(max(m, vmax), len(lines)) + 1)}
-    prev_key = None
+    prev_key = (0, 0, 0)
     for lo in range(2, len(lines), _LOAD_BATCH):
         batch = lines[lo : lo + _LOAD_BATCH]
         keys, values = _batch_rows(batch, prev_key, m, vmax, small) or _walk_rows(
@@ -725,12 +723,11 @@ def load_table(path) -> CoeffTable:
         counts.update(zip(keys, values))
         prev_key = keys[-1]
 
-    max_v = prev_key[0] if prev_key else 0
-    if max_v != vmax:
+    if prev_key[0] != vmax:
+        # formatted through decimal: either number may be past the digit limit
         raise TableFormatError(
-            "rows stop at v=%d but the header declares vmax=%d" % (max_v, vmax), line=2
+            "rows stop at v=%s but the header declares vmax=%s"
+            % (decimal.Decimal(prev_key[0]), decimal.Decimal(vmax)),
+            line=2,
         )
-    for key, b in _ORIGIN.items():
-        if counts.get(key) != b:
-            raise TableFormatError("file is missing base row %r" % (key,), line=3)
-    return CoeffTable(params, vmax, counts)
+    return CoeffTable(EnsembleParams.from_checks(m), vmax, counts)

@@ -194,12 +194,12 @@ def test_verify_flags_corruption(tmp_path, capsys):
     assert "ok:" in outtext
     table = load_table(path)
     # an edited row no longer matches the trailer's sha256, so the load fails
-    path.write_bytes(path.read_bytes().replace(b"1 1 0 3/2", b"1 1 0 5/2"))
+    path.write_bytes(path.read_bytes().replace(b"\n1 1 0 3\n", b"\n1 1 0 5\n"))
     rc, _, err = run_cli(capsys, "--out", out, "table", "verify", "--file", str(path))
     assert rc == 2
     assert "sha256" in err
     # a wrong value saved with a valid trailer loads and fails the recheck:
-    # B(1,1,0) = 1! 2^1 A = 5 is saved as 5/2
+    # B(1,1,0) = 1! 2^1 A = 5 is saved as the row "1 1 0 5"
     table.counts[(1, 1, 0)] = 5
     save_table(table, path)
     rc, outtext, _ = run_cli(capsys, "--out", out, "table", "verify", "--file", str(path))
@@ -211,17 +211,24 @@ def test_verify_rejects_unloadable_files(tmp_path, capsys):
     out = str(tmp_path)
     run_cli(capsys, "--out", out, "table", "build", "--m", "3", "--vmax", "3", "--out", "t.cpt")
     blob = (tmp_path / "t.cpt").read_bytes()
-    body = blob[: blob.rindex(b"end sha256=")].replace(b"1 1 0 3/2", b"1 1 0 3/\xff")
     head = blob[: blob.rindex(b"end sha256=")]
-    foo = head.replace(b"base=unit-origin", b"base=foo")
-    empty = head.replace(b"base=unit-origin", b"base=empty")
+    body = head.replace(b"\n1 1 0 3\n", b"\n1 1 0 \xff\n")
+    # CPTABLE 3 headers carry no base label
+    foo = head.replace(b"m=3 vmax=3", b"m=3 vmax=3 base=foo")
+    empty = head.replace(b"m=3 vmax=3", b"m=3 vmax=3 base=empty")
+    v2 = b"CPTABLE 2\nm=3 vmax=3 base=unit-origin\n0 0 0 1/1\n1 1 0 3/2\n"
+
+    def sign(text):
+        return text + b"end sha256=%s\n" % hashlib.sha256(text).hexdigest().encode()
+
     cases = {
         "v1.cpt": b"CPTABLE 1\nm=3 vmax=3 base=unit-origin\n0 0 0 1/1\n",
+        "v2.cpt": sign(v2),
         "cut.cpt": blob[:-40],
         # re-signed, so strict ASCII decoding is what rejects it
-        "ff.cpt": body + b"end sha256=%s\n" % hashlib.sha256(body).hexdigest().encode(),
-        "base.cpt": foo + b"end sha256=%s\n" % hashlib.sha256(foo).hexdigest().encode(),
-        "empty.cpt": empty + b"end sha256=%s\n" % hashlib.sha256(empty).hexdigest().encode(),
+        "ff.cpt": sign(body),
+        "base.cpt": sign(foo),
+        "empty.cpt": sign(empty),
     }
     for name, data in cases.items():
         path = tmp_path / name
@@ -231,22 +238,48 @@ def test_verify_rejects_unloadable_files(tmp_path, capsys):
         assert err.startswith("error: line "), name
         assert "Traceback" not in err
         assert outtext == ""
-        if name == "v1.cpt":
+        if name in ("v1.cpt", "v2.cpt"):
+            assert err.startswith("error: line 1: CPTABLE %s files are no longer read" % name[1])
             assert "`cyclepoisson table build --m 3 --vmax 3`" in err
         if name == "ff.cpt":
             assert "non-ASCII" in err
         if name == "base.cpt":
-            assert err.startswith("error: line 2: unknown base 'foo'")
+            assert err.startswith("error: line 2: bad header 'm=3 vmax=3 base=foo'")
         if name == "empty.cpt":
-            assert err.startswith("error: line 2: unknown base 'empty'")
+            assert err.startswith("error: line 2: bad header 'm=3 vmax=3 base=empty'")
+
+
+@pytest.mark.parametrize("m, count", [(b"1", b"9" * 5000), (b"9" * 5000, b"1")], ids=["count", "m"])
+def test_verify_of_a_value_past_the_digit_limit_fails_cleanly(tmp_path, capsys, m, count):
+    # a signed file with a 5000-digit value loads, and the recheck reports it
+    body = b"CPTABLE 3\nm=%s vmax=1\n1 1 0 %s\n" % (m, count)
+    path = tmp_path / "long.cpt"
+    path.write_bytes(body + b"end sha256=%s\n" % hashlib.sha256(body).hexdigest().encode())
+    rc, outtext, err = run_cli(capsys, "table", "verify", "--file", str(path))
+    assert (rc, err) == (2, "")
+    assert outtext.startswith("table: m=%s vmax=1, 2 entries\n" % m.decode())
+    assert "FAIL boundary identity fails at (v=1,t=1)" in outtext
+
+
+def test_table_build_deeper_than_the_digit_limit_of_a_denominator(tmp_path, capsys):
+    # from v = 1424 at m = 2, the reduced denominator of some A(v,t,s) has
+    # more than 4300 digits; the counts the file holds have far fewer
+    limit = sys.get_int_max_str_digits()
+    rc, _, err = run_cli(capsys, "--out", str(tmp_path), "table", "build",
+                         "--m", "2", "--vmax", "1424", "--out", "t.cpt")
+    assert (rc, err) == (0, "")
+    lines = (tmp_path / "t.cpt").read_bytes().split(b"\n")
+    assert lines[:2] == [b"CPTABLE 3", b"m=2 vmax=1424"]
+    assert lines[-3].startswith(b"1424 2 0 ")
+    assert sys.get_int_max_str_digits() == limit
 
 
 @pytest.mark.parametrize(
     "m, vmax, digest",
     [
-        (12, 16, "1797b4e2a6b13f36d736ced8c17c1c8a28c1b3879b7f5c143633f6c89256e79b"),
-        (5, 4, "c716511d55b2c477d2e88a667a498f2f1e1e2ebdf39c77a83de04f537e17acd0"),
-        (3, 3, "a0808e7058e98fbb4f5b126e7f938cc8cf9051680a1794dc4a00c5b477793e2e"),
+        (12, 16, "a1913c18bb9961d1294801c83456e22ef6bbabb7c7500b360e0ba7c40276d591"),
+        (5, 4, "58c64b9e7709c0e2cfc1eef1438f5939f6129eee68c5bc7589b2853778bee3a9"),
+        (3, 3, "d182de87a8e2d8ea5f39a5bcd435642211bfa48494622890c36598c8e00b49bb"),
     ],
 )
 def test_table_build_bytes_are_pinned(m, vmax, digest, tmp_path, capsys):

@@ -99,6 +99,16 @@ def test_block_partition_count_brute_force():
                 assert block_partition_count(elements, blocks, min_block) == expect
 
 
+def test_block_partition_table_deep_closed_forms():
+    # with blocks of size >= 2: one block covers any n >= 2 one way, and
+    # n! [x^n] (e^x - 1 - x)^2 = 2^n - 2 - 2n for n >= 3; 2848 elements is
+    # what verify_table reads for an m = 2, vmax = 1424 table
+    table = block_partition_table(2, 2848, 2)
+    assert table[1][:2] == [0, 0] and set(table[1][2:]) == {1}
+    assert table[2][:3] == [0, 0, 0]
+    assert all(table[2][n] == 2**n - 2 - 2 * n for n in range(3, 2849))
+
+
 def test_block_partition_count_rejects_negative_arguments():
     for args in [(-1, 1, 2), (4, -1, 2), (4, 2, -1)]:
         with pytest.raises(ValidationError):

@@ -1,10 +1,13 @@
 """CPTABLE file format: canonical writes, and loads that are complete or raise.
 
-A CPTABLE 2 file ends with "end sha256=<hex>" over every byte before it,
-so no truncation or changed byte can load; the rows are then validated.
+A CPTABLE 3 file holds the integer counts B = v! 2^v A(v,t,s), one row
+"<v> <t> <s> <B>" each, and ends with "end sha256=<hex>" over every byte
+before it, so no truncation or changed byte can load; the rows are then
+validated.
 """
 
 import hashlib
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,14 +15,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclepoisson.combinatorics import factorial
-from cyclepoisson.errors import TableFormatError
+from cyclepoisson.errors import TableFormatError, ValidationError
 from cyclepoisson.table import (
     _LOAD_BATCH,
+    CoeffTable,
     EnsembleParams,
     _write_over,
     fill_table,
     load_table,
     save_table,
+    stopping_set_count,
 )
 
 
@@ -63,79 +68,75 @@ def test_file_shape(table4):
     blob = path.read_bytes()
     text = blob.decode("ascii")
     lines = text.split("\n")
-    assert lines[0] == "CPTABLE 2"
-    assert lines[1] == "m=4 vmax=3 base=unit-origin"
-    assert lines[2] == "0 0 0 1/1"
+    assert lines[0] == "CPTABLE 3"
+    assert lines[1] == "m=4 vmax=3"
+    # the origin is implied; the first row is B(1,1,0) = 1! 2^1 A = binom(4,1)
+    assert lines[2] == "1 1 0 4"
     assert text.endswith("\n")
     assert "\r" not in text
     body = blob[: blob.rindex(b"end sha256=")]
     assert lines[-2] == "end sha256=" + hashlib.sha256(body).hexdigest()
-    rows = lines[2:-2]
-    keys = [tuple(int(x) for x in row.split()[:3]) for row in rows]
-    assert keys == sorted(keys)
+    rows = [tuple(map(int, row.split())) for row in lines[2:-2]]
+    assert all(len(row) == 4 for row in rows)
+    assert rows == sorted(rows)
+    assert {row[:3]: row[3] for row in rows} == {
+        key: b for key, b in _table.counts.items() if key != (0, 0, 0)
+    }
 
 
 def test_load_bad_magic(tmp_path):
     with pytest.raises(TableFormatError) as err:
-        load_table(write(tmp_path, "CPTABLE 9\nm=3 vmax=1 base=unit-origin\n"))
+        load_table(write(tmp_path, "CPTABLE 9\nm=3 vmax=1\n"))
     assert "line 1" in str(err.value)
 
 
 def test_load_bad_header(tmp_path):
     with pytest.raises(TableFormatError) as err:
-        load_table(write(tmp_path, "CPTABLE 2\nm=3 vmax=x base=unit-origin\n"))
+        load_table(write(tmp_path, "CPTABLE 3\nm=3 vmax=x\n"))
     assert "line 2" in str(err.value)
 
 
 def test_load_unknown_base_is_a_format_error(tmp_path):
-    # the header regex admits any lowercase label; unit-origin is the only
-    # one a table has, and empty is refused like any other
-    for label in ("foo", "empty"):
+    # a CPTABLE 3 header has no base label, so one that carries any label,
+    # the old unit-origin included, is a bad header
+    for label in ("foo", "empty", "unit-origin"):
         with pytest.raises(TableFormatError) as err:
-            load_table(write(tmp_path, "CPTABLE 2\nm=3 vmax=0 base=%s\n0 0 0 1/1\n" % label))
+            load_table(write(tmp_path, "CPTABLE 3\nm=3 vmax=0 base=%s\n" % label))
         assert err.value.line == 2
-        assert "unknown base '%s'" % label in str(err.value)
+        assert "bad header 'm=3 vmax=0 base=%s'" % label in str(err.value)
 
 
 def test_load_bad_row_syntax(tmp_path):
-    text = (
-        "CPTABLE 2\nm=3 vmax=1 base=unit-origin\n"
-        "0 0 0 1/1\n1 1 0 3/2/9\n1 1 0 3/2\n"
-    )
+    text = "CPTABLE 3\nm=3 vmax=1\n1 1 0 3\n1 2 0 3/2\n"
     with pytest.raises(TableFormatError) as err:
         load_table(write(tmp_path, text))
     assert "line 4" in str(err.value)
 
 
 def test_load_rejects_zero_value(tmp_path):
-    text = "CPTABLE 2\nm=3 vmax=1 base=unit-origin\n0 0 0 1/1\n1 1 0 0/1\n1 1 0 3/2\n"
+    # zero entries are omitted, so a zero count is no row at all
+    text = "CPTABLE 3\nm=3 vmax=1\n1 1 0 0\n1 2 0 3\n"
     with pytest.raises(TableFormatError) as err:
         load_table(write(tmp_path, text))
-    assert "omitted" in str(err.value)
-
-
-def test_load_rejects_unreduced_fraction(tmp_path):
-    text = "CPTABLE 2\nm=3 vmax=1 base=unit-origin\n0 0 0 1/1\n1 1 0 6/4\n1 2 0 1/1\n"
-    with pytest.raises(TableFormatError) as err:
-        load_table(write(tmp_path, text))
-    assert "lowest terms" in str(err.value)
+    assert err.value.line == 3
+    assert "bad row '1 1 0 0'" in str(err.value)
 
 
 def test_load_rejects_out_of_order_rows(tmp_path):
-    text = "CPTABLE 2\nm=3 vmax=1 base=unit-origin\n0 0 0 1/1\n1 2 0 1/1\n1 1 0 3/2\n"
+    text = "CPTABLE 3\nm=3 vmax=1\n1 2 0 1\n1 1 0 3\n"
     with pytest.raises(TableFormatError) as err:
         load_table(write(tmp_path, text))
     assert "order" in str(err.value)
 
 
 def test_load_rejects_v_above_declared(tmp_path):
-    text = "CPTABLE 2\nm=3 vmax=1 base=unit-origin\n0 0 0 1/1\n2 1 0 3/8\n1 1 0 3/2\n"
+    text = "CPTABLE 3\nm=3 vmax=1\n2 1 0 3\n1 1 0 3\n"
     with pytest.raises(TableFormatError):
         load_table(write(tmp_path, text))
 
 
 def test_load_rejects_levels_short_of_declared(tmp_path):
-    text = "CPTABLE 2\nm=3 vmax=2 base=unit-origin\n0 0 0 1/1\n1 1 0 3/2\n"
+    text = "CPTABLE 3\nm=3 vmax=2\n1 1 0 3\n"
     with pytest.raises(TableFormatError) as err:
         load_table(write(tmp_path, text))
     assert "vmax=2" in str(err.value)
@@ -143,15 +144,18 @@ def test_load_rejects_levels_short_of_declared(tmp_path):
 
 def test_load_rejects_indices_outside_support(tmp_path):
     # s can be at most m - t
-    text = "CPTABLE 2\nm=3 vmax=1 base=unit-origin\n0 0 0 1/1\n1 1 3 1/1\n1 2 0 1/1\n"
+    text = "CPTABLE 3\nm=3 vmax=1\n1 1 3 1\n1 2 0 1\n"
     with pytest.raises(TableFormatError):
         load_table(write(tmp_path, text))
 
 
 def test_load_rejects_origin_conflict(tmp_path):
-    text = "CPTABLE 2\nm=3 vmax=1 base=unit-origin\n0 0 0 2/1\n1 1 0 3/2\n"
-    with pytest.raises(TableFormatError):
+    # the origin is implied; no row can give it another value
+    text = "CPTABLE 3\nm=3 vmax=1\n0 0 0 2\n1 1 0 3\n"
+    with pytest.raises(TableFormatError) as err:
         load_table(write(tmp_path, text))
+    assert err.value.line == 3
+    assert "bad row" in str(err.value)
 
 
 @pytest.mark.parametrize(
@@ -166,19 +170,23 @@ def test_load_rejects_origin_conflict(tmp_path):
     ids=["recurrence-7", "recurrence-16", "boundary-7", "origin-2"],
 )
 def test_load_rejects_non_integral_count(table4, tmp_path, key, delta):
-    # a table holds B = v! 2^v A as an integer, so a row whose reduced
-    # denominator does not divide v! 2^v cannot load, even when signed
+    # a row holds the integer count B = v! 2^v A, so A off by delta, its
+    # count written as the fraction it then is, cannot load even when
+    # signed; the origin has no row, so that one is written before the first
     _params, table, path = table4
-    text = path.read_text()
-    lines = text[: text.rindex("end sha256=")].split("\n")
+    lines = body_lines(path)
     prefix = "%d %d %d " % key
-    idx = next(i for i, line in enumerate(lines) if line.startswith(prefix))
-    val = table.entries[key] + delta
-    lines[idx] = prefix + "%d/%d" % (val.numerator, val.denominator)
-    with pytest.raises(TableFormatError) as err:
-        load_table(write(tmp_path, "\n".join(lines)))
-    assert err.value.line == idx + 1
-    assert "does not divide v! * 2^v = %d" % (factorial(key[0]) * 2 ** key[0]) in str(err.value)
+    count = (table.entries[key] + delta) * factorial(key[0]) * 2 ** key[0]
+    row = prefix + "%d/%d" % (count.numerator, count.denominator)
+    if key[0]:
+        idx = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+        lines[idx] = row
+    else:
+        idx = 2
+        lines.insert(idx, row)
+    err = load_error(tmp_path, lines)
+    assert err.line == idx + 1
+    assert "bad row %r" % row in str(err)
 
 
 def _edit(lines, idx, row):
@@ -193,28 +201,29 @@ def _cut(lines, idx):
     del lines[idx:]
 
 
-def _scale_row(lines, idx, k):
-    # the same value with numerator and denominator both times k
-    key, frac = lines[idx].rsplit(" ", 1)
-    num, den = map(int, frac.split("/"))
-    lines[idx] = "%s %d/%d" % (key, num * k, den * k)
+def _pad_count(lines, idx):
+    # the same count with a leading zero, which no canonical file has
+    key, count = lines[idx].rsplit(" ", 1)
+    lines[idx] = "%s 0%s" % (key, count)
 
 
-# m = 4, vmax = 3: file line 3 is the origin "0 0 0 1/1", line 4 "1 1 0 2/1",
-# lines 5-8 hold v = 2 ("2 1 0 1/2" .. "2 2 0 9/2"), lines 9-16 v = 3
+# m = 4, vmax = 3: file line 3 is "1 1 0 4", lines 4-7 hold v = 2
+# ("2 1 0 4" .. "2 2 0 36"), lines 8-15 v = 3 ("3 1 0 4" .. "3 3 0 360")
 ROW_FAULTS = {
-    "syntax": (lambda ls: _edit(ls, 9, "3 1 1 3//2"), 10, "bad row"),
-    "zero-value": (lambda ls: _edit(ls, 5, "2 1 1 0/1"), 6, "omitted"),
-    "unreduced": (lambda ls: _scale_row(ls, 6, 2), 7, "lowest terms"),
-    "out-of-order": (lambda ls: _swap(ls, 10), 12, "order"),
-    "v-above-vmax": (lambda ls: _edit(ls, 15, "4 1 0 1/1"), 16, "vmax"),
-    "t0-at-v1": (lambda ls: ls.insert(4, "2 0 1 1/1"), 5, "support"),
-    "t-plus-s-above-m": (lambda ls: ls.insert(8, "2 2 3 1/1"), 9, "support"),
-    "denominator": (lambda ls: _edit(ls, 12, "3 2 0 25/7"), 13, "divide"),
-    "second-v0-row": (lambda ls: ls.insert(3, "0 1 0 1/1"), 4, "conflicts"),
-    "origin-value": (lambda ls: _edit(ls, 2, "0 0 0 2/1"), 3, "conflicts"),
-    "missing-origin": (lambda ls: ls.pop(2), 3, "base row"),
-    "short-of-vmax": (lambda ls: _cut(ls, 8), 2, "vmax=3"),
+    "syntax": (lambda ls: _edit(ls, 8, "3 1 1 3//2"), 9, "bad row"),
+    "zero-value": (lambda ls: _edit(ls, 4, "2 1 1 0"), 5, "bad row"),
+    "negative-count": (lambda ls: _edit(ls, 5, "2 1 2 -48"), 6, "bad row"),
+    "leading-zero-count": (lambda ls: _pad_count(ls, 11), 12, "bad row"),
+    "leading-zero-s": (lambda ls: _edit(ls, 9, "3 1 02 360"), 10, "bad row"),
+    "fraction-count": (lambda ls: _edit(ls, 6, "2 2 0 72/2"), 7, "bad row"),
+    "out-of-order": (lambda ls: _swap(ls, 9), 11, "order"),
+    "v-above-vmax": (lambda ls: _edit(ls, 14, "4 1 0 1"), 15, "vmax"),
+    "t0-at-v1": (lambda ls: ls.insert(3, "2 0 1 1"), 4, "bad row"),
+    "t-plus-s-above-m": (lambda ls: ls.insert(7, "2 2 3 1"), 8, "support"),
+    "explicit-origin": (lambda ls: ls.insert(2, "0 0 0 1"), 3, "bad row"),
+    "second-v0-row": (lambda ls: ls.insert(2, "0 1 0 1"), 3, "bad row"),
+    "origin-value": (lambda ls: ls.insert(2, "0 0 0 2"), 3, "bad row"),
+    "short-of-vmax": (lambda ls: _cut(ls, 7), 2, "vmax=3"),
 }
 
 
@@ -242,7 +251,7 @@ def test_load_error_names_the_failing_line(table4, tmp_path, fault):
 
 @pytest.fixture(scope="module")
 def table40_body(tmp_path_factory):
-    """The body lines of an m = vmax = 40 file: 16,611 rows, several batches."""
+    """The body lines of an m = vmax = 40 file: 16,610 rows, several batches."""
     table = fill_table(EnsembleParams.from_checks(40), vmax=40)
     assert len(table.counts) == 16611 > 2 * _LOAD_BATCH
     path = tmp_path_factory.mktemp("cpt") / "m40.cpt"
@@ -255,7 +264,7 @@ def table40_body(tmp_path_factory):
     "edit, line, word",
     [
         # a fault in the third batch
-        (lambda ls: _scale_row(ls, 9999, 3), 10000, "lowest terms"),
+        (lambda ls: _pad_count(ls, 9999), 10000, "bad row"),
         # the last row of the first batch swapped with the first of the next,
         # so each batch is in order by itself and only the boundary is not
         (lambda ls: _swap(ls, 1 + _LOAD_BATCH), 3 + _LOAD_BATCH, "order"),
@@ -271,17 +280,18 @@ def test_load_error_line_in_a_many_batch_table(table40_body, tmp_path, edit, lin
 
 
 def test_load_complete_requires_origin_row(tmp_path):
-    text = "CPTABLE 2\nm=3 vmax=1 base=unit-origin\n1 1 0 3/2\n"
-    with pytest.raises(TableFormatError) as err:
-        load_table(write(tmp_path, text))
-    assert "base row" in str(err.value)
+    # no CPTABLE 3 row holds the origin; the load puts it back, so a loaded
+    # table always has it
+    text = "CPTABLE 3\nm=3 vmax=1\n1 1 0 3\n"
+    assert load_table(write(tmp_path, text)).counts == {(0, 0, 0): 1, (1, 1, 0): 3}
 
 
 def test_vmax0_table_is_the_origin(tmp_path):
-    # a vmax=0 table stores the origin row and nothing else
+    # a vmax=0 table stores the origin and nothing else, so its file has no row
     table = fill_table(EnsembleParams.from_checks(3), vmax=0)
     path = tmp_path / "origin.cptable"
     save_table(table, path)
+    assert path.read_bytes() == signed(b"CPTABLE 3\nm=3 vmax=0\n")
     loaded = load_table(path)
     assert loaded == table
     assert loaded.entries == {(0, 0, 0): 1}
@@ -293,6 +303,96 @@ def test_v1_file_rejected_with_rebuild_hint(tmp_path):
         load_table(write_raw(tmp_path, text.encode()))
     assert "line 1" in str(err.value)
     assert "`cyclepoisson table build --m 4 --vmax 3`" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "plane", [{(0, 0, 0): 2}, {}, {(0, 0, 0): 1, (0, 1, 0): 1}], ids=["value", "missing", "extra"]
+)
+def test_save_refuses_a_v0_plane_other_than_the_origin(table4, tmp_path, plane):
+    # the file cannot hold a v = 0 row, so saving one would quietly mend it
+    _params, table, path = table4
+    counts = {key: b for key, b in table.counts.items() if key[0]}
+    bad = CoeffTable(table.params, table.vmax, {**plane, **counts})
+    with pytest.raises(ValidationError):
+        save_table(bad, tmp_path / "bad.cpt")
+    assert not (tmp_path / "bad.cpt").exists()
+
+
+def test_v2_file_rejected_with_rebuild_hint(tmp_path):
+    # CPTABLE 2 held each entry as a reduced fraction; it is no longer read,
+    # signed or not
+    text = "CPTABLE 2\nm=12 vmax=16 base=unit-origin\n0 0 0 1/1\n1 1 0 6/1\n"
+    for blob in (text.encode(), signed(text.encode())):
+        with pytest.raises(TableFormatError) as err:
+            load_table(write_raw(tmp_path, blob))
+        assert err.value.line == 1
+        assert "CPTABLE 2 files are no longer read" in str(err.value)
+        assert "`cyclepoisson table build --m 12 --vmax 16`" in str(err.value)
+
+
+def test_count_past_the_digit_limit_round_trips(tmp_path):
+    # counts of any length are written and read without lifting the
+    # interpreter's int-to-str digit limit (4300 digits by default)
+    limit = sys.get_int_max_str_digits()
+    big = 10**5000 + 1
+    table = CoeffTable(EnsembleParams.from_checks(1), 1, {(0, 0, 0): 1, (1, 1, 0): big})
+    path = tmp_path / "big.cpt"
+    digest = save_table(table, path)
+    blob = path.read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == digest
+    assert blob.split(b"\n")[2] == b"1 1 0 1" + b"0" * 4999 + b"1"
+    assert load_table(path) == table
+    assert sys.get_int_max_str_digits() == limit
+
+
+LONG = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "text, line, word",
+    [
+        ("CPTABLE 3\nm=1 vmax=1\n1 1 0 %s\n" % LONG, None, None),
+        ("CPTABLE 3\nm=1 vmax=1\n%s 1 0 1\n" % LONG, 3, "vmax"),
+        ("CPTABLE 3\nm=1 vmax=1\n1 %s 0 1\n" % LONG, 3, "support"),
+        ("CPTABLE 3\nm=1 vmax=1\n1 1 %s 1\n" % LONG, 3, "support"),
+        ("CPTABLE 3\nm=%s vmax=1\n1 %s 0 1\n1 1 0 1\n" % (LONG, LONG), 4, "order"),
+        ("CPTABLE 3\nm=1 vmax=%s\n1 1 0 1\n" % LONG, 2, "vmax=" + LONG),
+        ("CPTABLE 3\nm=1 vmax=1\n1 1 0 -%s\n" % LONG, 3, "bad row"),
+    ],
+    ids=["count", "v", "t", "s", "order", "header-vmax", "negative-count"],
+)
+def test_rows_of_any_length_load_or_raise_a_format_error(tmp_path, text, line, word):
+    path = write(tmp_path, text)
+    if line is None:
+        assert load_table(path).counts[(1, 1, 0)] == 10**5000 - 1
+        return
+    with pytest.raises(TableFormatError) as err:
+        load_table(path)
+    assert err.value.line == line
+    assert word in str(err.value)
+
+
+@settings(max_examples=25, deadline=None)
+@given(m=st.integers(1, 7), vmax=st.integers(0, 8))
+def test_save_load_round_trip(tmp_path_factory, m, vmax):
+    n = max(m, vmax)
+    table = fill_table(EnsembleParams(n=n, r=Fraction(n - m, n)), vmax)
+    path = tmp_path_factory.mktemp("cpt") / "t.cpt"
+    save_table(table, path)
+    assert load_table(path) == table
+
+
+def test_s0_rows_are_stopping_set_counts(tmp_path):
+    # each s = 0 row's count is the number of assignments of v variables
+    # covering exactly t checks, each at least twice
+    params = EnsembleParams.from_checks(9)
+    path = tmp_path / "t.cpt"
+    save_table(fill_table(params, 9), path)
+    rows = [tuple(map(int, line.split())) for line in body_lines(path)[2:]]
+    boundary = [row for row in rows if row[2] == 0]
+    assert len(boundary) == sum(range(1, 10))
+    for v, t, _s, b in boundary:
+        assert b == stopping_set_count(params, v, t)
 
 
 def test_trailer_must_match_and_end_the_file(table4, tmp_path):
