@@ -76,6 +76,16 @@ def _frac(text: str) -> Fraction:
         raise argparse.ArgumentTypeError("not a rational: %r" % (text,))
 
 
+def _exact(q) -> str:
+    """str(q) for a Fraction or int, past the int-to-str digit limit too.
+
+    Each integer goes through decimal, which has no such limit, so the
+    limit is never lifted; the text is str()'s wherever str() works.
+    """
+    num = decimal.Decimal(q.numerator)
+    return str(num) if q.denominator == 1 else "%s/%s" % (num, decimal.Decimal(q.denominator))
+
+
 def _distinct(values: list, text: str) -> list:
     """The values with repeats (equal by value) dropped, in first-occurrence order."""
     if not values:
@@ -227,8 +237,8 @@ def _cmd_table_exponents(args, run: _Run) -> int:
 def _cmd_table_verify(args, run: _Run) -> int:
     table = load_table(Path(args.file))
     problems = verify_table(table)
-    # through decimal: a loaded header's m or vmax may be past the digit limit
-    size = "m=%s vmax=%s" % (decimal.Decimal(table.m), decimal.Decimal(table.vmax))
+    # a loaded header's m or vmax may be past the digit limit
+    size = "m=%s vmax=%s" % (_exact(table.m), _exact(table.vmax))
     print("table: %s, %d entries" % (size, len(table.counts)))
     if problems:
         for p in problems:
@@ -241,8 +251,7 @@ def _cmd_table_verify(args, run: _Run) -> int:
 def _cmd_stopping_sets_count(args, run: _Run) -> int:
     params = _params_for_checks(args.m, args.v)
     count = stopping_set_count(params, args.v, args.t)
-    # exact, and past the int-to-str digit limit without lifting it
-    text = str(decimal.Decimal(count))
+    text = _exact(count)
     print(text)
     if count > 0 and args.digits:
         print("digits: %d" % len(text))
@@ -362,11 +371,11 @@ def _cmd_pde_verify_expansion(args, run: _Run) -> int:
 def _cmd_errprob_eval(args, run: _Run) -> int:
     result = block_error_probability(EnsembleParams(n=args.n, r=args.r), args.eps)
     print("x = %s" % result.x)
-    print("E_B = %s" % result.value)
+    print("E_B = %s" % _exact(result.value))
     print("E_B ~ %.15g" % float(result.value))
     if args.breakdown:
         for v, term in result.per_v:
-            print("  v=%d term=%s (~%.6g)" % (v, term, float(term)))
+            print("  v=%d term=%s (~%.6g)" % (v, _exact(term), float(term)))
     return 0
 
 
@@ -376,7 +385,7 @@ def _cmd_errprob_sweep(args, run: _Run) -> int:
     for eps in args.eps_list:
         result = block_error_probability(params, eps)
         lines.append(
-            "%s,%s,%.15g" % (eps, result.value, float(result.value))
+            "%s,%s,%.15g" % (eps, _exact(result.value), float(result.value))
         )
     path = run.write_text(args.csv, "\n".join(lines) + "\n")
     print("wrote %s (%d epsilon values)" % (path, len(args.eps_list)))
@@ -470,7 +479,7 @@ def _cmd_reconcile(args, run: _Run) -> int:
         rows.append(
             {
                 "epsilon": "%d/%d" % (eps.numerator, eps.denominator),
-                "analytic": str(analytic.value),
+                "analytic": _exact(analytic.value),
                 "analytic_float": float(analytic.value),
                 "mc_p_hat": mc.p_hat,
                 "mc_ci95": [lo, hi],

@@ -5,16 +5,20 @@ channel is the exact finite sum
 
     E_B = (1-eps)^n * sum_v C(n,v) v! x^v * sum_{t,s} A(v,t,s),
 
-with x = 2 eps / ((1-eps) m^2).  Two routes evaluate it, with the same
-value and per-v terms:
+with x = 2 eps / ((1-eps) m^2).  v! 2^v sum_{t,s} A(v,t,s) is the number
+of cyclic endpoint assignments of v variables, so E_B is one sum over v
+with those counts as its coefficients, and _block_error is the one place
+that weighs counts into terms.  Two routes feed it the same counts from
+two sources:
 
-* block_error_probability, the production route, takes the inner sum from
-  Renyi's forest count: v! 2^v sum_{t,s} A(v,t,s) = m^(2v) - W_v, where
-  W_v counts the endpoint assignments of v variables that form a forest
-  on the m checks (W_v = 0 for v >= m).  No table is filled.
-* expected_block_error, the paper's route, sums the filled coefficient
-  table level by level.  It is the oracle the forest route is checked
-  against.
+* block_error_probability, the production route, takes them from Renyi's
+  forest count: the cyclic assignments are m^(2v) - W_v, where W_v counts
+  the endpoint assignments of v variables that form a forest on the m
+  checks (W_v = 0 for v >= m).  No table is filled.
+* expected_block_error, the paper's route, adds them up level by level
+  from the filled coefficient table.  Its counts come from the
+  recurrence, not from forests, so it is the oracle the forest route is
+  checked against.
 
 The same sum rearranges into per-(t,s) inner power sums with the n^{2v}
 factored out of x, each read from one column of the m-free kernel with
@@ -39,9 +43,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, repeat
 
 from .combinatorics import binomial, factorial, log_fraction
 from .errors import CoverageError, ToleranceNotMetError, ValidationError
@@ -108,23 +114,68 @@ class ErrProbQuery:
 
 @dataclass(frozen=True)
 class ErrProbResult:
+    """E_B with each per-v term kept as an integer numerator.
+
+    With eps = a/b and d = (b-a) m^2, the v-th term of the sum, before the
+    prefactor (1-eps)^n, is numerators[v-1] / d^v; per_v builds those
+    Fractions only when it is read, and x is 2a/d.  Equality compares
+    value, epsilon and numerators, which is comparing value, epsilon,
+    per_v and x: numerators[0] = n a m fixes m, and so d, unless eps = 0,
+    where every term and x are 0 for any m.
+    """
+
     value: Fraction
-    per_v: tuple[tuple[int, Fraction], ...]
     epsilon: Fraction
-    x: Fraction
+    numerators: tuple[int, ...]
+    d: int = field(compare=False)
+
+    @property
+    def x(self) -> Fraction:
+        """2 eps / ((1-eps) m^2) = 2a / d."""
+        return Fraction(2 * self.epsilon.numerator, self.d)
+
+    @property
+    def per_v(self) -> tuple[tuple[int, Fraction], ...]:
+        """(v, numerators[v-1] / d^v) for v = 1..n, built per read."""
+        powers = accumulate(repeat(self.d, len(self.numerators)), operator.mul)  # d^v
+        return tuple(
+            (v, Fraction(c, dv)) for v, (c, dv) in enumerate(zip(self.numerators, powers), 1)
+        )
 
     def __float__(self) -> float:
         return float(self.value)
 
 
+def _block_error(n: int, m: int, eps: Fraction, cyclic) -> ErrProbResult:
+    """E_B from cyclic[v-1], the cyclic endpoint assignments of v variables, v = 1..n.
+
+    The v-th term is binom(n,v) (eps/(1-eps))^v cyclic_v / m^(2v); with
+    eps = a/b and d = (b-a) m^2 that is c_v / d^v for the integer
+    c_v = binom(n,v) a^v cyclic_v.  The value (1-eps)^n sum_v c_v / d^v is
+    one fraction sum_v c_v d^(n-v) / (b^n m^(2n)), whose numerator
+    Horner's rule forms; binom(n,v) a^v is updated per level.
+    """
+    a, b = eps.numerator, eps.denominator
+    d = (b - a) * m * m
+    numerators = []
+    numerator = 0
+    weight = 1  # binom(n,v) a^v
+    for v, count in enumerate(cyclic, 1):
+        weight = weight * (n - v + 1) * a // v
+        c = weight * count
+        numerators.append(c)
+        numerator = numerator * d + c
+    value = Fraction(numerator, b**n * m ** (2 * n))
+    return ErrProbResult(value=value, epsilon=eps, numerators=tuple(numerators), d=d)
+
+
 def expected_block_error(query: ErrProbQuery) -> ErrProbResult:
     """Exact finite evaluation of E_B from the table, with a per-v breakdown.
 
-    This is the paper's route and the oracle for block_error_probability.
-
-    The v-th term is C(n,v) v! x^v * sum_{t>=1,s} A(v,t,s); the total is
-    (1-eps)^n times their sum.  The per_v breakdown carries the terms
-    before that prefactor.
+    This is the paper's route and the oracle for block_error_probability:
+    each level's cyclic count is the table's sum of B = v! 2^v A(v,t,s)
+    over t >= 1, and _block_error weighs it into the v-th term
+    C(n,v) v! x^v sum_{t>=1,s} A(v,t,s).
 
     Raises:
         CoverageError: the table is shallower than v = n.
@@ -137,22 +188,9 @@ def expected_block_error(query: ErrProbQuery) -> ErrProbResult:
             % (query.table.vmax, n, missing),
             missing=missing,
         )
-    sums = query.table.level_sums()
-    per_v = []
-    total = Fraction(0)
-    for v in range(1, n + 1):
-        term = (
-            binomial(n, v)
-            * factorial(v)
-            * query.x**v
-            * sums.get(v, Fraction(0))
-        )
-        per_v.append((v, term))
-        total += term
-    value = (1 - query.epsilon) ** n * total
-    return ErrProbResult(
-        value=value, per_v=tuple(per_v), epsilon=query.epsilon, x=query.x
-    )
+    counts = query.table.level_counts()
+    cyclic = (counts.get(v, 0) for v in range(1, n + 1))
+    return _block_error(n, query.params.m, query.epsilon, cyclic)
 
 
 @lru_cache(maxsize=1)
@@ -188,32 +226,16 @@ def _forest_counts(m: int) -> tuple[int, ...]:
 def block_error_probability(params: EnsembleParams, epsilon) -> ErrProbResult:
     """E_B from forest counts, with no coefficient table.
 
-    The v-th term is binom(n,v) (eps/(1-eps))^v (m^(2v) - W_v) / m^(2v),
-    which equals expected_block_error's term C(n,v) v! x^v sum_{t,s}
-    A(v,t,s) exactly; value, per_v and x are those of the table route.
-    With eps = a/b and d = (b-a) m^2, the v-th term is c_v / d^v for an
-    integer c_v, so the value is (1-eps)^n sum_v c_v / d^v, one fraction
-    sum_v c_v d^(n-v) / (b^n m^(2n)) whose numerator Horner's rule forms.
+    Each level's cyclic count is m^(2v) - W_v, and _block_error weighs it
+    as it weighs the table route's counts, so value, per_v and x are
+    expected_block_error's exactly.
     """
     eps = _check_epsilon(epsilon)
     n, m = params.n, params.m
     forests = _forest_counts(m)
-    a, b = eps.numerator, eps.denominator
-    m2 = m * m
-    d = (b - a) * m2
-    per_v = []
-    numerator = 0
-    m2v, dv = 1, 1  # m^(2v) and d^v
-    for v in range(1, n + 1):
-        m2v *= m2
-        dv *= d
-        cyclic = m2v - (forests[v] if v < m else 0)
-        count = binomial(n, v) * a**v * cyclic
-        per_v.append((v, Fraction(count, dv)))
-        numerator = numerator * d + count
-    value = Fraction(numerator, b**n * m2**n)
-    x = 2 * eps / ((1 - eps) * m2)
-    return ErrProbResult(value=value, per_v=tuple(per_v), epsilon=eps, x=x)
+    powers = accumulate(repeat(m * m, n), operator.mul)  # m^(2v), v = 1..n
+    cyclic = (p - (forests[v] if v < m else 0) for v, p in enumerate(powers, 1))
+    return _block_error(n, m, eps, cyclic)
 
 
 @dataclass(frozen=True)

@@ -185,17 +185,20 @@ class CoeffTable:
         b = self.counts.get((v, t, s))
         return Fraction(b, _weight(v)) if b else Fraction(0)
 
-    def level_sums(self) -> dict[int, Fraction]:
-        """Sum of A(v, t, s) over t >= 1 and all s, for every level v with an entry there.
+    def level_counts(self) -> dict[int, int]:
+        """Sum of B(v, t, s) over t >= 1 and all s, for every level v with an entry there.
 
-        The counts of a level are added as integers and one Fraction, the
-        sum over v! * 2^v, is built per level.
+        This is the number of cyclic endpoint assignments of v variables.
         """
         sums: dict[int, int] = {}
         for (v, t, _s), b in self.counts.items():
             if t >= 1:
                 sums[v] = sums.get(v, 0) + b
-        return {v: Fraction(b, _weight(v)) for v, b in sums.items()}
+        return sums
+
+    def level_sums(self) -> dict[int, Fraction]:
+        """level_counts as sums of A: one Fraction, the count over v! * 2^v, per level."""
+        return {v: Fraction(b, _weight(v)) for v, b in self.level_counts().items()}
 
     def __eq__(self, other):
         if not isinstance(other, CoeffTable):

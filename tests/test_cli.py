@@ -15,7 +15,7 @@ import pytest
 
 from cyclepoisson import cli
 from cyclepoisson.cli import build_parser, main
-from cyclepoisson.errprob import ErrProbQuery, expected_block_error
+from cyclepoisson.errprob import ErrProbQuery, block_error_probability, expected_block_error
 from cyclepoisson.simulator import exhaustive_block_error
 from cyclepoisson.table import (
     EnsembleParams,
@@ -475,6 +475,46 @@ def test_sweep_csv_format(tmp_path, capsys):
     assert eps == "1/20"
     num, den = value.split("/")
     assert abs(float(floatval) - int(num) / int(den)) < 1e-15
+
+
+_TINY_EPS = "1/10000019"  # at n = 600, E_B's denominator has more than 4,300 digits
+
+
+def _eval_value(out, _dir):
+    return out.splitlines()[1].removeprefix("E_B = ")
+
+
+def _sweep_value(_out, out_dir):
+    return (out_dir / "errprob_sweep.csv").read_text().splitlines()[1].split(",")[1]
+
+
+def _reconcile_value(_out, out_dir):
+    return json.loads((out_dir / "reconcile.json").read_text())["rows"][0]["analytic"]
+
+
+@pytest.mark.parametrize(
+    "argv, read",
+    [
+        (["errprob", "eval", "--n", "600", "--r", "1/2", "--eps", _TINY_EPS, "--breakdown"],
+         _eval_value),
+        (["errprob", "sweep", "--n", "600", "--r", "1/2", "--eps-list", _TINY_EPS], _sweep_value),
+        (["reconcile", "--n", "600", "--r", "1/2", "--eps-list", _TINY_EPS, "--trials", "20",
+          "--seed", "1"], _reconcile_value),
+    ],
+    ids=["eval", "sweep", "reconcile"],
+)
+def test_exact_values_past_the_int_str_limit(argv, read, tmp_path, capsys):
+    # the exact value is written whole, without lifting the interpreter's
+    # int-to-str limit, and reads back through decimal to the library's
+    limit = sys.get_int_max_str_digits()
+    expect = block_error_probability(EnsembleParams(n=600, r=Fraction(1, 2)), Fraction(_TINY_EPS))
+    assert expect.value.denominator.bit_length() > limit * math.log2(10)
+    rc, out, err = run_cli(capsys, "--out", str(tmp_path), *argv)
+    assert rc == 0
+    assert "Traceback" not in err
+    num, den = read(out, tmp_path).split("/")
+    assert Fraction(int(decimal.Decimal(num)), int(decimal.Decimal(den))) == expect.value
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_hadamard_split_csv(tmp_path, capsys):

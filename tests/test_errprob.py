@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cyclepoisson import errprob
 from cyclepoisson.combinatorics import binomial, factorial
 from cyclepoisson.errors import (
     CoverageError,
@@ -86,14 +87,15 @@ def test_expected_block_error_duplicate_evaluation(n4_setup):
     q = ErrProbQuery(params, eps, table)
     result = expected_block_error(q)
     n = params.n
-    direct = Fraction(0)
+    terms = dict.fromkeys(range(1, n + 1), Fraction(0))
     for (v, t, _s), a in table.entries.items():
         if t < 1:
             continue
-        direct += binomial(n, v) * factorial(v) * q.x**v * a
-    direct *= (1 - eps) ** n
+        terms[v] += binomial(n, v) * factorial(v) * q.x**v * a
+    direct = (1 - eps) ** n * sum(terms.values())
     assert result.value == direct
     assert result.value > 0
+    assert result.per_v == block_error_probability(params, eps).per_v == tuple(terms.items())
 
 
 def test_expected_block_error_breakdown(n4_setup):
@@ -178,6 +180,21 @@ def test_bad_epsilon_messages_match_across_routes(n4_setup, eps, message):
         with pytest.raises(ValidationError) as err:
             evaluate()
         assert str(err.value) == message
+
+
+def test_block_error_probability_builds_no_per_v_fractions(monkeypatch):
+    # the per-v terms stay integers until per_v is read: one Fraction for
+    # the value, whatever n is
+    made = []
+
+    def counting(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(errprob, "Fraction", counting)
+    result = block_error_probability(EnsembleParams(n=200, r=Fraction(1, 2)), Fraction(1, 20))
+    assert len(made) <= 2
+    assert len(result.per_v) == 200
 
 
 def test_block_error_probability_near_threshold():
