@@ -14,11 +14,18 @@ on every platform.  A run that dies mid-write leaves a file its manifest
 does not match, as a truncating write would.
 
 The global --out must come before the group.  A run builds the parser of
-the group it names and no other (see `_named_group`), so a new
-subcommand goes into its group's builder in `_GROUPS`; `--help`, an
-unknown group and any other root-level argv get the full tree.  Repeated
-values in a comma-separated list (--eps-list, --x-list, --t-list) are
-dropped, compared by value, keeping the first occurrence.
+the leaf it names and no other: the root, that leaf's group and the leaf
+(see `_named_branch`).  An argv that names a group but no leaf (the
+group's --help, an unknown leaf) gets that group's whole branch, and
+`--help`, an unknown group and any other root-level argv get the full
+tree.  Every tree is built from one argument builder per leaf, listed in
+`_GROUPS`, so a new subcommand adds its handler and one leaf builder
+there.  Handlers import the library modules they call, so a run loads
+only its own: no table, stopping-sets, series, pde or errprob run imports
+numpy.
+
+Repeated values in a comma-separated list (--eps-list, --x-list,
+--t-list) are dropped, compared by value, keeping the first occurrence.
 
 Exit codes: 0 success, 1 usage, 2 validation or numeric failure, 3 I/O.
 """
@@ -26,7 +33,6 @@ Exit codes: 0 success, 1 usage, 2 validation or numeric failure, 3 I/O.
 from __future__ import annotations
 
 import argparse
-import decimal
 import hashlib
 import json
 import os
@@ -34,28 +40,12 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .combinatorics import binomial
+from typing import Callable, NamedTuple
+
 from .errors import CyclePoissonError, ValidationError
-from .errprob import (
-    block_error_probability,
-    hadamard_contour,
-    hadamard_split_report,
-    known_series_check,
-)
-from .pde import (
-    alpha_case,
-    alpha_discriminant,
-    alpha_substitution,
-    classify_point,
-    expansion_audit,
-    pde_residual,
-    region_map,
-    residual_reconciliation,
-)
-from .series import geometric_series, poisson_block_series
-from .simulator import RNG_ID, estimate_block_error
 from .table import (
     EnsembleParams,
+    _exact,
     _write_over,
     fill_table,
     growth_profile,
@@ -74,16 +64,6 @@ def _frac(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError("not a rational: %r" % (text,))
-
-
-def _exact(q) -> str:
-    """str(q) for a Fraction or int, past the int-to-str digit limit too.
-
-    Each integer goes through decimal, which has no such limit, so the
-    limit is never lifted; the text is str()'s wherever str() works.
-    """
-    num = decimal.Decimal(q.numerator)
-    return str(num) if q.denominator == 1 else "%s/%s" % (num, decimal.Decimal(q.denominator))
 
 
 def _distinct(values: list, text: str) -> list:
@@ -157,6 +137,8 @@ class _Run:
 
 
 def _cmd_series_demo(args, run: _Run) -> int:
+    from .series import geometric_series, poisson_block_series
+
     order = args.order
     b2 = poisson_block_series(2, order)
     geo = geometric_series(order)
@@ -264,12 +246,16 @@ def _cmd_stopping_sets_count(args, run: _Run) -> int:
 
 
 def _cmd_pde_classify(args, run: _Run) -> int:
+    from .pde import classify_point
+
     point = classify_point(args.y, args.z)
     print("%s %s" % (point.label, point.value))
     return 0
 
 
 def _cmd_pde_region(args, run: _Run) -> int:
+    from .pde import region_map
+
     rmap = region_map(args.y_range, args.z_range, args.grid)
     path = run.write_text(args.csv, rmap.to_csv())
     counts = rmap.counts()
@@ -279,6 +265,8 @@ def _cmd_pde_region(args, run: _Run) -> int:
 
 
 def _cmd_pde_alpha(args, run: _Run) -> int:
+    from .pde import alpha_case, alpha_discriminant, alpha_substitution
+
     alphas = [args.alpha]
     if args.survey:
         alphas = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(4), Fraction(5)]
@@ -315,6 +303,8 @@ def _poly1_str(poly) -> str:
 
 
 def _cmd_pde_residual(args, run: _Run) -> int:
+    from .pde import pde_residual, residual_reconciliation
+
     vmax = args.vmax if args.vmax is not None else args.m + 1
     params = _params_for_checks(args.m, vmax)
     table = fill_table(params, vmax)
@@ -345,6 +335,8 @@ def _cmd_pde_residual(args, run: _Run) -> int:
 
 
 def _cmd_pde_verify_expansion(args, run: _Run) -> int:
+    from .pde import expansion_audit
+
     run.seed = args.seed
     report = expansion_audit(n_points=args.points, seed=args.seed)
     path = run.write_text(args.csv, report.to_csv())
@@ -369,6 +361,8 @@ def _cmd_pde_verify_expansion(args, run: _Run) -> int:
 
 
 def _cmd_errprob_eval(args, run: _Run) -> int:
+    from .errprob import block_error_probability
+
     result = block_error_probability(EnsembleParams(n=args.n, r=args.r), args.eps)
     print("x = %s" % result.x)
     print("E_B = %s" % _exact(result.value))
@@ -380,6 +374,8 @@ def _cmd_errprob_eval(args, run: _Run) -> int:
 
 
 def _cmd_errprob_sweep(args, run: _Run) -> int:
+    from .errprob import block_error_probability
+
     params = EnsembleParams(n=args.n, r=args.r)
     lines = ["epsilon,value,float_value"]
     for eps in args.eps_list:
@@ -393,6 +389,8 @@ def _cmd_errprob_sweep(args, run: _Run) -> int:
 
 
 def _cmd_errprob_hadamard_split(args, run: _Run) -> int:
+    from .errprob import hadamard_split_report
+
     params = EnsembleParams(n=args.n, r=args.r)
     report = hadamard_split_report(params, args.t, args.s, args.vmax, x_grid=args.x_list or ())
     path = run.write_text(args.csv, report.to_csv())
@@ -409,6 +407,9 @@ def _cmd_errprob_hadamard_split(args, run: _Run) -> int:
 
 
 def _cmd_errprob_hadamard_check(args, run: _Run) -> int:
+    from .errprob import hadamard_contour
+    from .series import geometric_series
+
     order = args.order
     f = geometric_series(order)
     g = geometric_series(order)
@@ -426,6 +427,8 @@ def _cmd_errprob_hadamard_check(args, run: _Run) -> int:
 
 
 def _cmd_errprob_known_series(args, run: _Run) -> int:
+    from .errprob import known_series_check
+
     report = known_series_check(args.n, args.x)
     print("n=%d x=%s" % (report.n, report.x))
     print("scaled identity  sum C(n,v) x^v / n^2v == (1 + x/n^2)^n : %s" % report.scaled_identity_ok)
@@ -446,6 +449,8 @@ def _cmd_errprob_known_series(args, run: _Run) -> int:
 
 
 def _cmd_simulate(args, run: _Run) -> int:
+    from .simulator import estimate_block_error
+
     run.seed = args.seed
     params = EnsembleParams(n=args.n, r=args.r)
     result = estimate_block_error(params, args.eps, trials=args.trials, seed=args.seed)
@@ -468,6 +473,9 @@ _RECONCILE_NOTE = (
 
 
 def _cmd_reconcile(args, run: _Run) -> int:
+    from .errprob import block_error_probability
+    from .simulator import RNG_ID, estimate_block_error
+
     run.seed = args.seed
     params = EnsembleParams(n=args.n, r=args.r)
     rows = []
@@ -522,149 +530,214 @@ def _cmd_reconcile(args, run: _Run) -> int:
 # ----------------------------------------------------------------------
 
 
-def _leaf(sub, name, handler, label, **kwargs) -> argparse.ArgumentParser:
-    p = sub.add_parser(name, **kwargs)
-    p.set_defaults(handler=handler, cmd_label=label)
-    return p
+class _Leaf(NamedTuple):
+    """A subcommand: its --help line, its handler and its argument builder."""
+
+    help: str
+    handler: Callable
+    add_args: Callable[[argparse.ArgumentParser], None]
 
 
-def _add_series(groups) -> None:
-    series = groups.add_parser("series", help="power series toolkit demo")
-    series_sub = series.add_subparsers(dest="sub", required=True, metavar="CMD")
-    demo = _leaf(series_sub, "demo", _cmd_series_demo, "series demo", help="walk through the series operations")
-    demo.add_argument("--order", type=int, default=8)
+class _Group(NamedTuple):
+    """A group of subcommands: its --help line and its leaves, in --help order."""
+
+    help: str
+    leaves: dict[str, _Leaf]
 
 
-def _add_table(groups) -> None:
-    table = groups.add_parser("table", help="coefficient tables and growth profiles")
-    table_sub = table.add_subparsers(dest="sub", required=True, metavar="CMD")
-    build = _leaf(table_sub, "build", _cmd_table_build, "table build", help="fill a table and save it")
-    build.add_argument("--m", type=int, default=None)
-    build.add_argument("--vmax", type=int, default=None)
-    build.add_argument("--out", dest="out_file", default=None, help="output table file")
-    expo = _leaf(
-        table_sub,
-        "exponents",
-        _cmd_table_exponents,
-        "table exponents",
-        help="emit growth-exponent CSV profiles and a plot script",
-    )
-    expo.add_argument("--m", type=int, default=100)
-    expo.add_argument("--vmax", type=int, default=None)
-    expo.add_argument("--t-list", dest="t_list", type=_int_list, default=None)
-    verify = _leaf(table_sub, "verify", _cmd_table_verify, "table verify", help="re-check a saved table")
-    verify.add_argument("--file", required=True)
+def _series_demo_args(p) -> None:
+    p.add_argument("--order", type=int, default=8)
 
 
-def _add_stopping_sets(groups) -> None:
-    stopping = groups.add_parser("stopping-sets", help="closed-form stopping-set counts")
-    stopping_sub = stopping.add_subparsers(dest="sub", required=True, metavar="CMD")
-    count = _leaf(stopping_sub, "count", _cmd_stopping_sets_count, "stopping-sets count", help="count assignments covering t checks twice")
-    count.add_argument("--m", type=int, required=True)
-    count.add_argument("--v", type=int, required=True)
-    count.add_argument("--t", type=int, required=True)
-    count.add_argument("--digits", action="store_true", help="also print the decimal digit count")
+def _table_build_args(p) -> None:
+    p.add_argument("--m", type=int, default=None)
+    p.add_argument("--vmax", type=int, default=None)
+    p.add_argument("--out", dest="out_file", default=None, help="output table file")
 
 
-def _add_pde(groups) -> None:
-    pde = groups.add_parser("pde", help="discriminant classification and residual checks")
-    pde_sub = pde.add_subparsers(dest="sub", required=True, metavar="CMD")
-    classify = _leaf(pde_sub, "classify", _cmd_pde_classify, "pde classify", help="classify one (y, z) point")
-    classify.add_argument("--y", type=_frac, required=True)
-    classify.add_argument("--z", type=_frac, required=True)
-    region = _leaf(pde_sub, "region", _cmd_pde_region, "pde region", help="classify a rational grid to CSV")
-    region.add_argument("--y-range", dest="y_range", type=_range_pair, default=(Fraction(0), Fraction(4)))
-    region.add_argument("--z-range", dest="z_range", type=_range_pair, default=(Fraction(0), Fraction(4)))
-    region.add_argument("--grid", type=int, default=17)
-    region.add_argument("--csv", default="region.csv")
-    alpha = _leaf(pde_sub, "alpha", _cmd_pde_alpha, "pde alpha", help="case split along the ray y = alpha z")
-    alpha.add_argument("--alpha", type=_frac, default=Fraction(1))
-    alpha.add_argument("--survey", action="store_true", help="print all six canonical cases and write them to alpha_survey.txt")
-    residual = _leaf(pde_sub, "residual", _cmd_pde_residual, "pde residual", help="apply the operator to a filled table")
-    residual.add_argument("--m", type=int, default=5)
-    residual.add_argument("--vmax", type=int, default=None)
-    residual.add_argument("--operator", choices=["recurrence", "printed", "both"], default="recurrence")
-    residual.add_argument("--json", dest="json_file", default=None)
-    audit = _leaf(
-        pde_sub,
-        "verify-paper-expansion",
-        _cmd_pde_verify_expansion,
-        "pde verify-paper-expansion",
-        help="audit the printed discriminant expansion against the exact algebra",
-    )
-    audit.add_argument("--points", type=int, default=1000)
-    audit.add_argument("--seed", type=int, default=20260816)
-    audit.add_argument("--csv", default="expansion_audit.csv")
+def _table_exponents_args(p) -> None:
+    p.add_argument("--m", type=int, default=100)
+    p.add_argument("--vmax", type=int, default=None)
+    p.add_argument("--t-list", dest="t_list", type=_int_list, default=None)
 
 
-def _add_errprob(groups) -> None:
-    errprob = groups.add_parser("errprob", help="analytic block-error evaluation")
-    errprob_sub = errprob.add_subparsers(dest="sub", required=True, metavar="CMD")
-    ev = _leaf(errprob_sub, "eval", _cmd_errprob_eval, "errprob eval", help="evaluate the expected block error once")
-    ev.add_argument("--n", type=int, required=True)
-    ev.add_argument("--r", type=_frac, required=True)
-    ev.add_argument("--eps", type=_frac, required=True)
-    ev.add_argument("--breakdown", action="store_true")
-    sweep = _leaf(errprob_sub, "sweep", _cmd_errprob_sweep, "errprob sweep", help="sweep epsilon values to CSV")
-    sweep.add_argument("--n", type=int, required=True)
-    sweep.add_argument("--r", type=_frac, required=True)
-    sweep.add_argument("--eps-list", dest="eps_list", type=_frac_list, required=True)
-    sweep.add_argument("--csv", default="errprob_sweep.csv")
-    split = _leaf(errprob_sub, "hadamard-split", _cmd_errprob_hadamard_split, "errprob hadamard-split", help="exact radii and verdicts for one (t,s) column")
-    split.add_argument("--n", type=int, required=True)
-    split.add_argument("--r", type=_frac, required=True)
-    split.add_argument("--t", type=int, required=True)
-    split.add_argument("--s", type=int, required=True)
-    split.add_argument("--vmax", type=int, default=None)
-    split.add_argument("--x-list", dest="x_list", type=_frac_list, default=None)
-    split.add_argument("--csv", default="hadamard_split.csv")
-    check = _leaf(errprob_sub, "hadamard-check", _cmd_errprob_hadamard_check, "errprob hadamard-check", help="contour quadrature vs coefficient-wise evaluation")
-    check.add_argument("--z", type=_frac, default=Fraction(1, 4))
-    check.add_argument("--rho", type=float, default=0.5)
-    check.add_argument("--tol", type=float, default=1e-8)
-    check.add_argument("--order", type=int, default=64)
-    known = _leaf(errprob_sub, "known-series", _cmd_errprob_known_series, "errprob known-series", help="finite binomial identities and the divergent factorial sum")
-    known.add_argument("--n", type=int, required=True)
-    known.add_argument("--x", type=_frac, required=True)
+def _table_verify_args(p) -> None:
+    p.add_argument("--file", required=True)
 
 
-def _add_simulate(groups) -> None:
-    simulate = _leaf(groups, "simulate", _cmd_simulate, "simulate", help="Monte Carlo decoder simulation")
-    simulate.add_argument("--n", type=int, required=True)
-    simulate.add_argument("--r", type=_frac, required=True)
-    simulate.add_argument("--eps", type=_frac, required=True)
-    simulate.add_argument("--trials", type=int, required=True)
-    simulate.add_argument("--seed", type=int, required=True)
-    simulate.add_argument("--json", dest="json_file", default=None)
+def _stopping_sets_count_args(p) -> None:
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--v", type=int, required=True)
+    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--digits", action="store_true", help="also print the decimal digit count")
 
 
-def _add_reconcile(groups) -> None:
-    reconcile = _leaf(groups, "reconcile", _cmd_reconcile, "reconcile", help="analytic value vs Monte Carlo, side by side")
-    reconcile.add_argument("--n", type=int, default=8)
-    reconcile.add_argument("--r", type=_frac, default=Fraction(1, 2))
-    reconcile.add_argument("--eps-list", dest="eps_list", type=_frac_list, default=[Fraction(1, 20), Fraction(1, 10)])
-    reconcile.add_argument("--trials", type=int, default=200_000)
-    reconcile.add_argument("--seed", type=int, default=1)
-    reconcile.add_argument("--json", dest="json_file", default="reconcile.json")
+def _pde_classify_args(p) -> None:
+    p.add_argument("--y", type=_frac, required=True)
+    p.add_argument("--z", type=_frac, required=True)
 
 
-# one builder per top-level group, in the order --help lists them
-_GROUPS = {
-    "series": _add_series,
-    "table": _add_table,
-    "stopping-sets": _add_stopping_sets,
-    "pde": _add_pde,
-    "errprob": _add_errprob,
-    "simulate": _add_simulate,
-    "reconcile": _add_reconcile,
+def _pde_region_args(p) -> None:
+    p.add_argument("--y-range", dest="y_range", type=_range_pair, default=(Fraction(0), Fraction(4)))
+    p.add_argument("--z-range", dest="z_range", type=_range_pair, default=(Fraction(0), Fraction(4)))
+    p.add_argument("--grid", type=int, default=17)
+    p.add_argument("--csv", default="region.csv")
+
+
+def _pde_alpha_args(p) -> None:
+    p.add_argument("--alpha", type=_frac, default=Fraction(1))
+    p.add_argument("--survey", action="store_true", help="print all six canonical cases and write them to alpha_survey.txt")
+
+
+def _pde_residual_args(p) -> None:
+    p.add_argument("--m", type=int, default=5)
+    p.add_argument("--vmax", type=int, default=None)
+    p.add_argument("--operator", choices=["recurrence", "printed", "both"], default="recurrence")
+    p.add_argument("--json", dest="json_file", default=None)
+
+
+def _pde_verify_expansion_args(p) -> None:
+    p.add_argument("--points", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=20260816)
+    p.add_argument("--csv", default="expansion_audit.csv")
+
+
+def _errprob_eval_args(p) -> None:
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--r", type=_frac, required=True)
+    p.add_argument("--eps", type=_frac, required=True)
+    p.add_argument("--breakdown", action="store_true")
+
+
+def _errprob_sweep_args(p) -> None:
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--r", type=_frac, required=True)
+    p.add_argument("--eps-list", dest="eps_list", type=_frac_list, required=True)
+    p.add_argument("--csv", default="errprob_sweep.csv")
+
+
+def _errprob_hadamard_split_args(p) -> None:
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--r", type=_frac, required=True)
+    p.add_argument("--t", type=int, required=True)
+    p.add_argument("--s", type=int, required=True)
+    p.add_argument("--vmax", type=int, default=None)
+    p.add_argument("--x-list", dest="x_list", type=_frac_list, default=None)
+    p.add_argument("--csv", default="hadamard_split.csv")
+
+
+def _errprob_hadamard_check_args(p) -> None:
+    p.add_argument("--z", type=_frac, default=Fraction(1, 4))
+    p.add_argument("--rho", type=float, default=0.5)
+    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--order", type=int, default=64)
+
+
+def _errprob_known_series_args(p) -> None:
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--x", type=_frac, required=True)
+
+
+def _simulate_args(p) -> None:
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--r", type=_frac, required=True)
+    p.add_argument("--eps", type=_frac, required=True)
+    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--json", dest="json_file", default=None)
+
+
+def _reconcile_args(p) -> None:
+    p.add_argument("--n", type=int, default=8)
+    p.add_argument("--r", type=_frac, default=Fraction(1, 2))
+    p.add_argument("--eps-list", dest="eps_list", type=_frac_list, default=[Fraction(1, 20), Fraction(1, 10)])
+    p.add_argument("--trials", type=int, default=200_000)
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--json", dest="json_file", default="reconcile.json")
+
+
+# the command tree in the order --help lists it; simulate and reconcile are
+# leaves at the top level
+_GROUPS: dict[str, _Group | _Leaf] = {
+    "series": _Group(
+        "power series toolkit demo",
+        {"demo": _Leaf("walk through the series operations", _cmd_series_demo, _series_demo_args)},
+    ),
+    "table": _Group(
+        "coefficient tables and growth profiles",
+        {
+            "build": _Leaf("fill a table and save it", _cmd_table_build, _table_build_args),
+            "exponents": _Leaf(
+                "emit growth-exponent CSV profiles and a plot script",
+                _cmd_table_exponents,
+                _table_exponents_args,
+            ),
+            "verify": _Leaf("re-check a saved table", _cmd_table_verify, _table_verify_args),
+        },
+    ),
+    "stopping-sets": _Group(
+        "closed-form stopping-set counts",
+        {
+            "count": _Leaf(
+                "count assignments covering t checks twice",
+                _cmd_stopping_sets_count,
+                _stopping_sets_count_args,
+            ),
+        },
+    ),
+    "pde": _Group(
+        "discriminant classification and residual checks",
+        {
+            "classify": _Leaf("classify one (y, z) point", _cmd_pde_classify, _pde_classify_args),
+            "region": _Leaf("classify a rational grid to CSV", _cmd_pde_region, _pde_region_args),
+            "alpha": _Leaf("case split along the ray y = alpha z", _cmd_pde_alpha, _pde_alpha_args),
+            "residual": _Leaf("apply the operator to a filled table", _cmd_pde_residual, _pde_residual_args),
+            "verify-paper-expansion": _Leaf(
+                "audit the printed discriminant expansion against the exact algebra",
+                _cmd_pde_verify_expansion,
+                _pde_verify_expansion_args,
+            ),
+        },
+    ),
+    "errprob": _Group(
+        "analytic block-error evaluation",
+        {
+            "eval": _Leaf("evaluate the expected block error once", _cmd_errprob_eval, _errprob_eval_args),
+            "sweep": _Leaf("sweep epsilon values to CSV", _cmd_errprob_sweep, _errprob_sweep_args),
+            "hadamard-split": _Leaf(
+                "exact radii and verdicts for one (t,s) column",
+                _cmd_errprob_hadamard_split,
+                _errprob_hadamard_split_args,
+            ),
+            "hadamard-check": _Leaf(
+                "contour quadrature vs coefficient-wise evaluation",
+                _cmd_errprob_hadamard_check,
+                _errprob_hadamard_check_args,
+            ),
+            "known-series": _Leaf(
+                "finite binomial identities and the divergent factorial sum",
+                _cmd_errprob_known_series,
+                _errprob_known_series_args,
+            ),
+        },
+    ),
+    "simulate": _Leaf("Monte Carlo decoder simulation", _cmd_simulate, _simulate_args),
+    "reconcile": _Leaf("analytic value vs Monte Carlo, side by side", _cmd_reconcile, _reconcile_args),
 }
 
 
-def build_parser(group: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser: every group, or only the named one.
+def _add_leaf(sub, name: str, leaf: _Leaf, label: str) -> None:
+    p = sub.add_parser(name, help=leaf.help)
+    p.set_defaults(handler=leaf.handler, cmd_label=label)
+    leaf.add_args(p)
 
-    The root and the named group's branch are built exactly as in the full
-    tree, so any argv whose group token is `group` parses the same way.
+
+def build_parser(group: str | None = None, leaf: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser: the whole tree, one group, or one leaf of a group.
+
+    The root, the named group and the named leaf are built exactly as in
+    the full tree, so any argv whose group (and leaf) token names them
+    parses the same way.
     """
     parser = argparse.ArgumentParser(
         prog="cyclepoisson",
@@ -678,18 +751,27 @@ def build_parser(group: str | None = None) -> argparse.ArgumentParser:
         "(default: $%s or the working directory)" % OUT_ENV_VAR,
     )
     groups = parser.add_subparsers(dest="group", required=True, metavar="GROUP")
-    for add in _GROUPS.values() if group is None else [_GROUPS[group]]:
-        add(groups)
+    for name in _GROUPS if group is None else [group]:
+        entry = _GROUPS[name]
+        if isinstance(entry, _Leaf):
+            _add_leaf(groups, name, entry, name)
+            continue
+        sub = groups.add_parser(name, help=entry.help).add_subparsers(dest="sub", required=True, metavar="CMD")
+        for leaf_name in entry.leaves if leaf is None else [leaf]:
+            _add_leaf(sub, leaf_name, entry.leaves[leaf_name], "%s %s" % (name, leaf_name))
     return parser
 
 
-def _named_group(argv: list[str]) -> str | None:
-    """The group an argv names, or None where only the full tree parses it.
+def _named_branch(argv: list[str]) -> tuple[str | None, str | None]:
+    """The (group, leaf) an argv names; None where it names none.
 
     The group is the first token after any `--out VALUE` or `--out=VALUE`
     pairs (VALUE not starting with "-"), if it is a known group name.
     Anything else (--help, abbreviations, "--", an unknown or missing
-    group) is left to the full tree, which also owns those messages.
+    group) is left to the full tree, which also owns those messages.  The
+    leaf is the token right after the group, if it is one of that group's
+    leaves; otherwise (the group's --help, an unknown leaf, an option
+    before the leaf) the group's whole branch parses the argv.
     """
     i = 0
     while i < len(argv):
@@ -699,8 +781,12 @@ def _named_group(argv: list[str]) -> str | None:
         elif token.startswith("--out=") and not token[len("--out="):].startswith("-"):
             i += 1
         else:
-            return token if token in _GROUPS else None
-    return None
+            entry = _GROUPS.get(token)
+            if entry is None:
+                return None, None
+            leaf = argv[i + 1] if i + 1 < len(argv) else None
+            return token, (leaf if isinstance(entry, _Group) and leaf in entry.leaves else None)
+    return None, None
 
 
 def _write_manifest(run: _Run, args, argv: list[str]) -> None:
@@ -717,7 +803,7 @@ def _write_manifest(run: _Run, args, argv: list[str]) -> None:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser(_named_group(argv))
+    parser = build_parser(*_named_branch(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -52,8 +52,13 @@ from itertools import accumulate, repeat
 from .combinatorics import binomial, factorial, log_fraction
 from .errors import CoverageError, ToleranceNotMetError, ValidationError
 from .series import Series
-from .simulator import _check_epsilon as _check_probability
-from .table import CoeffTable, EnsembleParams, _column_counts
+from .table import (
+    CoeffTable,
+    EnsembleParams,
+    _check_epsilon as _check_probability,
+    _column_counts,
+    _exact,
+)
 
 __all__ = [
     "ErrProbQuery",
@@ -144,6 +149,14 @@ class ErrProbResult:
 
     def __float__(self) -> float:
         return float(self.value)
+
+    def __repr__(self):
+        # through decimal: the value may be past the int-to-str digit limit
+        return "ErrProbResult(value=%s, epsilon=%s, %d terms)" % (
+            _exact(self.value),
+            _exact(self.epsilon),
+            len(self.numerators),
+        )
 
 
 def _block_error(n: int, m: int, eps: Fraction, cyclic) -> ErrProbResult:

@@ -49,7 +49,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import GuardError, ValidationError
-from .table import EnsembleParams
+from .table import EnsembleParams, _check_epsilon
 
 __all__ = [
     "RNG_ID",
@@ -112,14 +112,6 @@ def _check_seed(seed) -> int:
     if not 0 <= seed <= _M64:
         raise ValidationError("seed must lie in 0..2^64-1, got %d" % seed)
     return seed
-
-
-def _check_epsilon(epsilon) -> Fraction:
-    """The erasure probability as a Fraction, which must lie in [0, 1]."""
-    eps = Fraction(epsilon)
-    if not 0 <= eps <= 1:
-        raise ValidationError("epsilon must lie in [0, 1], got %s" % (eps,))
-    return eps
 
 
 def _mix53(z: np.ndarray) -> np.ndarray:

@@ -143,6 +143,14 @@ class EnsembleParams:
         return cls(n=m, r=Fraction(0))
 
 
+def _check_epsilon(epsilon) -> Fraction:
+    """The erasure probability as a Fraction, which must lie in [0, 1]."""
+    eps = Fraction(epsilon)
+    if not 0 <= eps <= 1:
+        raise ValidationError("epsilon must lie in [0, 1], got %s" % (eps,))
+    return eps
+
+
 class CoeffTable:
     """Sparse exact table of A(v, t, s), stored as integer counts.
 
@@ -583,6 +591,16 @@ def _int(token: str) -> int:
         return int(token)
     except ValueError:
         return int(decimal.Decimal(token))
+
+
+def _exact(q) -> str:
+    """str(q) for a Fraction or int, past the int-to-str digit limit too.
+
+    Each integer goes through decimal, which has no such limit, so the
+    limit is never lifted; the text is str()'s wherever str() works.
+    """
+    num = decimal.Decimal(q.numerator)
+    return str(num) if q.denominator == 1 else "%s/%s" % (num, decimal.Decimal(q.denominator))
 
 
 def _checked_body(path) -> list[str]:

@@ -107,21 +107,21 @@ _BRANCHES = list(_branches(build_parser()))
 
 
 def _run_both(argv, monkeypatch, capsys):
-    """The group main built, then main's (rc, stdout, stderr) with and without it."""
+    """The (group, leaf) main built, then main's (rc, stdout, stderr) with and without it."""
     built = []
 
-    def spy(group=None):
-        built.append(group)
-        return build_parser(group)
+    def spy(group=None, leaf=None):
+        built.append((group, leaf))
+        return build_parser(group, leaf)
 
     results = []
-    for builder in (spy, lambda group=None: build_parser()):
+    for builder in (spy, lambda group=None, leaf=None: build_parser()):
         monkeypatch.setattr(cli, "build_parser", builder)
         rc = main(list(argv))
         captured = capsys.readouterr()
         results.append((rc, captured.out, captured.err))
-    (group,) = built
-    return group, results[0], results[1]
+    (branch,) = built
+    return branch, results[0], results[1]
 
 
 def test_branches_cover_every_group():
@@ -133,7 +133,8 @@ def test_branches_cover_every_group():
 @pytest.mark.parametrize("branch", _BRANCHES, ids=" ".join)
 def test_named_branch_parses_like_the_full_tree(branch, tmp_path, monkeypatch, capsys):
     # the same exit code, stdout and stderr as the full tree, from the
-    # parser of the named group alone; no-argument leaves run in tmp_path
+    # parser of the named leaf alone (of the named group where no leaf is
+    # named); no-argument leaves run in tmp_path
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("CYCLEPOISSON_OUT", raising=False)
     out = str(tmp_path / "out")
@@ -146,7 +147,7 @@ def test_named_branch_parses_like_the_full_tree(branch, tmp_path, monkeypatch, c
         ["--out", out, "--out=" + out, *branch],
     ):
         built, pruned, full = _run_both(argv, monkeypatch, capsys)
-        assert built == branch[0], argv
+        assert built == (branch[0], branch[1] if len(branch) == 2 else None), argv
         assert pruned == full, argv
 
 
@@ -169,7 +170,26 @@ def test_named_branch_parses_like_the_full_tree(branch, tmp_path, monkeypatch, c
 def test_root_argvs_get_the_full_tree(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     built, pruned, full = _run_both(argv, monkeypatch, capsys)
-    assert built is None
+    assert built == (None, None)
+    assert pruned == full
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table"],
+        ["table", "--help"],
+        ["table", "buidl"],
+        ["table", "-h", "build"],
+        ["--out", "DIR", "table", "--no-such", "build"],
+    ],
+)
+def test_group_argvs_get_the_group_branch(argv, tmp_path, monkeypatch, capsys):
+    # no leaf right after the group: the group's whole branch, which lists
+    # or rejects its leaves as the full tree does
+    monkeypatch.chdir(tmp_path)
+    built, pruned, full = _run_both(argv, monkeypatch, capsys)
+    assert built == ("table", None)
     assert pruned == full
 
 
@@ -178,6 +198,15 @@ def test_build_parser_offers_the_named_group_only():
     assert list(_group_choices(build_parser())) == list(cli._GROUPS)
     with pytest.raises(SystemExit):
         build_parser("table").parse_args(["series", "demo"])
+    # a named leaf: the root, its group and that leaf, nothing else
+    root = build_parser("table", "exponents")
+    assert list(_group_choices(root)) == ["table"]
+    assert list(_group_choices(_group_choices(root)["table"])) == ["exponents"]
+    assert list(_group_choices(_group_choices(build_parser("table"))["table"])) == [
+        "build", "exponents", "verify",
+    ]
+    with pytest.raises(SystemExit):
+        root.parse_args(["table", "build", "--m", "3", "--vmax", "3"])
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Tests for block-error evaluation, series identities, and the contour product."""
 
+import decimal
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -208,6 +210,21 @@ def test_block_error_probability_near_threshold():
     trials, failures = 4000, 3172
     z = (failures / trials - p) / math.sqrt(p * (1 - p) / trials)
     assert abs(z) <= 4
+
+
+def test_result_repr_past_the_int_str_limit():
+    # at n = 600 the value's denominator has more than 4,300 digits; the
+    # repr writes it through decimal and never lifts the limit
+    limit = sys.get_int_max_str_digits()
+    result = block_error_probability(EnsembleParams(n=600, r=Fraction(1, 2)), Fraction(1, 10000019))
+    text = repr(result)
+    assert sys.get_int_max_str_digits() == limit
+    head, tail = text.split(", epsilon=")
+    num, den = head.removeprefix("ErrProbResult(value=").split("/")
+    assert Fraction(int(decimal.Decimal(num)), int(decimal.Decimal(den))) == result.value
+    assert tail == "1/10000019, 600 terms)"
+    small = block_error_probability(EnsembleParams(n=4, r=Fraction(1, 2)), Fraction(1, 10))
+    assert repr(small) == "ErrProbResult(value=1981/10000, epsilon=1/10, 4 terms)"
 
 
 def test_equal_m_parameterizations_share_level_sums():
