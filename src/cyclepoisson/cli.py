@@ -11,7 +11,12 @@ reproduces every artifact byte for byte.  An artifact or manifest that
 already exists is rewritten in place and then cut to its new length
 (`table._write_over`); the manifest is written as LF-terminated bytes
 on every platform.  A run that dies mid-write leaves a file its manifest
-does not match, as a truncating write would.
+does not match, as a truncating write would.  `table build` writes each
+level of the table as the fill yields it and never holds the whole
+table, so a build cut short leaves a file with no valid trailer, which
+`load_table` refuses; a crash mid-write could already tear a file.  It
+checks --vmax before it opens the file, so a rejected build writes no
+byte.
 
 The global --out must come before the group.  A run builds the parser of
 the leaf it names and no other: the root, that leaf's group and the leaf
@@ -45,12 +50,14 @@ from typing import Callable, NamedTuple
 from .errors import CyclePoissonError, ValidationError
 from .table import (
     EnsembleParams,
+    _check_vmax,
     _exact,
+    _filled_levels,
+    _write_cptable,
     _write_over,
     fill_table,
     growth_profile,
     load_table,
-    save_table,
     stopping_set_count,
     verify_table,
 )
@@ -126,7 +133,7 @@ class _Run:
         target = self.resolve(path)
         target.parent.mkdir(parents=True, exist_ok=True)
         data = text.encode()
-        _write_over(target, data)
+        _write_over(target, [data])
         self.hashes[self._name_for(target)] = hashlib.sha256(data).hexdigest()
         return target
 
@@ -164,11 +171,19 @@ def _cmd_table_build(args, run: _Run) -> int:
     if args.m is None or args.vmax is None:
         raise ValidationError("table build needs --m and --vmax")
     params = _params_for_checks(args.m, args.vmax)
-    table = fill_table(params, args.vmax)
+    _check_vmax(params, args.vmax)
     out_path = run.resolve(args.out_file or ("table_m%d_v%d.cpt" % (args.m, args.vmax)))
-    print("filled m=%d vmax=%d, %d nonzero entries" % (table.m, table.vmax, len(table.counts)))
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    run.hashes[run._name_for(out_path)] = save_table(table, out_path)
+    sizes = []
+
+    def levels():
+        for rows in _filled_levels(params.m, args.vmax):
+            sizes.append(len(rows))
+            yield rows
+
+    run.hashes[run._name_for(out_path)] = _write_cptable(out_path, params.m, args.vmax, levels())
+    # the origin is an entry with no row
+    print("filled m=%d vmax=%d, %d nonzero entries" % (params.m, args.vmax, sum(sizes) + 1))
     print("wrote %s" % out_path)
     return 0
 
@@ -798,7 +813,7 @@ def _write_manifest(run: _Run, args, argv: list[str]) -> None:
     }
     run.out_dir.mkdir(parents=True, exist_ok=True)
     path = run.out_dir / "manifest.json"
-    _write_over(path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
+    _write_over(path, [(json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode()])
 
 
 def main(argv=None) -> int:

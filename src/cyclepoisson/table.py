@@ -70,7 +70,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import add, lt
+from operator import add, itemgetter, lt
 
 from .combinatorics import (
     binomial,
@@ -359,35 +359,55 @@ def _column_counts(m: int, t: int, s: int, vmax: int) -> list[int]:
     return [multinomial * level[t][s] for level in _profile_levels([s + 1] * (t + 1), vmax)]
 
 
-def fill_table(params: EnsembleParams, vmax: int) -> CoeffTable:
-    """Fill A(v, t, s) for 1 <= v <= vmax as M(t,s) * C(v,t,s) / (v! * 2^v).
-
-    The integers C come a level at a time from the m-free kernel
-    _profile_levels over the triangle t + s <= m, and M(t,s) is the
-    multinomial m!/(t! s! (m-t-s)!); each stored count is the integer
-    B = M(t,s) * C(v,t,s), stored as its level arrives, and zeros are not
-    stored.  The v = 0 plane is the origin alone.  Every level is filled
-    from scratch: refilling is faster than loading a saved table of the
-    same size.
-
-    Raises:
-        ValidationError: vmax outside 0..n.
-    """
+def _check_vmax(params: EnsembleParams, vmax: int) -> None:
+    """Raise ValidationError unless 0 <= vmax <= n: the depth a table may be filled to."""
     if vmax < 0 or vmax > params.n:
         raise ValidationError("vmax must lie in 0..n, got %r" % (vmax,))
-    m = params.m
-    counts = dict(_ORIGIN)
+
+
+def _filled_levels(m: int, vmax: int):
+    """Each level v = 1..vmax in turn, as its nonzero rows (v, t, s, B) in (t, s) order.
+
+    B = M(t,s) * C(v,t,s) with the integers C from the m-free kernel
+    _profile_levels over the triangle t + s <= m and M(t,s) the
+    multinomial m!/(t! s! (m-t-s)!).  Both routes to a table file start
+    here: fill_table stores these rows, and `table build` writes them as
+    they come, so it holds one level at a time.  The v = 0 level, the
+    origin alone, is not yielded.
+    """
     multinomial = [
         [binomial(m, t) * binomial(m - t, s) for s in range(m - t + 1)]
         for t in range(min(m, vmax) + 1)
     ]
     levels = _profile_levels([len(row) for row in multinomial], vmax)
-    for v, level in enumerate(levels):
+    next(levels)
+    for v, level in enumerate(levels, start=1):
+        rows = []
         for t in range(1, min(v, m) + 1):
             row = multinomial[t]
-            for s, c in enumerate(level[t]):
-                if c:
-                    counts[(v, t, s)] = row[s] * c
+            rows += [(v, t, s, row[s] * c) for s, c in enumerate(level[t]) if c]
+        yield rows
+
+
+def fill_table(params: EnsembleParams, vmax: int) -> CoeffTable:
+    """Fill A(v, t, s) for 1 <= v <= vmax as M(t,s) * C(v,t,s) / (v! * 2^v).
+
+    The counts B = M(t,s) * C(v,t,s) are the rows of _filled_levels, a
+    level at a time; zeros are not stored.  The v = 0 plane is the origin
+    alone.  Every level is filled from scratch: refilling is faster than
+    loading a saved table of the same size.  `table build` writes the
+    same rows to its file without building this table, so an interrupted
+    build leaves a file with no valid trailer, which load_table refuses;
+    a crash mid-write could already tear a file.
+
+    Raises:
+        ValidationError: vmax outside 0..n.
+    """
+    _check_vmax(params, vmax)
+    counts = dict(_ORIGIN)
+    key, count = itemgetter(0, 1, 2), itemgetter(3)
+    for rows in _filled_levels(params.m, vmax):
+        counts.update(zip(map(key, rows), map(count, rows)))
     return CoeffTable(params, vmax, counts)
 
 
@@ -529,20 +549,64 @@ def growth_profile(m: int, vmax: int, t_values, base=10) -> dict[int, list[tuple
 # ----------------------------------------------------------------------
 
 
-def _write_over(path, data: bytes) -> None:
-    """Make the file at path hold exactly data, rewriting an existing file in place.
+def _write_over(path, chunks) -> None:
+    """Make the file at path hold exactly the byte chunks, rewriting an existing file in place.
 
     The open creates a missing file but does not truncate, since an
     O_TRUNC open of an existing file costs far more than the write on
-    some file systems (ext4 mounted with discard).  The bytes go over the
-    old ones and the file is then cut at the end of them, so an existing
-    file keeps its inode, permissions and hard links.  A crash between
-    the write and the cut can leave a longer file's tail behind.
+    some file systems (ext4 mounted with discard).  Each chunk goes over
+    the old bytes as it is drawn, so a lazy source is held one chunk at a
+    time, and the file is then cut where the writing stopped, so an
+    existing file keeps its inode, permissions and hard links.  A source
+    that raises (an interrupted `table build`) leaves the chunks written
+    before it, cut there, so a CPTABLE file is left with no valid
+    trailer, and load_table refuses it.  A crash mid-write could already
+    tear a file: between the write and the cut it can leave a longer
+    file's tail behind, which no trailer matches either.
     """
     flags = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
     with open(os.open(path, flags, 0o666), "wb") as fh:
-        fh.write(data)
-        fh.truncate()
+        try:
+            fh.writelines(chunks)
+        finally:
+            fh.truncate()
+
+
+def _rows_text(rows) -> str:
+    """The lines "<v> <t> <s> <B>" of rows (v, t, s, B), each ending in LF.
+
+    A batch with a count past the interpreter's int-to-str digit limit is
+    formatted through decimal, which has none, so the limit is never lifted.
+    """
+    try:
+        return "".join(["%d %d %d %d\n" % row for row in rows])
+    except ValueError:
+        return "".join("%d %d %d %s\n" % (v, t, s, decimal.Decimal(b)) for v, t, s, b in rows)
+
+
+def _write_cptable(path, m: int, vmax: int, batches) -> str:
+    """Write the CPTABLE 3 file of m, vmax and the rows (v, t, s, B) in batches, in file order.
+
+    The header goes first, then each batch's rows as the batch is drawn
+    (`table build` draws one level at a time and holds no more), then the
+    trailer.  The sha256 is updated as each chunk is written, so the file
+    is neither held whole nor read back.  Returns the lowercase hex
+    sha256 of the whole file, trailer included.
+    """
+    digest = hashlib.sha256()
+
+    def chunks():
+        head = "%s\nm=%d vmax=%d\n" % (_HEADER_MAGIC, m, vmax)
+        for text in itertools.chain([head], map(_rows_text, batches)):
+            data = text.encode("ascii")
+            digest.update(data)
+            yield data
+        trailer = b"end sha256=%s\n" % digest.hexdigest().encode()
+        digest.update(trailer)
+        yield trailer
+
+    _write_over(path, chunks())
+    return digest.hexdigest()
 
 
 def save_table(table: CoeffTable, path) -> str:
@@ -553,14 +617,17 @@ def save_table(table: CoeffTable, path) -> str:
     the positive integer table.counts holds, sorted lexicographically by
     (v, t, s).  Zero entries are omitted, and so is the v = 0 plane: the
     origin B(0,0,0) = 1 is implied, and a table with any other v = 0 plane
-    raises ValidationError.  An s = 0 row's B is the stopping-set
-    count binom(m,t) * P_t[2v].  The last line is "end sha256=<hex>", the
-    lowercase sha256 of every byte before it, so a truncated or altered
-    file cannot load.  A count past the interpreter's int-to-str digit
-    limit is written through decimal, which has none.
+    raises ValidationError before the file is opened.  An s = 0 row's B is
+    the stopping-set count binom(m,t) * P_t[2v].  The last line is
+    "end sha256=<hex>", the lowercase sha256 of every byte before it, so a
+    truncated or altered file cannot load.  A count past the
+    interpreter's int-to-str digit limit is written through decimal,
+    which has none.  The file is written over in place (_write_over), and
+    an interrupted write or `table build` leaves a file with no valid
+    trailer, which load_table refuses; a crash mid-write could already
+    tear a file.
 
-    Returns the lowercase hex sha256 of the whole file as written, trailer
-    included, from the body's hash extended by the trailer line, so the
+    Returns the lowercase hex sha256 of the whole file as written, so the
     caller need not read the file back.
     """
     items = sorted(table.counts.items())
@@ -568,17 +635,7 @@ def save_table(table: CoeffTable, path) -> str:
     if plane != list(_ORIGIN.items()):
         raise ValidationError("the v = 0 plane is not the origin alone, so no file can hold it")
     rows = [(*key, b) for key, b in itertools.islice(items, len(plane), None)]
-    try:
-        lines = ["%d %d %d %d" % row for row in rows]
-    except ValueError:  # a count past the digit limit
-        lines = ["%d %d %d %s" % (v, t, s, decimal.Decimal(b)) for v, t, s, b in rows]
-    header = "m=%d vmax=%d" % (table.m, table.vmax)
-    body = "\n".join([_HEADER_MAGIC, header, *lines, ""]).encode("ascii")
-    digest = hashlib.sha256(body)
-    trailer = b"end sha256=%s\n" % digest.hexdigest().encode()
-    _write_over(path, body + trailer)
-    digest.update(trailer)
-    return digest.hexdigest()
+    return _write_cptable(path, table.m, table.vmax, [rows])
 
 
 def _int(token: str) -> int:

@@ -1,17 +1,22 @@
 """Command line behavior: dispatch, artifacts, manifests, exit codes."""
 
 import argparse
+import contextlib
 import decimal
 import hashlib
+import io
 import json
 import math
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclepoisson import cli
 from cyclepoisson.cli import build_parser, main
@@ -290,6 +295,36 @@ def test_verify_of_a_value_past_the_digit_limit_fails_cleanly(tmp_path, capsys, 
     assert "FAIL boundary identity fails at (v=1,t=1)" in outtext
 
 
+def build_and_save(out: Path, m: int, vmax: int) -> tuple[bytes, bytes]:
+    """The file `table build` writes, and the one save_table writes of fill_table's table.
+
+    Each is checked on the way: the build exits 0 and prints the table's
+    entry count, and the saved table's sha256 is the one save_table returns.
+    """
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        rc = main(["--out", str(out), "table", "build", "--m", str(m), "--vmax", str(vmax),
+                   "--out", "built.cpt"])
+    assert rc == 0
+    n = max(m, vmax)
+    table = fill_table(EnsembleParams(n=n, r=Fraction(n - m, n)), vmax)
+    assert stdout.getvalue().splitlines()[0] == (
+        "filled m=%d vmax=%d, %d nonzero entries" % (m, vmax, len(table.counts)))
+    digest = save_table(table, out / "saved.cpt")
+    saved = (out / "saved.cpt").read_bytes()
+    assert hashlib.sha256(saved).hexdigest() == digest
+    return (out / "built.cpt").read_bytes(), saved
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.integers(1, 8), vmax=st.integers(0, 12))
+def test_table_build_writes_what_save_table_writes(tmp_path_factory, m, vmax):
+    # the build streams the fill's levels into the writer; save_table sorts
+    # a whole table into it; vmax > m too, where n = vmax
+    built, saved = build_and_save(tmp_path_factory.mktemp("build"), m, vmax)
+    assert built == saved
+
+
 def test_table_build_deeper_than_the_digit_limit_of_a_denominator(tmp_path, capsys):
     # from v = 1424 at m = 2, the reduced denominator of some A(v,t,s) has
     # more than 4300 digits; the counts the file holds have far fewer
@@ -301,6 +336,44 @@ def test_table_build_deeper_than_the_digit_limit_of_a_denominator(tmp_path, caps
     assert lines[:2] == [b"CPTABLE 3", b"m=2 vmax=1424"]
     assert lines[-3].startswith(b"1424 2 0 ")
     assert sys.get_int_max_str_digits() == limit
+    # both routes to the writer agree here too, and with the limit at its
+    # floor of 640 digits, under the counts of the deepest levels (about
+    # 857 digits at v = 1424), both write those levels through decimal
+    built, saved = build_and_save(tmp_path, 2, 1424)
+    assert built == saved
+    sys.set_int_max_str_digits(640)
+    try:
+        assert build_and_save(tmp_path / "low", 2, 1424) == (built, built)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_table_build_peak_memory_stays_below_its_file(tmp_path, capsys):
+    # the build holds one level at a time; holding the whole table, its
+    # sorted rows and their text takes about 7 times the 1.34 MiB file
+    tracemalloc.start()
+    try:
+        rc, _, _ = run_cli(capsys, "--out", str(tmp_path), "table", "build",
+                           "--m", "40", "--vmax", "40", "--out", "t.cpt")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < (tmp_path / "t.cpt").stat().st_size
+
+
+def test_table_build_writes_nothing_before_validation(tmp_path, capsys):
+    argv = ["table", "build", "--m", "3", "--vmax", "-1", "--out", "t.cpt"]
+    fresh = tmp_path / "fresh"
+    rc, _, err = run_cli(capsys, "--out", str(fresh), *argv)
+    assert rc == 2
+    assert "vmax must lie in 0..n" in err
+    assert not fresh.exists()
+    (tmp_path / "t.cpt").write_bytes(b"an older file\n")
+    rc, _, _ = run_cli(capsys, "--out", str(tmp_path), *argv)
+    assert rc == 2
+    assert (tmp_path / "t.cpt").read_bytes() == b"an older file\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["t.cpt"]
 
 
 @pytest.mark.parametrize(

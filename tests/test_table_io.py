@@ -7,6 +7,7 @@ validated.
 """
 
 import hashlib
+import itertools
 import sys
 from fractions import Fraction
 
@@ -20,6 +21,8 @@ from cyclepoisson.table import (
     _LOAD_BATCH,
     CoeffTable,
     EnsembleParams,
+    _filled_levels,
+    _write_cptable,
     _write_over,
     fill_table,
     load_table,
@@ -316,6 +319,11 @@ def test_save_refuses_a_v0_plane_other_than_the_origin(table4, tmp_path, plane):
     with pytest.raises(ValidationError):
         save_table(bad, tmp_path / "bad.cpt")
     assert not (tmp_path / "bad.cpt").exists()
+    # nor is a byte of an existing file touched
+    blob = path.read_bytes()
+    with pytest.raises(ValidationError):
+        save_table(bad, path)
+    assert path.read_bytes() == blob
 
 
 def test_v2_file_rejected_with_rebuild_hint(tmp_path):
@@ -502,8 +510,38 @@ def test_write_over_leaves_exactly_the_data(old, new, tmp_path):
     if old is not None:
         path.write_bytes(old)
         inode = path.stat().st_ino
-    _write_over(path, new)
+    _write_over(path, [new[:5], new[5:]])
     assert path.read_bytes() == new
     if old is not None:
         assert path.stat().st_ino == inode
     assert [p.name for p in tmp_path.iterdir()] == ["artifact.csv"]
+
+
+def test_source_that_raises_leaves_what_came_before_it(tmp_path):
+    path = tmp_path / "artifact.csv"
+    path.write_bytes(b"a much longer old line\n")
+
+    def chunks():
+        yield b"new\n"
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        _write_over(path, chunks())
+    assert path.read_bytes() == b"new\n"
+
+
+@pytest.mark.parametrize("kept", [0, 1, 3], ids=["header", "one-level", "all-levels"])
+def test_interrupted_build_leaves_a_file_load_table_refuses(tmp_path, kept):
+    # the old file is longer and valid, and the build stops mid-table or
+    # before its trailer
+    path = tmp_path / "t.cpt"
+    save_table(fill_table(EnsembleParams.from_checks(6), 6), path)
+
+    def levels():
+        yield from itertools.islice(_filled_levels(4, 3), kept)
+        raise KeyboardInterrupt
+
+    with pytest.raises(KeyboardInterrupt):
+        _write_cptable(path, 4, 3, levels())
+    with pytest.raises(TableFormatError):
+        load_table(path)
