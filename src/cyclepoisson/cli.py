@@ -18,16 +18,19 @@ table, so a build cut short leaves a file with no valid trailer, which
 checks --vmax before it opens the file, so a rejected build writes no
 byte.
 
-The global --out must come before the group.  A run builds the parser of
-the leaf it names and no other: the root, that leaf's group and the leaf
-(see `_named_branch`).  An argv that names a group but no leaf (the
-group's --help, an unknown leaf) gets that group's whole branch, and
-`--help`, an unknown group and any other root-level argv get the full
-tree.  Every tree is built from one argument builder per leaf, listed in
-`_GROUPS`, so a new subcommand adds its handler and one leaf builder
-there.  Handlers import the library modules they call, so a run loads
-only its own: no table, stopping-sets, series, pde or errprob run imports
-numpy.
+The global --out must come before the group.  A run that names a leaf
+builds that leaf's parser and no other (see `_named_branch` and
+`_parse`): the leaf parses the tokens after it, and the group, the leaf
+name and the last --out before the group are set on its namespace, which
+then equals the full tree's.  If the leaf leaves tokens it does not know,
+the group's branch parses the argv again, so the root reports them as it
+always did.  An argv that names a group but no leaf (the group's --help,
+an unknown leaf) gets that group's whole branch, and `--help`, an
+unknown group and any other root-level argv get the full tree.  Every
+parser is built from one argument builder per leaf, listed in `_GROUPS`,
+so a new subcommand adds its handler and one leaf builder there.
+Handlers import the library modules they call, so a run loads only its
+own: no table, stopping-sets, series, pde or errprob run imports numpy.
 
 Repeated values in a comma-separated list (--eps-list, --x-list,
 --t-list) are dropped, compared by value, keeping the first occurrence.
@@ -741,18 +744,18 @@ _GROUPS: dict[str, _Group | _Leaf] = {
 }
 
 
-def _add_leaf(sub, name: str, leaf: _Leaf, label: str) -> None:
-    p = sub.add_parser(name, help=leaf.help)
+def _fill_leaf(p: argparse.ArgumentParser, leaf: _Leaf, label: str) -> argparse.ArgumentParser:
+    """p given the leaf's handler, command label and options."""
     p.set_defaults(handler=leaf.handler, cmd_label=label)
     leaf.add_args(p)
+    return p
 
 
-def build_parser(group: str | None = None, leaf: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser: the whole tree, one group, or one leaf of a group.
+def build_parser(group: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser: the whole tree, or the root and one group's branch.
 
-    The root, the named group and the named leaf are built exactly as in
-    the full tree, so any argv whose group (and leaf) token names them
-    parses the same way.
+    The root and the named group are built exactly as in the full tree, so
+    any argv whose group token names that group parses the same way.
     """
     parser = argparse.ArgumentParser(
         prog="cyclepoisson",
@@ -769,39 +772,88 @@ def build_parser(group: str | None = None, leaf: str | None = None) -> argparse.
     for name in _GROUPS if group is None else [group]:
         entry = _GROUPS[name]
         if isinstance(entry, _Leaf):
-            _add_leaf(groups, name, entry, name)
+            _fill_leaf(groups.add_parser(name, help=entry.help), entry, name)
             continue
         sub = groups.add_parser(name, help=entry.help).add_subparsers(dest="sub", required=True, metavar="CMD")
-        for leaf_name in entry.leaves if leaf is None else [leaf]:
-            _add_leaf(sub, leaf_name, entry.leaves[leaf_name], "%s %s" % (name, leaf_name))
+        for leaf_name, leaf in entry.leaves.items():
+            _fill_leaf(sub.add_parser(leaf_name, help=leaf.help), leaf, "%s %s" % (name, leaf_name))
     return parser
 
 
-def _named_branch(argv: list[str]) -> tuple[str | None, str | None]:
-    """The (group, leaf) an argv names; None where it names none.
+class _Branch(NamedTuple):
+    """What an argv names before its leaf's options; see `_named_branch`."""
+
+    group: str | None = None
+    sub: str | None = None
+    leaf: _Leaf | None = None
+    out: str | None = None
+    rest: tuple[str, ...] = ()
+
+
+def _named_branch(argv: list[str]) -> _Branch:
+    """The group and leaf an argv names, the --out before them, and the rest.
 
     The group is the first token after any `--out VALUE` or `--out=VALUE`
-    pairs (VALUE not starting with "-"), if it is a known group name.
-    Anything else (--help, abbreviations, "--", an unknown or missing
-    group) is left to the full tree, which also owns those messages.  The
-    leaf is the token right after the group, if it is one of that group's
-    leaves; otherwise (the group's --help, an unknown leaf, an option
-    before the leaf) the group's whole branch parses the argv.
+    pairs (VALUE not starting with "-"), if it is a known group name, and
+    `out` is the last such VALUE.  Anything else (--help, abbreviations,
+    "--", an unknown or missing group) names no group and is left to the
+    full tree, which also owns those messages.  The leaf is the group
+    itself if it is a top-level leaf (simulate, reconcile), else the token
+    right after the group (`sub`) if it is one of that group's leaves, and
+    `rest` holds the tokens after the leaf.  No leaf is named where that
+    token is no leaf (the group's --help, an unknown leaf, an option
+    before the leaf), or where a token of the rest before any "--" starts
+    with "--=": the root reads every such token as an option and rejects
+    this one as ambiguous between --help and --out, before the leaf sees
+    it.  Then the group's whole branch parses the argv.
     """
     i = 0
+    out = None
     while i < len(argv):
         token = argv[i]
         if token == "--out" and i + 1 < len(argv) and not argv[i + 1].startswith("-"):
+            out = argv[i + 1]
             i += 2
         elif token.startswith("--out=") and not token[len("--out="):].startswith("-"):
+            out = token[len("--out="):]
             i += 1
         else:
             entry = _GROUPS.get(token)
             if entry is None:
-                return None, None
-            leaf = argv[i + 1] if i + 1 < len(argv) else None
-            return token, (leaf if isinstance(entry, _Group) and leaf in entry.leaves else None)
-    return None, None
+                return _Branch()
+            sub = None
+            if isinstance(entry, _Group):
+                sub = argv[i + 1] if i + 1 < len(argv) else None
+                entry = entry.leaves.get(sub)
+                i += 1
+            rest = argv[i + 1:]
+            options = rest[: rest.index("--")] if "--" in rest else rest
+            if entry is None or any(t.startswith("--=") for t in options):
+                return _Branch(token)
+            return _Branch(token, sub, entry, out, tuple(rest))
+    return _Branch()
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The namespace the full tree would give, from the smallest parser that gives it.
+
+    A named leaf is parsed by its own parser alone, built as the tree
+    builds it, and the namespace gets the root's and group's values.  If
+    that parser leaves tokens it does not know, the group's branch
+    parses the argv again, so the root reports them as the full tree does.
+    """
+    branch = _named_branch(argv)
+    if branch.leaf is not None:
+        label = branch.group if branch.sub is None else "%s %s" % (branch.group, branch.sub)
+        parser = _fill_leaf(argparse.ArgumentParser(prog="cyclepoisson " + label), branch.leaf, label)
+        args, extras = parser.parse_known_args(branch.rest)
+        if not extras:
+            args.out = branch.out
+            args.group = branch.group
+            if branch.sub is not None:
+                args.sub = branch.sub
+            return args
+    return build_parser(branch.group).parse_args(argv)
 
 
 def _write_manifest(run: _Run, args, argv: list[str]) -> None:
@@ -818,9 +870,8 @@ def _write_manifest(run: _Run, args, argv: list[str]) -> None:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser(*_named_branch(argv))
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage problems and 0 on --help
         return 0 if not exc.code else 1

@@ -111,22 +111,62 @@ def _branches(parser, path=()):
 _BRANCHES = list(_branches(build_parser()))
 
 
-def _run_both(argv, monkeypatch, capsys):
-    """The (group, leaf) main built, then main's (rc, stdout, stderr) with and without it."""
-    built = []
+def _main_output(argv, capsys):
+    rc = main(list(argv))
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
 
-    def spy(group=None, leaf=None):
-        built.append((group, leaf))
-        return build_parser(group, leaf)
 
-    results = []
-    for builder in (spy, lambda group=None, leaf=None: build_parser()):
-        monkeypatch.setattr(cli, "build_parser", builder)
-        rc = main(list(argv))
-        captured = capsys.readouterr()
-        results.append((rc, captured.out, captured.err))
-    (branch,) = built
-    return branch, results[0], results[1]
+def _assert_like_the_full_tree(argv, monkeypatch, capsys):
+    """main's exit code, stdout and stderr on argv are the full tree's, and so
+    is the namespace of an argv the full tree accepts."""
+    named = _main_output(argv, capsys)
+    with monkeypatch.context() as patch:
+        # naming nothing sends every argv to the full tree
+        patch.setattr(cli, "_named_branch", lambda argv: cli._Branch())
+        full = _main_output(argv, capsys)
+    assert named == full, argv
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            expected = vars(build_parser().parse_args(list(argv)))
+    except SystemExit:
+        return
+    assert vars(cli._parse(list(argv))) == expected, argv
+
+
+def _branch_argvs(branch, out):
+    """Argv shapes around one branch: help, usage errors and accepted runs."""
+    return [
+        [*branch, "--help"],
+        [*branch],
+        [*branch, "--no-such-option"],
+        ["--out", out, *branch, "--help"],
+        ["--out=" + out, *branch, "--no-such-option", "1"],
+        ["--out", out, "--out=" + out, *branch],
+        ["--out=first", "--out", out, *branch],
+        # a bad typed value (int, rational), a repeated option, an attached value
+        [*branch, "--m", "x"],
+        [*branch, "--r", "x"],
+        [*branch, "--m", "3", "--m", "4"],
+        [*branch, "--m=3"],
+        # "--" before, after and instead of the options
+        [*branch, "--", "--m", "3"],
+        [*branch, "--m", "3", "--"],
+        [*branch, "--"],
+        # --help after an option, an abbreviation, a negative number
+        [*branch, "--m", "3", "-h"],
+        [*branch, "--tri", "5"],
+        [*branch, "--m", "-3"],
+        # an empty --out, an --out named like the group, an extra positional
+        ["--out", "", *branch],
+        ["--out=", *branch, "--help"],
+        ["--out", branch[0], *branch, "--help"],
+        [*branch, "extra"],
+        # a token the root rejects as ambiguous (--help or --out), unless after "--"
+        [*branch, "--=x"],
+        [*branch, "--m", "3", "--=x"],
+        [*branch, "--", "--=x"],
+    ]
 
 
 def test_branches_cover_every_group():
@@ -137,23 +177,13 @@ def test_branches_cover_every_group():
 
 @pytest.mark.parametrize("branch", _BRANCHES, ids=" ".join)
 def test_named_branch_parses_like_the_full_tree(branch, tmp_path, monkeypatch, capsys):
-    # the same exit code, stdout and stderr as the full tree, from the
-    # parser of the named leaf alone (of the named group where no leaf is
-    # named); no-argument leaves run in tmp_path
+    # the same exit code, stdout, stderr and namespace as the full tree,
+    # from the named leaf's parser alone (the named group's branch where
+    # no leaf is named); accepted runs write into tmp_path
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("CYCLEPOISSON_OUT", raising=False)
-    out = str(tmp_path / "out")
-    for argv in (
-        [*branch, "--help"],
-        [*branch],
-        [*branch, "--no-such-option"],
-        ["--out", out, *branch, "--help"],
-        ["--out=" + out, *branch, "--no-such-option", "1"],
-        ["--out", out, "--out=" + out, *branch],
-    ):
-        built, pruned, full = _run_both(argv, monkeypatch, capsys)
-        assert built == (branch[0], branch[1] if len(branch) == 2 else None), argv
-        assert pruned == full, argv
+    for argv in _branch_argvs(branch, str(tmp_path / "out")):
+        _assert_like_the_full_tree(argv, monkeypatch, capsys)
 
 
 @pytest.mark.parametrize(
@@ -170,13 +200,13 @@ def test_named_branch_parses_like_the_full_tree(branch, tmp_path, monkeypatch, c
         ["--out", "--help"],
         ["--", "table"],
         ["--out", "table"],
+        ["--=x", "table", "build"],
     ],
 )
 def test_root_argvs_get_the_full_tree(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    built, pruned, full = _run_both(argv, monkeypatch, capsys)
-    assert built == (None, None)
-    assert pruned == full
+    assert cli._named_branch(argv) == cli._Branch()
+    _assert_like_the_full_tree(argv, monkeypatch, capsys)
 
 
 @pytest.mark.parametrize(
@@ -187,15 +217,52 @@ def test_root_argvs_get_the_full_tree(argv, tmp_path, monkeypatch, capsys):
         ["table", "buidl"],
         ["table", "-h", "build"],
         ["--out", "DIR", "table", "--no-such", "build"],
+        ["table", "build", "--m", "3", "--=x"],
     ],
 )
 def test_group_argvs_get_the_group_branch(argv, tmp_path, monkeypatch, capsys):
-    # no leaf right after the group: the group's whole branch, which lists
-    # or rejects its leaves as the full tree does
+    # no leaf right after the group, or a token only the root rejects: the
+    # group's whole branch, which lists or rejects its leaves as the full
+    # tree does
     monkeypatch.chdir(tmp_path)
-    built, pruned, full = _run_both(argv, monkeypatch, capsys)
-    assert built == ("table", None)
-    assert pruned == full
+    assert cli._named_branch(argv) == cli._Branch("table")
+    _assert_like_the_full_tree(argv, monkeypatch, capsys)
+
+
+def test_leaf_argvs_name_the_leaf_and_the_last_out():
+    branch = cli._named_branch(["--out", "a", "--out=b", "table", "build", "--m", "3"])
+    assert branch == cli._Branch("table", "build", cli._GROUPS["table"].leaves["build"], "b", ("--m", "3"))
+    assert cli._named_branch(["simulate", "--n", "3"]) == cli._Branch(
+        "simulate", None, cli._GROUPS["simulate"], None, ("--n", "3")
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, parsers",
+    [
+        (["table", "build", "--m", "3", "--vmax", "2", "--out", "t.cpt"], 1),
+        (["--out", "o", "simulate", "--n", "3", "--r", "0", "--eps", "1/3", "--trials", "10", "--seed", "1"], 1),
+        # unrecognized tokens: the leaf, then the group branch (root, table and its 3 leaves)
+        (["table", "build", "--m", "3", "--vmax", "2", "--bogus"], 1 + 5),
+        (["simulate", "--n", "3", "--r", "0", "--eps", "1/3", "--trials", "10", "--seed", "1", "x"], 1 + 2),
+        (["table", "--help"], 5),
+        (["table", "buidl"], 5),
+        (["--help"], 23),
+    ],
+)
+def test_parsers_built_per_argv(argv, parsers, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    main(argv)
+    capsys.readouterr()
+    assert len(built) == parsers, built
 
 
 def test_build_parser_offers_the_named_group_only():
@@ -203,15 +270,12 @@ def test_build_parser_offers_the_named_group_only():
     assert list(_group_choices(build_parser())) == list(cli._GROUPS)
     with pytest.raises(SystemExit):
         build_parser("table").parse_args(["series", "demo"])
-    # a named leaf: the root, its group and that leaf, nothing else
-    root = build_parser("table", "exponents")
-    assert list(_group_choices(root)) == ["table"]
-    assert list(_group_choices(_group_choices(root)["table"])) == ["exponents"]
+    # a group's branch holds every leaf of the group; there is no leaf-only tree
     assert list(_group_choices(_group_choices(build_parser("table"))["table"])) == [
         "build", "exponents", "verify",
     ]
-    with pytest.raises(SystemExit):
-        root.parse_args(["table", "build", "--m", "3", "--vmax", "3"])
+    with pytest.raises(TypeError):
+        build_parser("table", "exponents")
 
 
 # ----------------------------------------------------------------------
