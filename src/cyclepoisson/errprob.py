@@ -11,12 +11,15 @@ with those counts as its coefficients, and _block_error is the one place
 that weighs counts into terms.  Two routes feed it the same counts from
 two sources:
 
-* block_error_probability, the production route, takes them from Renyi's
-  forest count: the cyclic assignments are m^(2v) - W_v, where W_v counts
-  the endpoint assignments of v variables that form a forest on the m
-  checks (W_v = 0 for v >= m).  No table is filled.
+* block_error_probability, the production route, takes them from forest
+  counts: the cyclic assignments are m^(2v) - W_v, where W_v counts the
+  endpoint assignments of v variables that form a forest on the m checks
+  (W_v = 0 for v >= m).  W comes from a three-term integer recurrence in
+  v, which a creative-telescoping certificate derives from Renyi's
+  alternating sum for the forest count (see _forest_counts).  No table
+  is filled.
 * expected_block_error, the paper's route, adds them up level by level
-  from the filled coefficient table.  Its counts come from the
+  from the filled coefficient table.  Its counts come from the table's
   recurrence, not from forests, so it is the oracle the forest route is
   checked against.
 
@@ -46,7 +49,6 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate, repeat
 
 from .combinatorics import binomial, factorial, log_fraction
@@ -206,42 +208,63 @@ def expected_block_error(query: ErrProbQuery) -> ErrProbResult:
     return _block_error(n, query.params.m, query.epsilon, cyclic)
 
 
-@lru_cache(maxsize=1)
 def _forest_counts(m: int) -> tuple[int, ...]:
     """W_v for 0 <= v < m: endpoint assignments of v variables forming a forest.
 
     A forest with v edges on m labelled checks has k = m - v trees, and
-    Renyi's count f(m, k) of such forests has the integer form
+    each is v! 2^v assignments (edge labels and orientations); a graph
+    with v >= m edges on m checks has a cycle, so W_v = 0 there.  With
+    P(k) = 4k^2 - 2(2m-5)k - (m+6)(m-1), W_0 = 1, W_1 = m(m-1) (any edge
+    but a loop), and for 2 <= v <= m-1
+
+        W_v = -P(k) W_{v-1} - 4m^2 (k+1)(v-1) W_{v-2},
+
+    in integer multiply-adds: no alternating sum and no division.
+
+    Proof.  Renyi's count f(m,k) of such forests (Renyi 1959),
         2^k m f(m,k) = binom(m,k) sum_{i=0}^{min(k,m-k)} (-1)^i 2^(k-i)
-                       binom(k,i) (k+i) (m-k)_i m^(m-k-i).
-    Each forest is v! 2^v assignments (edge labels and orientations), so
-    W_v = v! 2^v f(m, m-v).  A graph with v >= m edges on m checks has a
-    cycle, so W_v = 0 there.
+                       binom(k,i) (k+i) (m-k)_i m^(m-k-i),
+    gives W_v = v! 2^v f(m,m-v) = 2^v (m)_v m^(v-1) S(v), where S(v) is
+    sum_i t(v,i) over i >= 0 and
+        t(v,i) = (-1/(2m))^i binom(m-v,i) (m-v+i) (v)_i.
+    For 0 <= v <= m-3 and every integer i >= 0, Zeilberger's creative
+    telescoping (Petkovsek, Wilf, Zeilberger, A = B) certifies
+        a0 t(v,i) + a1 t(v+1,i) + a2 t(v+2,i) = G(v,i+1) - G(v,i)
+    with
+        a0 = 2m(m-v-1)(v+1),  a1 = -(m-v) c(v+2),  a2 = 2m(m-v-1)(m-v),
+        c(u) = m^2 + 4mu - 4u^2 - 5m + 10u - 6 = -P(m-u),
+        G(v,i) = 2m i (v+1) Q(v,i) T(v,i) for 0 <= i <= v+2, else 0,
+        T(v,i) = (-1/(2m))^i binom(m-v,i) v!/(v+2-i)!,
+        Q(v,i) = -im^2 + 4imv + im - 4iv^2 - 6iv - 2i - m^3 + 5m^2 v
+                 + 7m^2 - 8mv^2 - 19mv - 8m + 4v^3 + 14v^2 + 14v + 4.
+    For i <= v+2 each a_j t(v+j,i), G(v,i) and G(v,i+1) is T(v,i) times
+    a polynomial in (m,v,i), and past i = v+2 every term is 0, so the
+    identity is T(v,i) times one polynomial identity, of degree 4 in m,
+    6 in v and 3 in i.  Summed over i it telescopes to 0, since
+    G(v,0) = 0 and G vanishes past i = v+2: a0 S(v) + a1 S(v+1) +
+    a2 S(v+2) = 0, which solved for S(v+2) and multiplied by
+    2^(v+2) (m)_(v+2) m^(v+1) is the recurrence at v+2.
+    tests/test_errprob.py checks the term identity in exact Fractions
+    for m <= 40, checks the polynomial identity on a grid with more
+    points than its degree in each variable, which proves it, and keeps
+    Renyi's sum as the oracle.
     """
-    powers = [1]  # m^j for j < m
-    for _ in range(m - 1):
-        powers.append(powers[-1] * m)
-    counts = []
-    for v in range(m):
+    counts = [1, m * (m - 1)]
+    for v in range(2, m):
         k = m - v
-        total = 0
-        term_binom, falling = 1, 1  # binom(k,i) and (m-k)_i
-        for i in range(min(k, v) + 1):
-            term = term_binom * (k + i) * falling * powers[v - i] << (k - i)
-            total += -term if i & 1 else term
-            term_binom = term_binom * (k - i) // (i + 1)
-            falling *= v - i
-        forests = binomial(m, k) * total // (m << k)
-        counts.append((factorial(v) << v) * forests)
-    return tuple(counts)
+        p = 4 * k * k - 2 * (2 * m - 5) * k - (m + 6) * (m - 1)
+        counts.append(-p * counts[-1] - 4 * m * m * (k + 1) * (v - 1) * counts[-2])
+    return tuple(counts[:m])
 
 
 def block_error_probability(params: EnsembleParams, epsilon) -> ErrProbResult:
     """E_B from forest counts, with no coefficient table.
 
-    Each level's cyclic count is m^(2v) - W_v, and _block_error weighs it
-    as it weighs the table route's counts, so value, per_v and x are
-    expected_block_error's exactly.
+    Each level's cyclic count is m^(2v) - W_v, with W from the recurrence
+    of _forest_counts, and _block_error weighs it as it weighs the table
+    route's counts, so value, per_v and x are expected_block_error's
+    exactly.  W is recomputed on each call: at m = 2000 it takes a tenth
+    of the time of the sum it feeds.
     """
     eps = _check_epsilon(epsilon)
     n, m = params.n, params.m

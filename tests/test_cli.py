@@ -785,6 +785,48 @@ def test_hadamard_split_bytes_pinned(argv, digest, tmp_path, monkeypatch, capsys
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
 
 
+# sha256 of "<exit code>\0<stdout>\0<stderr>\0<artifact, or empty>" for
+# forest-route runs with `--out .`, recorded while the forest counts still
+# came from Renyi's alternating sum; the recurrence must leave every byte
+# as it was.  The n = 2000 breakdown runs to tens of MB, so only its plain
+# output is pinned.
+_FOREST_ROUTE_DIGESTS = [
+    ("errprob eval --n 1 --r 0 --eps 1/2", None,
+     "9a02c2ba4aa9dd32358f4f21c41d3abf07bcbc3b62971ea1e99f07ffd4fba9c4"),
+    ("errprob eval --n 1 --r 0 --eps 1/2 --breakdown", None,
+     "e73e7aa33fa8231e7b9f4ab7ba274a80de874373ae0eb09e84c2b431bfddb883"),
+    ("errprob eval --n 3 --r 2/3 --eps 1/2", None,
+     "f39a3883255925cf363747528e92286c7816586337a4db52d53a7dca21fa38d6"),
+    ("errprob eval --n 3 --r 2/3 --eps 1/2 --breakdown", None,
+     "3443465fda43bdf45a3b3285307f95863f9e0f7e9641306cac58ce45cd55073d"),
+    ("errprob eval --n 4 --r 1/2 --eps 1/10", None,
+     "302d15776ef47c63f5848885f1e60bf3bde618817dfd9d7035eba7dcf406cf5f"),
+    ("errprob eval --n 4 --r 1/2 --eps 1/10 --breakdown", None,
+     "b44c87adf416750dea6e228c9f4699ae60a262194b379bf19fc25aa69a641925"),
+    ("errprob eval --n 200 --r 1/2 --eps 1/20", None,
+     "5c34b41376580df6d818de03ddf1efddbe5a15efb4fb56704e114969c8cb8ff1"),
+    ("errprob eval --n 200 --r 1/2 --eps 1/20 --breakdown", None,
+     "b9f5a9153ca885e848b96372d2a55b9f199876345a4effcb4f0e3848ab68372c"),
+    ("errprob eval --n 600 --r 1/2 --eps 1/10000019", None,
+     "8ab90eb86be97101c0e569da323674821d3ec144b8f36e01d3e990efd369c04d"),
+    ("errprob eval --n 2000 --r 1/2 --eps 1/4", None,
+     "91dd025862734826dee474fc478e9c905d44d02439d7fc299fa3ecd333963b56"),
+    ("errprob sweep --n 200 --r 1/2 --eps-list 0,1/20,1/4", "errprob_sweep.csv",
+     "49b360d318e602797291f3881e2ac48c5677f85e51cc4e57df0bd4e16bf3b524"),
+    ("reconcile --n 200 --r 1/2 --eps-list 1/20,1/4 --trials 1000 --seed 7 --json r.json", "r.json",
+     "15dec9266b104d4b22121c22e4feef53bde37ede41e2d307b3cca55042d8cea0"),
+]
+
+
+@pytest.mark.parametrize("argv, artifact, digest", _FOREST_ROUTE_DIGESTS)
+def test_forest_route_bytes_pinned(argv, artifact, digest, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run_cli(capsys, "--out", ".", *argv.split())
+    text = (tmp_path / artifact).read_text() if artifact else ""
+    blob = "%d\0%s\0%s\0%s" % (rc, out, err, text)
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
 def test_hadamard_check_passes(tmp_path, capsys):
     rc, out, _ = run_cli(capsys, "--out", str(tmp_path), "errprob", "hadamard-check")
     assert rc == 0

@@ -134,6 +134,170 @@ def test_expected_block_error_is_exhaustive_probability(n, m, eps):
 
 
 # ----------------------------------------------------------------------
+# the forest counts: Renyi's sum as the oracle, and the recurrence's proof
+# ----------------------------------------------------------------------
+
+
+def _renyi_forest_counts(m):
+    """W_v for 0 <= v < m from Renyi's alternating sum, the oracle for _forest_counts.
+
+    A forest with v edges on m labelled checks has k = m - v trees, and
+    Renyi's count f(m, k) of such forests has the integer form
+        2^k m f(m,k) = binom(m,k) sum_{i=0}^{min(k,m-k)} (-1)^i 2^(k-i)
+                       binom(k,i) (k+i) (m-k)_i m^(m-k-i).
+    Each forest is v! 2^v assignments (edge labels and orientations), so
+    W_v = v! 2^v f(m, m-v).
+    """
+    powers = [1]  # m^j for j < m
+    for _ in range(m - 1):
+        powers.append(powers[-1] * m)
+    counts = []
+    for v in range(m):
+        k = m - v
+        total = 0
+        term_binom, falling = 1, 1  # binom(k,i) and (m-k)_i
+        for i in range(min(k, v) + 1):
+            term = term_binom * (k + i) * falling * powers[v - i] << (k - i)
+            total += -term if i & 1 else term
+            term_binom = term_binom * (k - i) // (i + 1)
+            falling *= v - i
+        forests = binomial(m, k) * total // (m << k)
+        counts.append((factorial(v) << v) * forests)
+    return tuple(counts)
+
+
+def test_forest_counts_equal_renyis_sum_to_m300():
+    for m in range(1, 301):
+        assert _forest_counts(m) == _renyi_forest_counts(m), m
+
+
+@settings(max_examples=5, deadline=None)
+@given(m=st.integers(301, 600))
+def test_forest_counts_equal_renyis_sum(m):
+    assert _forest_counts(m) == _renyi_forest_counts(m)
+
+
+@pytest.mark.parametrize("m", [2000, 5000])
+def test_forest_counts_end_at_cayleys_count(m):
+    # a forest with m - 1 edges on m checks is a spanning tree: Cayley's
+    # m^(m-2) trees, each (m-1)! 2^(m-1) assignments
+    forests = _forest_counts(m)
+    assert len(forests) == m
+    assert forests[-1] == factorial(m - 1) * 2 ** (m - 1) * m ** (m - 2)
+
+
+# The certificate of _forest_counts' docstring.  Each function takes ints
+# or Fractions, so the same code serves the integer grid and the generic
+# rational points.
+
+
+def _coefficients(m, v):
+    """a0, a1, a2, with c(v+2) = m^2 + 4mu - 4u^2 - 5m + 10u - 6 at u = v+2."""
+    u = v + 2
+    c = m * m + 4 * m * u - 4 * u * u - 5 * m + 10 * u - 6
+    return 2 * m * (m - v - 1) * (v + 1), -(m - v) * c, 2 * m * (m - v - 1) * (m - v)
+
+
+def _q(m, v, i):
+    return (
+        -i * m**2 + 4 * i * m * v + i * m - 4 * i * v**2 - 6 * i * v - 2 * i
+        - m**3 + 5 * m**2 * v + 7 * m**2 - 8 * m * v**2 - 19 * m * v - 8 * m
+        + 4 * v**3 + 14 * v**2 + 14 * v + 4
+    )
+
+
+def _t(m, v, i):
+    """t(v,i) = (-1/(2m))^i binom(m-v,i) (m-v+i) (v)_i, Renyi's summand."""
+    return Fraction(-1, 2 * m) ** i * math.comb(m - v, i) * (m - v + i) * math.perm(v, i)
+
+
+def _kernel(m, v, i):
+    """T(v,i) = (-1/(2m))^i binom(m-v,i) v!/(v+2-i)! for 0 <= i <= v+2."""
+    return Fraction(-1, 2 * m) ** i * math.comb(m - v, i) * Fraction(
+        factorial(v), factorial(v + 2 - i)
+    )
+
+
+def _g(m, v, i):
+    """G(v,i) = 2m i (v+1) Q(v,i) T(v,i) for 0 <= i <= v+2, else 0."""
+    if i > v + 2:
+        return 0
+    return 2 * m * i * (v + 1) * _q(m, v, i) * _kernel(m, v, i)
+
+
+def _over_kernel(m, v, i):
+    """t(v,i), t(v+1,i), t(v+2,i), G(v,i+1) and G(v,i), each over T(v,i).
+
+    From binom(m-v-1,i) = binom(m-v,i) (m-v-i)/(m-v), (v)_i = v!/(v+2-i)!
+    (v+2-i)(v+1-i) and T(v,i+1) = T(v,i) (-1/(2m)) (m-v-i)(v+2-i)/(i+1).
+    """
+    m, v, i = Fraction(m), Fraction(v), Fraction(i)  # exact division for ints too
+    return (
+        (m - v + i) * (v + 2 - i) * (v + 1 - i),
+        (m - v - i) * (m - v - 1 + i) * (v + 1) * (v + 2 - i) / (m - v),
+        (m - v - i) * (m - v - 1 - i) * (m - v - 2 + i) * (v + 2) * (v + 1)
+        / ((m - v) * (m - v - 1)),
+        -(m - v - i) * (v + 2 - i) * (v + 1) * _q(m, v, i + 1),
+        2 * m * i * (v + 1) * _q(m, v, i),
+    )
+
+
+def test_renyis_sum_is_the_certificates_hypergeometric_sum():
+    # W_v = 2^v (m)_v m^(v-1) S(v) with S(v) = sum_i t(v,i)
+    for m in range(1, 41):
+        renyi = _renyi_forest_counts(m)
+        for v in range(m):
+            s = sum(_t(m, v, i) for i in range(v + 1))
+            assert 2**v * math.perm(m, v) * Fraction(m) ** (v - 1) * s == renyi[v], (m, v)
+
+
+def test_certificate_term_identity_on_the_integer_grid():
+    # a0 t(v,i) + a1 t(v+1,i) + a2 t(v+2,i) = G(v,i+1) - G(v,i) in exact
+    # Fractions for every 0 <= v <= m-3 and 0 <= i <= m+3, so past every
+    # term's support, and each term is T(v,i) times its factor from
+    # _over_kernel wherever i <= v+2; summed over i, the combination of the
+    # S(v) vanishes
+    for m in range(1, 41):
+        for v in range(m - 2):
+            a0, a1, a2 = _coefficients(m, v)
+            total = 0
+            for i in range(m + 4):
+                t0, t1, t2 = (_t(m, v + j, i) for j in range(3))
+                g1, g0 = _g(m, v, i + 1), _g(m, v, i)
+                lhs = a0 * t0 + a1 * t1 + a2 * t2
+                assert lhs == g1 - g0, (m, v, i)
+                if i <= v + 2:
+                    kernel = _kernel(m, v, i)
+                    factors = _over_kernel(m, v, i)
+                    assert (t0, t1, t2, g1, g0) == tuple(kernel * f for f in factors), (m, v, i)
+                total += lhs
+            assert total == 0, (m, v)
+
+
+def test_certificate_polynomial_identity_proves_it():
+    # The term identity over T(v,i) is
+    #   E = a0 r0 + a1 r1 + a2 r2 - (g1 - g0) = 0
+    # with (r0, r1, r2, g1, g0) from _over_kernel.  E is a polynomial (a1
+    # carries the factor m-v and a2 the factor (m-v)(m-v-1)) of degree 4 in
+    # m, 6 in v and 3 in i; even (m-v)(m-v-1) E has degree 6, 8 and 3.  A
+    # polynomial with degree below the grid's size in each variable that
+    # vanishes on the whole grid is zero, so this check proves E = 0, and
+    # with it the term identity for every integer 0 <= v <= m-3 and i >= 0:
+    # for i <= v+2 it is T(v,i) E, and past i = v+2 every term is 0.  Each
+    # m has denominator 7 and each v denominator 3, so m-v and m-v-1 are
+    # never 0.
+    ms = [j + Fraction(3, 7) for j in range(8)]
+    vs = [j + Fraction(1, 3) for j in range(-2, 8)]
+    is_ = [j + Fraction(2, 11) for j in range(-1, 4)]
+    for m in ms:
+        for v in vs:
+            a0, a1, a2 = _coefficients(m, v)
+            for i in is_:
+                r0, r1, r2, g1, g0 = _over_kernel(m, v, i)
+                assert a0 * r0 + a1 * r1 + a2 * r2 == g1 - g0, (m, v, i)
+
+
+# ----------------------------------------------------------------------
 # the forest route
 # ----------------------------------------------------------------------
 
