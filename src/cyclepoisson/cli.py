@@ -382,7 +382,7 @@ def _cmd_errprob_eval(args, run: _Run) -> int:
     from .errprob import block_error_probability
 
     result = block_error_probability(EnsembleParams(n=args.n, r=args.r), args.eps)
-    print("x = %s" % result.x)
+    print("x = %s" % _exact(result.x))
     print("E_B = %s" % _exact(result.value))
     print("E_B ~ %.15g" % float(result.value))
     if args.breakdown:

@@ -6,22 +6,26 @@ channel is the exact finite sum
     E_B = (1-eps)^n * sum_v C(n,v) v! x^v * sum_{t,s} A(v,t,s),
 
 with x = 2 eps / ((1-eps) m^2).  v! 2^v sum_{t,s} A(v,t,s) is the number
-of cyclic endpoint assignments of v variables, so E_B is one sum over v
-with those counts as its coefficients, and _block_error is the one place
-that weighs counts into terms.  Two routes feed it the same counts from
-two sources:
+of cyclic endpoint assignments of v variables; the other W_v of all
+m^(2v) assignments form a forest on the m checks (W_v = 0 for v >= m).
+With eps = a/b and d = (b-a) m^2, sum_v C(n,v) a^v m^(2v) d^(n-v) =
+(b m^2)^n, so
 
-* block_error_probability, the production route, takes them from forest
-  counts: the cyclic assignments are m^(2v) - W_v, where W_v counts the
-  endpoint assignments of v variables that form a forest on the m checks
-  (W_v = 0 for v >= m).  W comes from a three-term integer recurrence in
-  v, which a creative-telescoping certificate derives from Renyi's
-  alternating sum for the forest count (see _forest_counts).  No table
-  is filled.
-* expected_block_error, the paper's route, adds them up level by level
-  from the filled coefficient table.  Its counts come from the table's
+    1 - E_B = sum_v C(n,v) a^v W_v d^(n-v) / (b m^2)^n,
+
+and _block_error, the one place that weighs counts into the sum, sums
+those forest terms.  Two routes feed it forest counts from two sources:
+
+* block_error_probability, the production route, takes W from a
+  three-term integer recurrence in v, which a creative-telescoping
+  certificate derives from Renyi's alternating sum for the forest count
+  (see _forest_counts).  Its sum stops at v = m - 1, and no table is
+  filled.
+* expected_block_error, the paper's route, adds the cyclic counts up
+  level by level from the filled coefficient table and passes m^(2v)
+  minus each, for every v = 0..n.  Its counts come from the table's
   recurrence, not from forests, so it is the oracle the forest route is
-  checked against.
+  checked against, and a wrong table count at any level changes it.
 
 The same sum rearranges into per-(t,s) inner power sums with the n^{2v}
 factored out of x, each read from one column of the m-free kernel with
@@ -46,10 +50,9 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import islice
 
 from .combinatorics import binomial, factorial, log_fraction
 from .errors import CoverageError, ToleranceNotMetError, ValidationError
@@ -121,32 +124,34 @@ class ErrProbQuery:
 
 @dataclass(frozen=True)
 class ErrProbResult:
-    """E_B with each per-v term kept as an integer numerator.
+    """E_B with the ensemble (n, m) it was evaluated for.
 
-    With eps = a/b and d = (b-a) m^2, the v-th term of the sum, before the
-    prefactor (1-eps)^n, is numerators[v-1] / d^v; per_v builds those
-    Fractions only when it is read, and x is 2a/d.  Equality compares
-    value, epsilon and numerators, which is comparing value, epsilon,
-    per_v and x: numerators[0] = n a m fixes m, and so d, unless eps = 0,
-    where every term and x are 0 for any m.
+    The result stores no per-v terms: x and per_v are built from epsilon,
+    n and m when they are read.  Equality compares value, epsilon, n and
+    m.
     """
 
     value: Fraction
     epsilon: Fraction
-    numerators: tuple[int, ...]
-    d: int = field(compare=False)
+    n: int
+    m: int
 
     @property
     def x(self) -> Fraction:
-        """2 eps / ((1-eps) m^2) = 2a / d."""
-        return Fraction(2 * self.epsilon.numerator, self.d)
+        """2 eps / ((1-eps) m^2)."""
+        return 2 * self.epsilon / ((1 - self.epsilon) * self.m * self.m)
 
     @property
     def per_v(self) -> tuple[tuple[int, Fraction], ...]:
-        """(v, numerators[v-1] / d^v) for v = 1..n, built per read."""
-        powers = accumulate(repeat(self.d, len(self.numerators)), operator.mul)  # d^v
+        """(v, C(n,v) (eps/(1-eps))^v (1 - W_v/m^(2v))) for v = 1..n, built per read.
+
+        W comes from _forest_counts(m), with W_v = 0 for v >= m.
+        """
+        n, m, eps = self.n, self.m, self.epsilon
+        forests, ratio = _forest_counts(m), eps / (1 - eps)
         return tuple(
-            (v, Fraction(c, dv)) for v, (c, dv) in enumerate(zip(self.numerators, powers), 1)
+            (v, binomial(n, v) * ratio**v * (1 - Fraction(forests[v] if v < m else 0, m**(2 * v))))
+            for v in range(1, n + 1)
         )
 
     def __float__(self) -> float:
@@ -157,40 +162,39 @@ class ErrProbResult:
         return "ErrProbResult(value=%s, epsilon=%s, %d terms)" % (
             _exact(self.value),
             _exact(self.epsilon),
-            len(self.numerators),
+            self.n,
         )
 
 
-def _block_error(n: int, m: int, eps: Fraction, cyclic) -> ErrProbResult:
-    """E_B from cyclic[v-1], the cyclic endpoint assignments of v variables, v = 1..n.
+def _block_error(n: int, m: int, eps: Fraction, forests) -> ErrProbResult:
+    """E_B from forests[v], the forest endpoint assignments of v variables.
 
-    The v-th term is binom(n,v) (eps/(1-eps))^v cyclic_v / m^(2v); with
-    eps = a/b and d = (b-a) m^2 that is c_v / d^v for the integer
-    c_v = binom(n,v) a^v cyclic_v.  The value (1-eps)^n sum_v c_v / d^v is
-    one fraction sum_v c_v d^(n-v) / (b^n m^(2n)), whose numerator
-    Horner's rule forms; binom(n,v) a^v is updated per level.
+    With eps = a/b and d = (b-a) m^2, 1 - E_B is sum_v c_v d^(n-v) /
+    (b m^2)^n with c_v = C(n,v) a^v forests[v], over v = 0..top, where
+    top = min(n, len(forests) - 1): a sequence that ends before n stands
+    for zeros past its end.  Horner's rule forms sum_v c_v d^(top-v),
+    C(n,v) a^v is updated per level, and d^(n-top) scales the sum to the
+    full n.
     """
     a, b = eps.numerator, eps.denominator
     d = (b - a) * m * m
-    numerators = []
-    numerator = 0
-    weight = 1  # binom(n,v) a^v
-    for v, count in enumerate(cyclic, 1):
-        weight = weight * (n - v + 1) * a // v
-        c = weight * count
-        numerators.append(c)
-        numerator = numerator * d + c
-    value = Fraction(numerator, b**n * m ** (2 * n))
-    return ErrProbResult(value=value, epsilon=eps, numerators=tuple(numerators), d=d)
+    top = min(n, len(forests) - 1)
+    numerator, weight = 0, 1  # weight is C(n,v) a^v
+    for v, count in enumerate(islice(forests, top + 1)):
+        numerator = numerator * d + weight * count
+        weight = weight * (n - v) * a // (v + 1)
+    den = (b * m * m) ** n
+    return ErrProbResult(Fraction(den - numerator * d ** (n - top), den), eps, n, m)
 
 
 def expected_block_error(query: ErrProbQuery) -> ErrProbResult:
-    """Exact finite evaluation of E_B from the table, with a per-v breakdown.
+    """Exact finite evaluation of E_B from the table.
 
     This is the paper's route and the oracle for block_error_probability:
     each level's cyclic count is the table's sum of B = v! 2^v A(v,t,s)
-    over t >= 1, and _block_error weighs it into the v-th term
-    C(n,v) v! x^v sum_{t>=1,s} A(v,t,s).
+    over t >= 1, and _block_error sums m^(2v) minus that count for every
+    v = 0..n, so a wrong count at any level, v >= m included, changes
+    the value.
 
     Raises:
         CoverageError: the table is shallower than v = n.
@@ -203,9 +207,10 @@ def expected_block_error(query: ErrProbQuery) -> ErrProbResult:
             % (query.table.vmax, n, missing),
             missing=missing,
         )
+    m = query.params.m
     counts = query.table.level_counts()
-    cyclic = (counts.get(v, 0) for v in range(1, n + 1))
-    return _block_error(n, query.params.m, query.epsilon, cyclic)
+    forests = [m ** (2 * v) - counts.get(v, 0) for v in range(n + 1)]
+    return _block_error(n, m, query.epsilon, forests)
 
 
 def _forest_counts(m: int) -> tuple[int, ...]:
@@ -260,18 +265,13 @@ def _forest_counts(m: int) -> tuple[int, ...]:
 def block_error_probability(params: EnsembleParams, epsilon) -> ErrProbResult:
     """E_B from forest counts, with no coefficient table.
 
-    Each level's cyclic count is m^(2v) - W_v, with W from the recurrence
-    of _forest_counts, and _block_error weighs it as it weighs the table
-    route's counts, so value, per_v and x are expected_block_error's
-    exactly.  W is recomputed on each call: at m = 2000 it takes a tenth
-    of the time of the sum it feeds.
+    _block_error sums the W of _forest_counts, which end at v = m - 1, so
+    the sum stops there and subtracts nothing; value, per_v and x are
+    expected_block_error's exactly.  W is recomputed on each call: at
+    m = 2000 it takes a fraction of the time of the sum it feeds.
     """
     eps = _check_epsilon(epsilon)
-    n, m = params.n, params.m
-    forests = _forest_counts(m)
-    powers = accumulate(repeat(m * m, n), operator.mul)  # m^(2v), v = 1..n
-    cyclic = (p - (forests[v] if v < m else 0) for v, p in enumerate(powers, 1))
-    return _block_error(n, m, eps, cyclic)
+    return _block_error(params.n, params.m, eps, _forest_counts(params.m))
 
 
 @dataclass(frozen=True)

@@ -683,6 +683,19 @@ def test_exact_values_past_the_int_str_limit(argv, read, tmp_path, capsys):
     assert sys.get_int_max_str_digits() == limit
 
 
+def test_eval_prints_x_past_the_int_str_limit(tmp_path, capsys):
+    # eps = 1/N with N = 9 10^4299 still parses, but at m = 2 x is
+    # 1/(2(N-1)), whose denominator has 4,301 digits
+    limit = sys.get_int_max_str_digits()
+    assert 0 < limit < 4301
+    rc, out, err = run_cli(capsys, "--out", str(tmp_path), "errprob", "eval", "--n", "4",
+                           "--r", "1/2", "--eps", "1/9" + "0" * 4299)
+    assert rc == 0
+    assert "Traceback" not in err
+    assert out.splitlines()[0] == "x = 1/17" + "9" * 4298 + "8"
+    assert sys.get_int_max_str_digits() == limit
+
+
 def test_hadamard_split_csv(tmp_path, capsys):
     rc, out, _ = run_cli(
         capsys, "--out", str(tmp_path),

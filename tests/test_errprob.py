@@ -4,6 +4,7 @@ import decimal
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -321,12 +322,41 @@ def test_forest_counts_complement_the_level_sums(n, m):
     eps=st.fractions(min_value=0, max_value=1, max_denominator=60),
 )
 def test_block_error_probability_matches_table_route(n, m_share, eps):
-    # value, per_v, epsilon and x all equal the table route's exactly
+    # equality is (value, epsilon, n, m); the per-level equality of the
+    # two routes' counts is test_forest_counts_complement_the_level_sums
     assume(eps < 1)
     m = max(1, math.ceil(m_share * n))
     params = EnsembleParams(n=n, r=1 - Fraction(m, n))
     query = ErrProbQuery(params, eps, fill_table(params, vmax=n))
     assert block_error_probability(params, eps) == expected_block_error(query)
+
+
+@pytest.mark.parametrize("level", [2, 5, 7])
+def test_table_route_reads_every_level(level):
+    # n = 8 > m = 4: one count off by 1 at a level below m (2) or at or
+    # past it (5, 7) must move the oracle off the forest route
+    params = EnsembleParams(n=8, r=Fraction(1, 2))
+    eps = Fraction(1, 3)
+    table = fill_table(params, vmax=8)
+    query = ErrProbQuery(params, eps, table)
+    exact = block_error_probability(params, eps)
+    assert expected_block_error(query) == exact
+    key = next(k for k in sorted(table.counts) if k[0] == level and k[1] >= 1)
+    table.counts[key] += 1
+    assert expected_block_error(query).value != exact.value
+
+
+def test_block_error_probability_keeps_no_per_v_state():
+    # with the result alive, under 1 MiB stays traced: no per-v terms and
+    # no forest counts are kept beside the value
+    tracemalloc.start()
+    try:
+        result = block_error_probability(EnsembleParams(n=4000, r=Fraction(1, 2)), Fraction(1, 4))
+        kept, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert abs(float(result) - 0.817425255577017) < 1e-12
+    assert kept < 1 << 20, kept
 
 
 @pytest.mark.parametrize(
@@ -349,8 +379,8 @@ def test_bad_epsilon_messages_match_across_routes(n4_setup, eps, message):
 
 
 def test_block_error_probability_builds_no_per_v_fractions(monkeypatch):
-    # the per-v terms stay integers until per_v is read: one Fraction for
-    # the value, whatever n is
+    # no per-v term is built until per_v is read: one Fraction for the
+    # value, whatever n is
     made = []
 
     def counting(*args):
