@@ -85,7 +85,6 @@ _EXPORTS = {
         "hadamard_split_report",
         "HadamardSplitReport",
         "hadamard_contour",
-        "default_contour_radius",
         "ContourResult",
     ],
     "simulator": [

@@ -22,11 +22,9 @@ The global --out must come before the group.  A run that names a leaf
 builds that leaf's parser and no other (see `_named_branch` and
 `_parse`): the leaf parses the tokens after it, and the group, the leaf
 name and the last --out before the group are set on its namespace, which
-then equals the full tree's.  If the leaf leaves tokens it does not know,
-the group's branch parses the argv again, so the root reports them as it
-always did.  An argv that names a group but no leaf (the group's --help,
-an unknown leaf) gets that group's whole branch, and `--help`, an
-unknown group and any other root-level argv get the full tree.  Every
+then equals the full tree's.  Every other argv (`--help`, a group's
+--help, an unknown group or leaf, tokens the leaf does not know) is
+parsed by the full tree, which reports it as it always did.  Every
 parser is built from one argument builder per leaf, listed in `_GROUPS`,
 so a new subcommand adds its handler and one leaf builder there.
 Handlers import the library modules they call, so a run loads only its
@@ -751,12 +749,8 @@ def _fill_leaf(p: argparse.ArgumentParser, leaf: _Leaf, label: str) -> argparse.
     return p
 
 
-def build_parser(group: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser: the whole tree, or the root and one group's branch.
-
-    The root and the named group are built exactly as in the full tree, so
-    any argv whose group token names that group parses the same way.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser for the whole command tree."""
     parser = argparse.ArgumentParser(
         prog="cyclepoisson",
         description="Exact stopping-set tables, PDE checks and decoder simulation "
@@ -769,8 +763,7 @@ def build_parser(group: str | None = None) -> argparse.ArgumentParser:
         "(default: $%s or the working directory)" % OUT_ENV_VAR,
     )
     groups = parser.add_subparsers(dest="group", required=True, metavar="GROUP")
-    for name in _GROUPS if group is None else [group]:
-        entry = _GROUPS[name]
+    for name, entry in _GROUPS.items():
         if isinstance(entry, _Leaf):
             _fill_leaf(groups.add_parser(name, help=entry.help), entry, name)
             continue
@@ -805,7 +798,7 @@ def _named_branch(argv: list[str]) -> _Branch:
     before the leaf), or where a token of the rest before any "--" starts
     with "--=": the root reads every such token as an option and rejects
     this one as ambiguous between --help and --out, before the leaf sees
-    it.  Then the group's whole branch parses the argv.
+    it.  Then the full tree parses the argv.
     """
     i = 0
     out = None
@@ -829,18 +822,18 @@ def _named_branch(argv: list[str]) -> _Branch:
             rest = argv[i + 1:]
             options = rest[: rest.index("--")] if "--" in rest else rest
             if entry is None or any(t.startswith("--=") for t in options):
-                return _Branch(token)
+                return _Branch()
             return _Branch(token, sub, entry, out, tuple(rest))
     return _Branch()
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """The namespace the full tree would give, from the smallest parser that gives it.
+    """The namespace the full tree would give, from the leaf's parser where it gives it.
 
     A named leaf is parsed by its own parser alone, built as the tree
     builds it, and the namespace gets the root's and group's values.  If
-    that parser leaves tokens it does not know, the group's branch
-    parses the argv again, so the root reports them as the full tree does.
+    that parser leaves tokens it does not know, or no leaf is named, the
+    full tree parses the argv, so it reports them as it always did.
     """
     branch = _named_branch(argv)
     if branch.leaf is not None:
@@ -853,7 +846,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
             if branch.sub is not None:
                 args.sub = branch.sub
             return args
-    return build_parser(branch.group).parse_args(argv)
+    return build_parser().parse_args(argv)
 
 
 def _write_manifest(run: _Run, args, argv: list[str]) -> None:
@@ -882,9 +875,6 @@ def main(argv=None) -> int:
         if run.hashes:
             _write_manifest(run, args, argv)
         return rc
-    except ValidationError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
     except CyclePoissonError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

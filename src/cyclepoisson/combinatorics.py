@@ -193,21 +193,18 @@ def log10_fraction(q: Fraction) -> float:
 
 def log_fraction(q: Fraction, base: int | str = 10) -> float:
     """Logarithm of a positive rational in base 10 or base e."""
-    return _rebase(log10_fraction(q), base)
-
-
-def log_ratio(num: int, den: int, base: int | str = 10) -> float:
-    """Logarithm of num/den for positive integers, in base 10 or base e.
-
-    The digit-count path on each side, with no Fraction built: for num/den
-    in lowest terms this is exactly log_fraction(Fraction(num, den), base).
-    """
-    return _rebase(log10_int(num) - log10_int(den), base)
-
-
-def _rebase(l10: float, base: int | str) -> float:
+    l10 = log10_fraction(q)
     if base == 10:
         return l10
     if base in ("e", math.e):
         return l10 * math.log(10.0)
     raise ValidationError("log base must be 10 or 'e', got %r" % (base,))
+
+
+def log_ratio(num: int, den: int) -> float:
+    """log10 of num/den for positive integers.
+
+    The digit-count path on each side, with no Fraction built: for num/den
+    in lowest terms this is exactly log_fraction(Fraction(num, den)).
+    """
+    return log10_int(num) - log10_int(den)

@@ -61,6 +61,7 @@ from .table import (
     CoeffTable,
     EnsembleParams,
     _check_epsilon as _check_probability,
+    _check_vmax,
     _column_counts,
     _exact,
 )
@@ -79,7 +80,6 @@ __all__ = [
     "hadamard_split_report",
     "ContourResult",
     "hadamard_contour",
-    "default_contour_radius",
 ]
 
 
@@ -95,9 +95,8 @@ def _check_epsilon(epsilon) -> Fraction:
 class ErrProbQuery:
     """Evaluation request: parameters, erasure probability, filled table.
 
-    x is recomputed on construction as 2 eps/((1-eps) m^2); the variant
-    with n^{2v} factored out (x_split = x * n^2) is exposed for the
-    per-(t,s) rearrangement.  eps = 1 is rejected: x would divide by zero.
+    x is recomputed on construction as 2 eps/((1-eps) m^2).  eps = 1 is
+    rejected: x would divide by zero.
     """
 
     params: EnsembleParams
@@ -115,11 +114,6 @@ class ErrProbQuery:
             )
         m = self.params.m
         object.__setattr__(self, "x", 2 * eps / ((1 - eps) * m * m))
-
-    @property
-    def x_split(self) -> Fraction:
-        """x with the n^{2v} scaling factored out: 2 eps/((1-eps)(1-r)^2)."""
-        return self.x * self.params.n**2
 
 
 @dataclass(frozen=True)
@@ -470,8 +464,7 @@ def hadamard_split_report(
     """
     n = params.n
     vmax = n if vmax is None else vmax
-    if vmax < 0 or vmax > n:
-        raise ValidationError("vmax must lie in 0..n, got %r" % (vmax,))
+    _check_vmax(params, vmax)
     if t < 0 or s < 0:
         raise ValidationError("t and s must be >= 0, got t=%d s=%d" % (t, s))
     window = range(vmax // 2 + 1, vmax + 1)
@@ -517,17 +510,9 @@ def hadamard_split_report(
 # ----------------------------------------------------------------------
 
 
-def default_contour_radius(z) -> float:
-    """sqrt(|z|) widened by 1.2, clamped inside (|z|, 1); needs |z| < 1."""
-    az = abs(z)
-    if az >= 1:
-        raise ValidationError(
-            "no default radius for |z| >= 1; pass rho explicitly"
-        )
-    rho = 1.2 * math.sqrt(az)
-    if rho >= 1.0:
-        rho = (az + 1.0) / 2
-    return rho
+# the quadrature starts at _START_NODES nodes and doubles up to _MAX_NODES
+_START_NODES = 4
+_MAX_NODES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -537,38 +522,24 @@ class ContourResult:
     nodes: int
 
 
-def hadamard_contour(
-    f: Series,
-    g: Series,
-    z,
-    rho: float | None = None,
-    tol: float = 1e-8,
-    start_nodes: int = 4,
-    max_nodes: int = 1 << 14,
-) -> ContourResult:
+def hadamard_contour(f: Series, g: Series, z, rho: float, tol: float = 1e-8) -> ContourResult:
     """Evaluate the Hadamard product F(z) = sum a_n b_n z^n by quadrature.
 
     Trapezoidal quadrature of (1/2 pi i) integral of f(w) g(z/w) dw/w on
     the circle |w| = rho, with f and g evaluated as the truncated
-    polynomials they are.  Node count doubles from start_nodes until two
-    successive estimates differ by less than tol.
+    polynomials they are.  Node count doubles from 4 until two successive
+    estimates differ by less than tol, or 2^14 nodes are reached.
 
     z = 0 short-circuits to a_0 b_0 exactly.
 
     Raises:
-        ValidationError: bad rho/node arguments.
+        ValidationError: rho not positive.
         ToleranceNotMetError: node cap reached; carries the best estimate,
             the last successive difference, and the node count.
     """
-    if start_nodes < 4 or start_nodes & (start_nodes - 1):
-        raise ValidationError("start_nodes must be a power of two >= 4")
-    if max_nodes < start_nodes:
-        raise ValidationError("max_nodes must be >= start_nodes")
     if z == 0:
         value = complex(f.coef(0)) * complex(g.coef(0))
         return ContourResult(value=value, error_estimate=0.0, nodes=0)
-    if rho is None:
-        rho = default_contour_radius(z)
     if rho <= 0:
         raise ValidationError("rho must be positive")
     zc = complex(z)
@@ -580,9 +551,9 @@ def hadamard_contour(
             total += f.evaluate(w) * g.evaluate(zc / w)
         return total / nodes
 
-    nodes = start_nodes
+    nodes = _START_NODES
     prev = estimate(nodes)
-    while nodes < max_nodes:
+    while nodes < _MAX_NODES:
         nodes *= 2
         cur = estimate(nodes)
         diff = abs(cur - prev)
@@ -590,8 +561,8 @@ def hadamard_contour(
             return ContourResult(value=cur, error_estimate=diff, nodes=nodes)
         prev = cur
     raise ToleranceNotMetError(
-        "no convergence to %g within %d nodes" % (tol, max_nodes),
+        "no convergence to %g within %d nodes" % (tol, _MAX_NODES),
         best_value=prev,
-        error_estimate=diff if max_nodes > start_nodes else math.inf,
+        error_estimate=diff,
         nodes=nodes,
     )

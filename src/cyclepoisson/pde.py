@@ -82,10 +82,10 @@ def _rational(value) -> Fraction:
     return Fraction(value)
 
 
-def _label_of_sign(value, tol=0) -> str:
-    if value > tol:
+def _label_of_sign(value) -> str:
+    if value > 0:
         return HYPERBOLIC
-    if value < -tol:
+    if value < 0:
         return ELLIPTIC
     return PARABOLIC
 
@@ -215,27 +215,13 @@ class Poly:
             },
         )
 
-    def diff(self, axis: int) -> "Poly":
-        """Partial derivative in variable number `axis`."""
-        return Poly(
-            self.arity,
-            {
-                key[:axis] + (key[axis] - 1,) + key[axis + 1 :]: c * key[axis]
-                for key, c in self.terms.items()
-                if key[axis]
-            },
-        )
-
     def evaluate(self, *point):
-        """Value at `point`: exact for int or Fraction input, float if any is float."""
+        """Exact value at `point`, each coordinate read as Fraction(x).
+
+        A float coordinate counts as the exact binary value it holds.
+        """
         if len(point) != self.arity:
             raise ValidationError("evaluate needs %d coordinates" % self.arity)
-        if any(isinstance(x, float) for x in point):
-            point = [float(x) for x in point]
-            return sum(
-                math.prod((x**e for x, e in zip(point, key)), start=float(c))
-                for key, c in self.terms.items()
-            )
         # over the common denominator lcm(coefficient denominators) *
         # prod(d_i ** top_i) every term is an integer, so the sum is too
         point = [Fraction(x) for x in point]
@@ -330,20 +316,14 @@ class PointClassification:
     label: str
 
 
-def classify_point(y, z, tol=0) -> PointClassification:
-    """Label a point by the sign of B^2 - AC.
+def classify_point(y, z) -> PointClassification:
+    """Label a point by the exact sign of B^2 - AC.
 
-    Exact inputs (int, Fraction, str) give exact sign decisions and ignore
-    tol; float inputs evaluate in float arithmetic and compare against tol
-    (default 0, so near-parabolic float points classify by their rounded
-    sign unless the caller opts into a tolerance).
+    y and z are read as Fraction(y) and Fraction(z) (int, Fraction, str or
+    float), so a float point is classified by the exact value it holds.
     """
-    disc = discriminant()
-    if isinstance(y, float) or isinstance(z, float):
-        value = disc.evaluate(float(y), float(z))
-        return PointClassification(y, z, value, _label_of_sign(value, tol))
     y, z = Fraction(y), Fraction(z)
-    value = disc.evaluate(y, z)
+    value = discriminant().evaluate(y, z)
     return PointClassification(y, z, value, _label_of_sign(value))
 
 
@@ -487,12 +467,12 @@ def _sqrt_interval(q: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
 ROOT_WIDTH = Fraction(1, 10**10)
 
 
-def quadratic_roots(poly: Poly, width: Fraction = ROOT_WIDTH) -> list[Root]:
+def quadratic_roots(poly: Poly) -> list[Root]:
     """Real roots of a polynomial in z of degree <= 2, sorted increasing.
 
     Exact roots whenever the quadratic discriminant is a rational square
     (and always in the linear and double-root cases); otherwise validated
-    rational intervals narrower than `width`.
+    rational intervals narrower than ROOT_WIDTH.
 
     Raises:
         ValidationError: degree above 2, or the zero polynomial (every z
@@ -518,7 +498,7 @@ def quadratic_roots(poly: Poly, width: Fraction = ROOT_WIDTH) -> list[Root]:
     if s is not None:
         roots = sorted([(-b - s) / (2 * a), (-b + s) / (2 * a)])
         return [Root(r, r) for r in roots]
-    lo, hi = _sqrt_interval(disc, width * abs(2 * a))
+    lo, hi = _sqrt_interval(disc, ROOT_WIDTH * abs(2 * a))
     pairs = []
     for sign in (-1, 1):
         e1 = (-b + sign * lo) / (2 * a)

@@ -49,7 +49,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import GuardError, ValidationError
-from .table import EnsembleParams, _check_epsilon
+from .table import EnsembleParams, _check_epsilon, _check_int
 
 __all__ = [
     "RNG_ID",
@@ -107,8 +107,8 @@ def splitmix64_at(seed: int, position: int) -> int:
 
 
 def _check_seed(seed) -> int:
-    """The seed as an int, which must lie in 0..2^64-1."""
-    seed = int(seed)
+    """The seed, which must be an integer in 0..2^64-1."""
+    seed = _check_int(seed, "seed")
     if not 0 <= seed <= _M64:
         raise ValidationError("seed must lie in 0..2^64-1, got %d" % seed)
     return seed
@@ -517,6 +517,7 @@ def estimate_block_error(
     input here.
     """
     eps = _check_epsilon(epsilon)
+    trials = _check_int(trials, "trials")
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     seed = _check_seed(seed)

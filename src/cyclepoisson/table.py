@@ -70,7 +70,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import add, itemgetter, lt
+from operator import add, index, itemgetter, lt
 
 from .combinatorics import (
     binomial,
@@ -126,6 +126,7 @@ class EnsembleParams:
     k: int = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _check_int(self.n, "n"))
         object.__setattr__(self, "r", Fraction(self.r))
         if self.n < 1:
             raise ValidationError("n must be >= 1, got %r" % (self.n,))
@@ -141,6 +142,14 @@ class EnsembleParams:
     def from_checks(cls, m: int) -> "EnsembleParams":
         """Parameters for table-only work: the table depends on m alone."""
         return cls(n=m, r=Fraction(0))
+
+
+def _check_int(value, name: str) -> int:
+    """value as an int through operator.index, which refuses floats and strings."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValidationError("%s must be an integer, got %r" % (name, value)) from None
 
 
 def _check_epsilon(epsilon) -> Fraction:
@@ -525,8 +534,8 @@ def boundary_layer(m: int, vmax: int, t_values) -> dict[int, dict[int, Fraction]
     }
 
 
-def growth_profile(m: int, vmax: int, t_values, base=10) -> dict[int, list[tuple[int, float]]]:
-    """Growth exponents g(v) = log(A(v,t,0)/binom(m,t)) per requested t.
+def growth_profile(m: int, vmax: int, t_values) -> dict[int, list[tuple[int, float]]]:
+    """Growth exponents g(v) = log10(A(v,t,0)/binom(m,t)) per requested t.
 
     Rows run over the v where the exponent is defined (v >= t).  The ratio
     is P_t[2v] / (v! * 2^v); both sides are divided by their gcd and the
@@ -540,7 +549,7 @@ def growth_profile(m: int, vmax: int, t_values, base=10) -> dict[int, list[tuple
         for v in range(t, vmax + 1):
             p, w = counts[t][2 * v], _weight(v)
             g = gcd(p, w)
-            row.append((v, log_ratio(p // g, w // g, base=base)))
+            row.append((v, log_ratio(p // g, w // g)))
     return out
 
 

@@ -178,8 +178,8 @@ def test_branches_cover_every_group():
 @pytest.mark.parametrize("branch", _BRANCHES, ids=" ".join)
 def test_named_branch_parses_like_the_full_tree(branch, tmp_path, monkeypatch, capsys):
     # the same exit code, stdout, stderr and namespace as the full tree,
-    # from the named leaf's parser alone (the named group's branch where
-    # no leaf is named); accepted runs write into tmp_path
+    # from the named leaf's parser alone (the full tree where no leaf is
+    # named); accepted runs write into tmp_path
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("CYCLEPOISSON_OUT", raising=False)
     for argv in _branch_argvs(branch, str(tmp_path / "out")):
@@ -222,10 +222,9 @@ def test_root_argvs_get_the_full_tree(argv, tmp_path, monkeypatch, capsys):
 )
 def test_group_argvs_get_the_group_branch(argv, tmp_path, monkeypatch, capsys):
     # no leaf right after the group, or a token only the root rejects: the
-    # group's whole branch, which lists or rejects its leaves as the full
-    # tree does
+    # full tree, which lists or rejects the group's leaves
     monkeypatch.chdir(tmp_path)
-    assert cli._named_branch(argv) == cli._Branch("table")
+    assert cli._named_branch(argv) == cli._Branch()
     _assert_like_the_full_tree(argv, monkeypatch, capsys)
 
 
@@ -242,11 +241,11 @@ def test_leaf_argvs_name_the_leaf_and_the_last_out():
     [
         (["table", "build", "--m", "3", "--vmax", "2", "--out", "t.cpt"], 1),
         (["--out", "o", "simulate", "--n", "3", "--r", "0", "--eps", "1/3", "--trials", "10", "--seed", "1"], 1),
-        # unrecognized tokens: the leaf, then the group branch (root, table and its 3 leaves)
-        (["table", "build", "--m", "3", "--vmax", "2", "--bogus"], 1 + 5),
-        (["simulate", "--n", "3", "--r", "0", "--eps", "1/3", "--trials", "10", "--seed", "1", "x"], 1 + 2),
-        (["table", "--help"], 5),
-        (["table", "buidl"], 5),
+        # unrecognized tokens: the leaf, then the full tree
+        (["table", "build", "--m", "3", "--vmax", "2", "--bogus"], 1 + 23),
+        (["simulate", "--n", "3", "--r", "0", "--eps", "1/3", "--trials", "10", "--seed", "1", "x"], 1 + 23),
+        (["table", "--help"], 23),
+        (["table", "buidl"], 23),
         (["--help"], 23),
     ],
 )
@@ -263,19 +262,6 @@ def test_parsers_built_per_argv(argv, parsers, tmp_path, monkeypatch, capsys):
     main(argv)
     capsys.readouterr()
     assert len(built) == parsers, built
-
-
-def test_build_parser_offers_the_named_group_only():
-    assert list(_group_choices(build_parser("table"))) == ["table"]
-    assert list(_group_choices(build_parser())) == list(cli._GROUPS)
-    with pytest.raises(SystemExit):
-        build_parser("table").parse_args(["series", "demo"])
-    # a group's branch holds every leaf of the group; there is no leaf-only tree
-    assert list(_group_choices(_group_choices(build_parser("table"))["table"])) == [
-        "build", "exponents", "verify",
-    ]
-    with pytest.raises(TypeError):
-        build_parser("table", "exponents")
 
 
 # ----------------------------------------------------------------------
@@ -844,6 +830,16 @@ def test_hadamard_check_passes(tmp_path, capsys):
     rc, out, _ = run_cli(capsys, "--out", str(tmp_path), "errprob", "hadamard-check")
     assert rc == 0
     assert "nodes" in out
+
+
+def test_hadamard_check_without_convergence_exits_2(tmp_path, capsys):
+    # ToleranceNotMetError is a CyclePoissonError but no ValidationError
+    rc, out, err = run_cli(
+        capsys, "--out", str(tmp_path), "errprob", "hadamard-check", "--order", "8", "--tol", "0"
+    )
+    assert rc == 2
+    assert err == "error: no convergence to 0 within 16384 nodes\n"
+    assert out == ""
 
 
 def test_known_series_output(tmp_path, capsys):

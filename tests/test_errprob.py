@@ -22,7 +22,6 @@ from cyclepoisson.errprob import (
     ErrProbQuery,
     _forest_counts,
     block_error_probability,
-    default_contour_radius,
     expected_block_error,
     hadamard_contour,
     hadamard_split_report,
@@ -50,7 +49,6 @@ def test_query_x_value(n4_setup):
     params, table = n4_setup
     q = ErrProbQuery(params, Fraction(1, 10), table)
     assert q.x == Fraction(1, 18)  # 2(1/10) / ((9/10) * 4)
-    assert q.x_split == q.x * 16
     assert ErrProbQuery(params, "1/10", table).x == q.x
 
 
@@ -461,7 +459,7 @@ def test_rearrangement_identity(n4_setup):
     profiles = {(t, s) for (v, t, s) in table.entries if v >= 1}
     split = sum(
         (
-            inner_power_sum(params, t, s, q.x_split).value
+            inner_power_sum(params, t, s, q.x * params.n**2).value
             for t, s in sorted(profiles)
         ),
         Fraction(0),
@@ -687,35 +685,28 @@ def test_contour_geometric_case():
     assert abs(result.value.imag) < 1e-8
 
 
-def test_contour_default_radius():
-    assert abs(default_contour_radius(0.25) - 0.6) < 1e-12
-    clamped = default_contour_radius(0.81)
-    assert 0.81 < clamped < 1.0
-    with pytest.raises(ValidationError):
-        default_contour_radius(1.5)
-
-
 def test_contour_single_term():
     f = monomial(2, 8)
     g = monomial(2, 8)
-    result = hadamard_contour(f, g, 0.5, tol=1e-12)
+    result = hadamard_contour(f, g, 0.5, rho=0.8, tol=1e-12)
     assert abs(result.value - 0.25) < 1e-10
 
 
 def test_contour_at_zero():
     f = Series([2, 3, 4])
     g = Series([5, 1, 1])
-    result = hadamard_contour(f, g, 0)
+    result = hadamard_contour(f, g, 0, rho=0.5)
     assert result.value == 10
     assert result.nodes == 0
     assert result.error_estimate == 0.0
 
 
-def test_contour_tolerance_not_met():
+def test_contour_tolerance_not_met(monkeypatch):
     f = geometric_series(24)
     g = geometric_series(24)
+    monkeypatch.setattr(errprob, "_MAX_NODES", 64)
     with pytest.raises(ToleranceNotMetError) as err:
-        hadamard_contour(f, g, 0.9, rho=0.95, tol=1e-30, max_nodes=64)
+        hadamard_contour(f, g, 0.9, rho=0.95, tol=1e-30)
     assert err.value.nodes == 64
     assert err.value.best_value is not None
 
@@ -723,8 +714,4 @@ def test_contour_tolerance_not_met():
 def test_contour_validation():
     f = geometric_series(4)
     with pytest.raises(ValidationError):
-        hadamard_contour(f, f, 0.25, start_nodes=3)
-    with pytest.raises(ValidationError):
         hadamard_contour(f, f, 0.25, rho=-0.5)
-    with pytest.raises(ValidationError):
-        hadamard_contour(f, f, 0.25, start_nodes=8, max_nodes=4)

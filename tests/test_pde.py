@@ -77,11 +77,8 @@ def test_poly1_substitution_consistency():
         assert q.evaluate(z) == p.evaluate(Fraction(1, 2) * z, z)
 
 
-def test_poly3_derivatives():
+def test_poly3_shift_coeff_degree():
     g = Poly(3, {(1, 2, 3): Fraction(5)})
-    assert g.diff(1) == Poly(3, {(1, 1, 3): 10})
-    assert g.diff(2) == Poly(3, {(1, 2, 2): 15})
-    assert g.diff(2).diff(2).diff(2).diff(2) == Poly(3)
     assert g.shift(1, 0, 1) == Poly(3, {(2, 2, 4): 5})
     assert g.coeff(1, 2, 3) == 5 and g.coeff(0, 0, 0) == 0
     assert g.degree == 6 and Poly(3).degree == -1
@@ -133,14 +130,6 @@ def test_poly_arithmetic_agrees_with_evaluate(pqx, k, exp, deltas):
         c**d for c, d in zip(x, deltas)
     )
     assert abs(p.evaluate(*map(float, x)) - float(px)) <= 1e-9 * (1 + abs(px))
-
-
-@settings(max_examples=60, deadline=None)
-@given(_poly_pairs_and_point(), st.integers(0, 2))
-def test_poly_diff_product_rule(pqx, axis):
-    p, q, _x = pqx
-    axis %= p.arity
-    assert (p * q).diff(axis) == p.diff(axis) * q + p * q.diff(axis)
 
 
 @settings(max_examples=60, deadline=None)
@@ -237,10 +226,14 @@ def test_classify_point():
 
 
 def test_classify_point_float_tolerance():
-    near = classify_point(2.0, 2.0 + 1e-9, tol=1e-3)
-    assert near.label == PARABOLIC
-    strict = classify_point(3.0, 2.0)
-    assert strict.label == ELLIPTIC
+    # a float point is classified by the exact value it holds: 2.0 + 1e-9
+    # is just off the parabolic diagonal y = z
+    for y, z in [(2.0, 2.0 + 1e-9), (3.0, 2.0), (0.1, 0.3), (2.0, 2.0)]:
+        point = classify_point(y, z)
+        exact = classify_point(Fraction(y), Fraction(z))
+        assert (point.label, point.value) == (exact.label, exact.value)
+    assert classify_point(2.0, 2.0 + 1e-9).label != PARABOLIC
+    assert classify_point(3.0, 2.0).label == ELLIPTIC
 
 
 def test_region_map_contains_all_labels():

@@ -726,6 +726,26 @@ def test_seed_outside_64_bits_is_rejected(seed):
         replay_trial(P22, Fraction(1, 2), seed, 0)
 
 
+@pytest.mark.parametrize("seed", [1.7, 7.0, "7"])
+def test_seed_must_be_an_integer(seed):
+    # int() would quietly run seed 1 for 1.7 and accept the string "7"
+    with pytest.raises(ValidationError, match="seed must be an integer"):
+        estimate_block_error(P22, Fraction(1, 2), trials=10, seed=seed)
+    with pytest.raises(ValidationError, match="seed must be an integer"):
+        CounterRng(seed)
+    with pytest.raises(ValidationError, match="seed must be an integer"):
+        replay_trial(P22, Fraction(1, 2), seed, 0)
+
+
+def test_trials_must_be_an_integer():
+    with pytest.raises(ValidationError, match="trials must be an integer"):
+        estimate_block_error(P22, Fraction(1, 2), trials=100.0, seed=1)
+    # numpy integers are integers
+    res = estimate_block_error(P22, Fraction(1, 2), trials=np.int64(100), seed=np.uint64(7))
+    assert (res.trials, res.seed) == (100, 7)
+    assert type(res.trials) is int and type(res.seed) is int
+
+
 def test_seed_range_ends_are_accepted():
     for seed in (0, (1 << 64) - 1):
         assert estimate_block_error(P22, Fraction(1, 2), trials=10, seed=seed).seed == seed

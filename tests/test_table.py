@@ -66,6 +66,11 @@ def test_params_validation():
     # (1-r)*n must come out integral
     with pytest.raises(ValidationError):
         EnsembleParams(n=4, r=Fraction(1, 3))
+    # n must be an integer, even a float with an integral value
+    with pytest.raises(ValidationError):
+        EnsembleParams(n=2.5, r=0)
+    with pytest.raises(ValidationError):
+        EnsembleParams(n=4.0, r=Fraction(1, 2))
 
 
 # ----------------------------------------------------------------------
@@ -571,19 +576,18 @@ def test_boundary_layer_matches_fill(case):
 @given(
     m=st.integers(1, 60),
     vmax=st.integers(0, 80),
-    base=st.sampled_from([10, "e"]),
     data=st.data(),
 )
-def test_growth_profile_equals_log_fraction(m, vmax, base, data):
+def test_growth_profile_equals_log_fraction(m, vmax, data):
     # the gcd-reduced integer ratio gives the Fraction path's float exactly,
     # past the 25-digit prefix of log10_int as well
     t_set = data.draw(st.sets(st.integers(1, m), max_size=4), label="t_set")
     layer = boundary_layer(m, vmax, t_set)
-    profile = growth_profile(m, vmax, t_set, base)
+    profile = growth_profile(m, vmax, t_set)
     assert set(profile) == set(layer)
     for t, vals in layer.items():
         assert profile[t] == [
-            (v, log_fraction(vals[v] / binomial(m, t), base)) for v in sorted(vals)
+            (v, log_fraction(vals[v] / binomial(m, t))) for v in sorted(vals)
         ]
 
 
