@@ -54,13 +54,12 @@ from .table import (
     _check_vmax,
     _exact,
     _filled_levels,
+    _verify_file,
     _write_cptable,
     _write_over,
     fill_table,
     growth_profile,
-    load_table,
     stopping_set_count,
-    verify_table,
 )
 
 DEFAULT_T_LIST = (1, 2, 3, 4, 5, 10, 20, 30, 40, 50)
@@ -233,11 +232,10 @@ def _cmd_table_exponents(args, run: _Run) -> int:
 
 
 def _cmd_table_verify(args, run: _Run) -> int:
-    table = load_table(Path(args.file))
-    problems = verify_table(table)
+    # the file is checked as it streams; nothing prints unless it loads
+    m, vmax, entries, problems = _verify_file(Path(args.file))
     # a loaded header's m or vmax may be past the digit limit
-    size = "m=%s vmax=%s" % (_exact(table.m), _exact(table.vmax))
-    print("table: %s, %d entries" % (size, len(table.counts)))
+    print("table: m=%s vmax=%s, %d entries" % (_exact(m), _exact(vmax), entries))
     if problems:
         for p in problems:
             print("FAIL %s" % p)

@@ -141,6 +141,7 @@ class CounterRng:
 
     def __post_init__(self):
         self.seed = _check_seed(self.seed)
+        self.position = _check_int(self.position, "position")
         if self.position < 0:
             raise ValidationError("position must be >= 0")
 
@@ -277,7 +278,7 @@ def replay_trial(
     """
     eps = _check_epsilon(epsilon)
     n = params.n
-    rng = CounterRng(seed, position=3 * n * trial)
+    rng = CounterRng(seed, position=3 * n * _check_int(trial, "trial"))
     code = sample_code(params, rng)
     p, q = eps.numerator, eps.denominator
     erased = frozenset(i for i in range(n) if rng.erased(p, q))

@@ -60,6 +60,7 @@ it exceeds the table wherever a forest has the profile.
 
 from __future__ import annotations
 
+import bisect
 import decimal
 import hashlib
 import itertools
@@ -70,7 +71,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import add, index, itemgetter, lt
+from operator import add, index, itemgetter, lt, setitem
 
 from .combinatorics import (
     binomial,
@@ -106,10 +107,13 @@ _ROWS_RE = re.compile(r"(?:%s\n)*%s" % (_ROW, _ROW))
 # rows that load_table checks per pass: one batch's parsed columns stay
 # small beside the table they fill
 _LOAD_BATCH = 4096
+# bytes the CPTABLE reader takes from a file per read
+_READ_BLOCK = 1 << 20
 _TRAILER_RE = re.compile(rb"end sha256=([0-9a-f]{64})\n")
 # the v = 0 plane as counts (there 0! * 2^0 = 1, so B = A); a CPTABLE 3
 # file holds no row for it, and load_table puts it back
 _ORIGIN = {(0, 0, 0): 1}
+_OUTSIDE_PROFILE = "entry outside profile support 2t+s <= 2v at (%d,%d,%d)"
 
 
 @dataclass(frozen=True)
@@ -430,14 +434,9 @@ def verify_table(table: CoeffTable) -> list[str]:
     (including entries stored as zero by omission), and the boundary
     identity
     v! * 2^v * A(v,t,0) == binom(m,t) * (2v)! * [x^(2v)] (e^x - 1 - x)^t.
-    Both checks read the integer counts B = v! * 2^v * A, a level at a
-    time as rows of lists (_level_rows), so an entry stored outside the
-    support is read wherever a check names its key.  The recurrence
-    is checked as s * B(v,t,s) == 2v * R(B(v-1)) with R its right-hand
-    side; outside the profile support both sides vanish once no entry is
-    stored there, so those rows are not visited.  The boundary side is
-    binom(m,t) * P_t[2v] from combinatorics.block_partition_table, an
-    integer binomial convolution independent of the kernel the fill uses.
+    The support messages come first, sorted by key; then those of
+    _check_levels over the levels _level_rows fetches, the loop that
+    `table verify --file` runs on the levels it streams (_verify_file).
     """
     m = table.m
     vmax = table.vmax
@@ -453,14 +452,30 @@ def verify_table(table: CoeffTable) -> list[str]:
         if v > vmax or not (1 <= t <= m) or not (0 <= s <= m - t):
             bad.append("entry outside support at (%d,%d,%d)" % (v, t, s))
         elif 2 * t + s > 2 * v:
-            bad.append("entry outside profile support 2t+s <= 2v at (%d,%d,%d)" % (v, t, s))
+            bad.append(_OUTSIDE_PROFILE % (v, t, s))
+    return bad + _check_levels(_level_rows(counts, m, vmax), m, vmax)
+
+
+def _check_levels(levels, m: int, vmax: int) -> list[str]:
+    """The boundary and recurrence failures of levels v = 0..vmax, drawn in turn as rows[t][s].
+
+    A level has the rows _row_widths gives, an absent count as zero, and
+    is checked against the level below it, so two are held.  The
+    recurrence is checked as s * B(v,t,s) == 2v * R(B(v-1)) with R its
+    right-hand side; outside the profile support both sides vanish once
+    no entry is stored there, so those rows are not visited.  The
+    boundary side is binom(m,t) * P_t[2v] from
+    combinatorics.block_partition_table, an integer binomial convolution
+    independent of the kernel the fill uses.
+    """
     blocks = block_partition_table(min(m, vmax), 2 * vmax, 2)
-    levels = _level_rows(counts, m, vmax)
+    choose = [binomial(m, t) for t in range(len(blocks))]
+    bad: list[str] = []
     prev = next(levels)
     for v, level in enumerate(levels, start=1):
         for t in range(1, min(v, m) + 1):
             cur, same, left = level[t], prev[t], prev[t - 1]
-            if cur[0] != binomial(m, t) * blocks[t][2 * v]:
+            if cur[0] != choose[t] * blocks[t][2 * v]:
                 bad.append("boundary identity fails at (v=%d,t=%d)" % (v, t))
             for s in range(1, min(m - t, 2 * (v - t)) + 1):
                 u = m - t - s
@@ -473,16 +488,23 @@ def verify_table(table: CoeffTable) -> list[str]:
     return bad
 
 
-def _level_rows(counts: dict[tuple[int, int, int], int], m: int, vmax: int):
-    """Each level v = 0..vmax in turn, as rows[t][s] = counts.get((v, t, s), 0).
+def _row_widths(m: int, vmax: int) -> list[int]:
+    """widths[t] of the rows _check_levels reads, sized by vmax and never by m alone.
 
-    The rows cover t <= min(v + 1, m, vmax) and s <= min(m - t,
-    2 (vmax - t)): every key the checks of verify_table read at level v,
-    as the level checked and as the one below level v + 1, stored or not
-    and inside the profile support or not.  The rows of every level are a
-    prefix of one key layout, so one map over it fetches a level.
+    Level v has the rows t <= min(v + 1, m, vmax), row t covering
+    s <= min(m - t, 2 (vmax - t)): every key the checks read at level v,
+    as the level checked and as the one below level v + 1.
     """
-    widths = [min(m - t, 2 * (vmax - t)) + 1 for t in range(min(m, vmax) + 1)]
+    return [min(m - t, 2 * (vmax - t)) + 1 for t in range(min(m, vmax) + 1)]
+
+
+def _level_rows(counts: dict[tuple[int, int, int], int], m: int, vmax: int):
+    """Each level v = 0..vmax in turn, as rows[t][s] = counts.get((v, t, s), 0) over _row_widths.
+
+    The rows of every level are a prefix of one key layout, so one map
+    over it fetches a level.
+    """
+    widths = _row_widths(m, vmax)
     ts = [t for t, w in enumerate(widths) for _ in range(w)]
     ss = [s for w in widths for s in range(w)]
     ends = list(itertools.accumulate(widths))
@@ -492,6 +514,57 @@ def _level_rows(counts: dict[tuple[int, int, int], int], m: int, vmax: int):
         keys = zip(itertools.repeat(v, ends[top]), ts, ss)
         flat = list(map(counts.get, keys, itertools.repeat(0)))
         yield [flat[a:b] for a, b in spans[: top + 1]]
+
+
+def _placed_rows(v: int, ts, ss, bs, widths: list[int]) -> list[list[int]]:
+    """rows[t][s] over _row_widths of level v, from its rows (t, s, B) as three columns.
+
+    t and s are nonnegative, as in every row a file holds.  A row outside
+    the widths is outside the profile support, and no check reads it, so
+    it is not placed.
+    """
+    top = min(v + 1, len(widths) - 1)
+    rows = [[0] * w for w in widths[: top + 1]]
+    try:
+        list(map(setitem, map(rows.__getitem__, ts), ss, bs))
+    except IndexError:
+        # the rows placed before the one outside are placed again
+        for t, s, b in zip(ts, ss, bs):
+            if t <= top and s < widths[t]:
+                rows[t][s] = b
+    return rows
+
+
+def _verify_file(path) -> tuple[int, int, int, list[str]]:
+    """m, vmax, the entry count and verify_table's messages for the CPTABLE 3 file at path.
+
+    The messages, in order, and any TableFormatError are those of
+    verify_table(load_table(path)), but no table is built: the levels
+    stream from _read_levels, two held at a time.  A row the file can hold
+    fails no support check but 2t + s <= 2v, scanned per level in key
+    order; those messages come first.  The entry count is the rows plus
+    the origin.
+    """
+    levels = _read_levels(path)
+    m, vmax = next(levels)
+    widths = _row_widths(m, vmax)
+    support: list[str] = []
+    entries = 1
+
+    def rows():
+        nonlocal entries
+        # level 0, the origin alone
+        yield _placed_rows(0, [0], [0], [1], widths)
+        for v, (ts, ss, bs) in enumerate(levels, start=1):
+            entries += len(bs)
+            if max(map(add, map(add, ts, ts), ss), default=0) > 2 * v:
+                support.extend(
+                    _OUTSIDE_PROFILE % (v, t, s) for t, s in zip(ts, ss) if 2 * t + s > 2 * v
+                )
+            yield _placed_rows(v, ts, ss, bs, widths)
+
+    checks = _check_levels(rows(), m, vmax)
+    return m, vmax, entries, support + checks
 
 
 # ----------------------------------------------------------------------
@@ -669,52 +742,158 @@ def _exact(q) -> str:
     return str(num) if q.denominator == 1 else "%s/%s" % (num, decimal.Decimal(q.denominator))
 
 
-def _checked_body(path) -> list[str]:
-    """The file's lines before the trailer, once the trailer's sha256 matches them.
+def _body_text(path):
+    """The text of a CPTABLE 3 file before its last line, in blocks of whole lines.
 
-    The trailer must be the file's last line, so a file cut anywhere, or
-    with anything after the trailer, is rejected here.  CPTABLE 1 and
-    CPTABLE 2 files are no longer read; they are rejected with the command
-    that rebuilds them.  The body is hashed and decoded through a view,
-    and the raw bytes are dropped before the split, so at most two copies
-    of the body are alive.
+    The file is read and hashed _READ_BLOCK bytes at a time, and its last
+    line is held back: at the end it must be the trailer
+    'end sha256=<64 hex>' of every byte before it.  No block is yielded
+    from the first one that is not ASCII on, but the hashing goes on.
+    At the end the generator raises TableFormatError for, in this order,
+    a bad trailer, a sha256 mismatch and the first non-ASCII byte, and
+    only then yields the last block, so a file of one block is checked
+    whole before a line of it is read.
+    CPTABLE 1 and CPTABLE 2 files are rejected first, with the command
+    that rebuilds them.
     """
+    digest = hashlib.sha256()
+    non_ascii = None
+    offset = lines = 0
     with open(path, "rb") as fh:
-        data = fh.read()
-    old = _OLD_HEAD_RE.match(data)
-    if old:
-        magic, m, vmax = (g.decode() for g in old.groups(b""))
-        raise TableFormatError(
-            "%s files are no longer read; rebuild with "
-            "`cyclepoisson table build --m %s --vmax %s`" % (magic, m or "<m>", vmax or "<vmax>"),
-            line=1,
-        )
-    start = data.rfind(b"\n", 0, len(data) - 1) + 1
-    trailer = _TRAILER_RE.fullmatch(data, start)
+        buf = fh.read(_READ_BLOCK)
+        # the rebuild hint reads the second line, which may be longer
+        old = _OLD_HEAD_RE.match(buf) and _OLD_HEAD_RE.match(buf + fh.read())
+        if old:
+            magic, m, vmax = (g.decode() for g in old.groups(b""))
+            hint = "`cyclepoisson table build --m %s --vmax %s`" % (m or "<m>", vmax or "<vmax>")
+            raise TableFormatError(
+                "%s files are no longer read; rebuild with %s" % (magic, hint), line=1
+            )
+        while True:
+            more = fh.read(_READ_BLOCK)
+            # where the last line starts, should the file end here
+            cut = buf.rfind(b"\n", 0, len(buf) - 1) + 1
+            block = buf[:cut]
+            digest.update(block)
+            text = None
+            if non_ascii is None:
+                try:
+                    text = str(block, "ascii")
+                except UnicodeDecodeError as exc:
+                    non_ascii = TableFormatError(
+                        "non-ASCII byte at offset %d" % (offset + exc.start),
+                        line=lines + block.count(b"\n", 0, exc.start) + 1,
+                    )
+            offset += cut
+            lines += block.count(b"\n")
+            if not more:
+                break
+            if text:
+                yield text
+            buf = buf[cut:] + more
+    trailer = _TRAILER_RE.fullmatch(buf, cut)
     if not trailer:
         raise TableFormatError(
-            "last line is not the trailer 'end sha256=<64 hex>' (truncated file?)",
-            line=data.count(b"\n", 0, start) + 1,
+            "last line is not the trailer 'end sha256=<64 hex>' (truncated file?)", line=lines + 1
         )
-    with memoryview(data)[:start] as body:
-        if hashlib.sha256(body).hexdigest().encode() != trailer.group(1):
-            raise TableFormatError(
-                "sha256 of the body does not match the trailer",
-                line=data.count(b"\n", 0, start) + 1,
-            )
-        try:
-            text = str(body, "ascii")
-        except UnicodeDecodeError as exc:
-            raise TableFormatError(
-                "non-ASCII byte at offset %d" % exc.start,
-                line=data.count(b"\n", 0, exc.start) + 1,
-            ) from None
-    del data, trailer
-    return text.split("\n")[:-1]
+    if digest.hexdigest().encode() != trailer.group(1):
+        raise TableFormatError("sha256 of the body does not match the trailer", line=lines + 1)
+    if non_ascii:
+        raise non_ascii
+    if text:
+        yield text
+
+
+def _read_rows(path):
+    """Yield a CPTABLE 3 file's (m, vmax), then its rows in checked batches, as the file streams.
+
+    A batch is the columns v, t, s and B of up to _LOAD_BATCH rows.  The
+    header is checked, then each batch in one pass (_batch_rows), or row
+    by row (_walk_rows) if that fails, so the error names the first bad
+    line.  That fault is held while _body_text reads to the end, and
+    raised only if the trailer, sha256 and ASCII checks pass, so it is
+    reported after them, as when the whole file was checked first.  Last,
+    the rows must reach the declared vmax.  A caller keeps what it makes
+    of the batches to itself until the generator is exhausted.
+    """
+    body = _body_text(path)
+    lines = itertools.chain.from_iterable(text.split("\n")[:-1] for text in body)
+    magic, line2 = next(lines, None), next(lines, None)
+    header = line2 is not None and _HEADER_RE.match(line2)
+    fault = None
+    if magic != _HEADER_MAGIC:
+        fault = TableFormatError("bad magic, expected %r" % (_HEADER_MAGIC,), line=1)
+    elif line2 is None:
+        fault = TableFormatError("missing header line", line=2)
+    elif not header:
+        fault = TableFormatError("bad header %r" % (line2,), line=2)
+    else:
+        m, vmax = map(_int, header.groups())
+        if m < 1:
+            fault = TableFormatError("m must be >= 1", line=2)
+    if not fault:
+        yield m, vmax
+        prev_key = (0, 0, 0)
+        small: dict[str, int] = {}
+        first = 3  # the file line of the batch's first row
+        for batch in iter(lambda: list(itertools.islice(lines, _LOAD_BATCH)), []):
+            # a filled table's file has a row (v, 1, s) for every s level v
+            # uses, so its indices stay below the line they are on, which
+            # bounds this map however large a header declares m or vmax
+            top = min(max(m, vmax), first + len(batch))
+            small.update((str(i), i) for i in range(len(small), top + 1))
+            try:
+                rows = _batch_rows(batch, prev_key, m, vmax, small) or _walk_rows(
+                    batch, first, prev_key, m, vmax
+                )
+            except TableFormatError as exc:
+                fault = exc
+                break
+            prev_key = rows[0][-1], rows[1][-1], rows[2][-1]
+            first += len(batch)
+            yield rows
+    # the end of the file decides whether a held fault is the one reported
+    for _text in body:
+        pass
+    if fault:
+        raise fault
+    if prev_key[0] != vmax:
+        # formatted through decimal: either number may be past the digit limit
+        raise TableFormatError(
+            "rows stop at v=%s but the header declares vmax=%s"
+            % (decimal.Decimal(prev_key[0]), decimal.Decimal(vmax)),
+            line=2,
+        )
+
+
+def _read_levels(path):
+    """Yield a CPTABLE 3 file's (m, vmax), then level v = 1..vmax in turn, as the file streams.
+
+    A level is the columns t, s and B of its rows (empty for a level with
+    none), yielded once its last row is read.  The rows and checks are
+    _read_rows', so the last level comes once the whole file has loaded.
+    """
+    batches = _read_rows(path)
+    m, vmax = next(batches)
+    yield m, vmax
+    level, ts, ss, bs = 1, [], [], []
+    for vs, bts, bss, bbs in batches:
+        i = 0
+        while i < len(vs):
+            j = bisect.bisect_right(vs, vs[i], i)
+            while level < vs[i]:
+                yield ts, ss, bs
+                level, ts, ss, bs = level + 1, [], [], []
+            ts += bts[i:j]
+            ss += bss[i:j]
+            bs += bbs[i:j]
+            i = j
+    if vmax:
+        yield ts, ss, bs
 
 
 def _batch_rows(batch: list[str], prev_key, m: int, vmax: int, small: dict[str, int]):
-    """Keys and counts of a batch of rows when every row check passes, else None.
+    """The columns v, t, s and B of a batch of rows when every row check passes, else None.
 
     Each check is one pass over the whole batch (a regex match of the
     joined rows, then map and zip over the parsed columns), so no row runs
@@ -739,82 +918,51 @@ def _batch_rows(batch: list[str], prev_key, m: int, vmax: int, small: dict[str, 
         and max(vs) <= vmax
         and max(map(add, ts, ss)) <= m
     ):
-        return keys, counts
+        return vs, ts, ss, counts
     return None
 
 
 def _walk_rows(batch: list[str], first_line: int, prev_key, m: int, vmax: int):
-    """Keys and counts of a batch of rows, checked one row at a time.
+    """The columns v, t, s and B of a batch of rows, checked one row at a time.
 
     Raises TableFormatError at the first row that fails a check, with the
     file line number; first_line is the line of batch[0].  The row syntax
     makes v, t and B positive integers.
     """
-    keys, values = [], []
+    rows = []
     for idx, line in enumerate(batch, start=first_line):
         if not _ROWS_RE.fullmatch(line):
             raise TableFormatError("bad row %r" % (line,), line=idx)
         tokens = line.split()
-        v, t, s, b = map(_int, tokens)
-        key = (v, t, s)
-        if key <= prev_key:
+        row = tuple(map(_int, tokens))
+        if row[:3] <= prev_key:
             raise TableFormatError("rows out of order at (%s)" % ", ".join(tokens[:3]), line=idx)
-        prev_key = key
+        prev_key = row[:3]
+        v, t, s, _b = row
         if v > vmax:
             raise TableFormatError("v exceeds declared vmax", line=idx)
         if t + s > m:
             raise TableFormatError("indices outside support", line=idx)
-        keys.append(key)
-        values.append(b)
-    return keys, values
+        rows.append(row)
+    return list(zip(*rows))
 
 
 def load_table(path) -> CoeffTable:
     """Load a CPTABLE 3 file completely, or raise TableFormatError.
 
-    The trailer is checked first: it must be the last line and its sha256
-    must match every byte before it, which rules out any truncation or
-    changed byte.  Then the body must be ASCII, and: header magic and
+    The file streams through _read_rows, which checks, in the order the
+    errors are reported: the trailer, which must be the last line, and
+    its sha256 of every byte before it, which rule out any truncation or
+    changed byte; then that the body is ASCII; then header magic and
     fields, row syntax (v, t and the count B positive decimal integers
     with no leading zero, s a nonnegative one), strictly increasing
-    (v, t, s) order, t + s <= m, and rows up to exactly the declared vmax.
-    The origin B(0,0,0) = 1 is added, as no row can hold it.  The rows are
-    checked _LOAD_BATCH at a time, each check one pass over the batch; a
-    batch that fails one is walked row by row, so the error names the
-    first failing line and check.  Numbers of any length load without
-    lifting the int-to-str digit limit.
+    (v, t, s) order, t + s <= m, and rows up to exactly the declared
+    vmax.  The origin B(0,0,0) = 1 is added, as no row can hold it.
+    Numbers of any length load without lifting the int-to-str digit limit.
     """
-    lines = _checked_body(path)
-    if not lines or lines[0] != _HEADER_MAGIC:
-        raise TableFormatError("bad magic, expected %r" % (_HEADER_MAGIC,), line=1)
-    if len(lines) < 2:
-        raise TableFormatError("missing header line", line=2)
-    header = _HEADER_RE.match(lines[1])
-    if not header:
-        raise TableFormatError("bad header %r" % (lines[1],), line=2)
-    m, vmax = map(_int, header.groups())
-    if m < 1:
-        raise TableFormatError("m must be >= 1", line=2)
-
+    batches = _read_rows(path)
+    m, vmax = next(batches)
     counts = dict(_ORIGIN)
-    # a filled table's file has a row (v, 1, s) for every s level v uses, so
-    # its indices stay below its line count, which bounds this map however
-    # large a header declares m or vmax
-    small = {str(i): i for i in range(min(max(m, vmax), len(lines)) + 1)}
-    prev_key = (0, 0, 0)
-    for lo in range(2, len(lines), _LOAD_BATCH):
-        batch = lines[lo : lo + _LOAD_BATCH]
-        keys, values = _batch_rows(batch, prev_key, m, vmax, small) or _walk_rows(
-            batch, lo + 1, prev_key, m, vmax
-        )
-        counts.update(zip(keys, values))
-        prev_key = keys[-1]
-
-    if prev_key[0] != vmax:
-        # formatted through decimal: either number may be past the digit limit
-        raise TableFormatError(
-            "rows stop at v=%s but the header declares vmax=%s"
-            % (decimal.Decimal(prev_key[0]), decimal.Decimal(vmax)),
-            line=2,
-        )
+    for vs, ts, ss, bs in batches:
+        counts.update(zip(zip(vs, ts, ss), bs))
     return CoeffTable(EnsembleParams.from_checks(m), vmax, counts)

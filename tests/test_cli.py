@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from cyclepoisson import cli
 from cyclepoisson.cli import build_parser, main
+from cyclepoisson.errors import TableFormatError
 from cyclepoisson.errprob import ErrProbQuery, block_error_probability, expected_block_error
 from cyclepoisson.simulator import exhaustive_block_error
 from cyclepoisson.table import (
@@ -28,6 +29,7 @@ from cyclepoisson.table import (
     load_table,
     save_table,
     stopping_set_count,
+    verify_table,
 )
 
 
@@ -343,6 +345,94 @@ def test_verify_of_a_value_past_the_digit_limit_fails_cleanly(tmp_path, capsys, 
     assert (rc, err) == (2, "")
     assert outtext.startswith("table: m=%s vmax=1, 2 entries\n" % m.decode())
     assert "FAIL boundary identity fails at (v=1,t=1)" in outtext
+
+
+@pytest.mark.parametrize("block", [None, 4096], ids=["one-block", "4096-byte-blocks"])
+def test_a_wrong_sha256_is_reported_before_a_bad_row(tmp_path, capsys, monkeypatch, block):
+    # the bad row comes first in the file, but a file whose sha256 fails is
+    # reported as such, by the load and by the streamed verify alike, with
+    # the trailer's line; read in 4096-byte blocks, the first batch of rows
+    # is checked before the end of the file, where the sha256 is known
+    if block:
+        monkeypatch.setattr("cyclepoisson.table._READ_BLOCK", block)
+    run_cli(capsys, "--out", str(tmp_path), "table", "build", "--m", "40", "--vmax", "40",
+            "--out", "t.cpt")
+    path = tmp_path / "t.cpt"
+    blob = path.read_bytes()
+    body = blob[: blob.rindex(b"end sha256=")].replace(b"\n1 1 0 40\n", b"\n1 1 0 040\n")
+    for trailer, line, word in [
+        (b"end sha256=%s\n" % (b"0" * 64), body.count(b"\n") + 1, "sha256 of the body"),
+        (b"end sha256=%s\n" % hashlib.sha256(body).hexdigest().encode(), 3, "bad row '1 1 0 040'"),
+    ]:
+        path.write_bytes(body + trailer)
+        with pytest.raises(TableFormatError) as exc:
+            load_table(path)
+        assert exc.value.line == line
+        assert word in str(exc.value)
+        rc, outtext, err = run_cli(capsys, "table", "verify", "--file", str(path))
+        assert (rc, outtext, err) == (2, "", "error: %s\n" % exc.value)
+
+
+@pytest.mark.parametrize(
+    "key, expect",
+    [
+        # inside the rows the checks read, and read by row (3,2,2)
+        ((2, 2, 1), ["recurrence fails at (3,2,2)"]),
+        # outside them: t > v + 1, and s > 2 (vmax - t)
+        ((1, 3, 0), []),
+        ((3, 3, 1), []),
+    ],
+)
+def test_streamed_verify_flags_a_row_outside_the_profile_support(tmp_path, capsys, key, expect):
+    table = fill_table(EnsembleParams.from_checks(4), vmax=3)
+    table.counts[key] = 1
+    path = tmp_path / "t.cpt"
+    save_table(table, path)
+    rc, outtext, err = run_cli(capsys, "table", "verify", "--file", str(path))
+    assert (rc, err) == (2, "")
+    assert outtext.splitlines() == ["table: m=4 vmax=3, %d entries" % len(table.counts)] + [
+        "FAIL entry outside profile support 2t+s <= 2v at (%d,%d,%d)" % key
+    ] + ["FAIL %s" % msg for msg in expect]
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 6), data=st.data())
+def test_streamed_verify_reports_what_verify_table_reports(tmp_path_factory, m, data):
+    # edits a file can hold: positive counts at v in 1..vmax, t >= 1 and
+    # t + s <= m, keys outside the profile support 2t + s <= 2v and outside
+    # the rows the checks read included; level vmax keeps a row
+    vmax = data.draw(st.integers(1, m), label="vmax")
+    table = fill_table(EnsembleParams.from_checks(m), vmax)
+    keys = st.one_of(
+        st.sampled_from(sorted(key for key in table.counts if key[0])),
+        st.integers(1, m).flatmap(
+            lambda t: st.tuples(st.integers(1, vmax), st.just(t), st.integers(0, m - t))
+        ),
+    )
+    # None deletes the key; an integer is added to its count, and a count
+    # that is then not positive is deleted
+    edit = st.tuples(keys, st.one_of(st.none(), st.integers(-3, 3)))
+    for key, delta in data.draw(st.lists(edit, min_size=1, max_size=6), label="edits"):
+        count = table.counts.pop(key, 0) + (delta or 0)
+        if delta is not None and count > 0:
+            table.counts[key] = count
+    if all(key[0] < vmax for key in table.counts):
+        table.counts[(vmax, 1, 0)] = 1
+    path = tmp_path_factory.mktemp("verify") / "t.cpt"
+    save_table(table, path)
+    loaded = load_table(path)
+    assert loaded == table
+    problems = verify_table(loaded)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        rc = main(["table", "verify", "--file", str(path)])
+    status = ["FAIL %s" % msg for msg in problems] or [
+        "ok: support, origin, boundary and recurrence checks all pass"
+    ]
+    assert stdout.getvalue().splitlines() == [
+        "table: m=%d vmax=%d, %d entries" % (m, vmax, len(loaded.counts))
+    ] + status
+    assert (rc, stderr.getvalue()) == (2 if problems else 0, "")
 
 
 def build_and_save(out: Path, m: int, vmax: int) -> tuple[bytes, bytes]:

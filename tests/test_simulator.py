@@ -737,6 +737,15 @@ def test_seed_must_be_an_integer(seed):
         replay_trial(P22, Fraction(1, 2), seed, 0)
 
 
+def test_position_and_trial_must_be_integers():
+    # unchecked, a float position constructs and fails at its first draw with a TypeError
+    with pytest.raises(ValidationError, match="position must be an integer"):
+        CounterRng(1, position=1.5)
+    with pytest.raises(ValidationError, match="trial must be an integer"):
+        replay_trial(P22, Fraction(1, 3), 1, 0.5)
+    assert CounterRng(1, position=np.int64(3)).position == 3
+
+
 def test_trials_must_be_an_integer():
     with pytest.raises(ValidationError, match="trials must be an integer"):
         estimate_block_error(P22, Fraction(1, 2), trials=100.0, seed=1)

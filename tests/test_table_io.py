@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cyclepoisson.table as cptable
 from cyclepoisson.combinatorics import factorial
 from cyclepoisson.errors import TableFormatError, ValidationError
 from cyclepoisson.table import (
@@ -250,6 +251,44 @@ def test_load_error_names_the_failing_line(table4, tmp_path, fault):
     err = load_error(tmp_path, lines)
     assert err.line == line
     assert word in str(err)
+
+
+def _outcome(path):
+    """The loaded table, or the text of the load's error."""
+    try:
+        return load_table(path)
+    except TableFormatError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("block", [10, 37, 64])
+def test_small_read_blocks_load_and_fail_alike(table4, tmp_path, monkeypatch, block):
+    # the reader takes the file a block at a time and holds back its last
+    # line; blocks far smaller than the file give the table, or the error
+    # and line, that one block holding the whole file gives
+    _params, table, path = table4
+    blob = path.read_bytes()
+    body = blob[: blob.rindex(b"end sha256=")]
+    files = {
+        "valid": blob,
+        "cut": blob[:-30],
+        "other digest": body + b"end sha256=" + b"0" * 64 + b"\n",
+        "bad row, other digest": body.replace(b"\n3 1 0 ", b"\n3 1 00 ") + blob[len(body):],
+        "non-ASCII": signed(body.replace(b"\n3 2 0 ", b"\n3 2 0 \xff")),
+        "bad header": signed(body.replace(b"vmax=3", b"vmax=x")),
+    }
+    for fault, (edit, _line, _word) in ROW_FAULTS.items():
+        lines = body_lines(path)
+        edit(lines)
+        files[fault] = signed(("\n".join(lines) + "\n").encode())
+    paths = {
+        name: write_raw(tmp_path, data, name=name.replace(" ", "_")) for name, data in files.items()
+    }
+    whole = {name: _outcome(p) for name, p in paths.items()}
+    assert whole["valid"] == table
+    assert sum(isinstance(out, str) for out in whole.values()) == len(files) - 1
+    monkeypatch.setattr(cptable, "_READ_BLOCK", block)
+    assert {name: _outcome(p) for name, p in paths.items()} == whole
 
 
 @pytest.fixture(scope="module")
