@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count, islice
 from operator import add, mul
 
 from .errors import ValidationError
@@ -103,12 +104,8 @@ def stirling_relative_error(n: int) -> float:
 def block_partition_table(blocks: int, elements: int, min_block: int) -> list[list[int]]:
     """P[t][n] = block_partition_count(n, t, min_block) for t <= blocks, n <= elements.
 
-    Built bottom-up by choosing the first block: an ordered t-tuple is a
-    first block of j >= min_block items, binom(n, j) ways, followed by a
-    (t-1)-tuple covering the other n - j, so
-    P[t][n] = sum_{j >= min_block} binom(n, j) * P[t-1][n-j],
-    the binomial convolution that multiplies EGFs.  With min_block = 2,
-    P[t][n] = n! * [x^n] (e^x - 1 - x)^t.  Exact integers, zero for
+    The rows _block_partition_rows has reached at n = elements, with the
+    rows it has not started yet as zeros.  Exact integers, zero for
     n < t * min_block.
     """
     if elements < 0 or blocks < 0 or min_block < 0:
@@ -116,21 +113,42 @@ def block_partition_table(blocks: int, elements: int, min_block: int) -> list[li
             "block partition arguments must be nonnegative, got elements=%r blocks=%r "
             "min_block=%r" % (elements, blocks, min_block)
         )
-    counts = [[1] + [0] * elements] + [[0] * (elements + 1) for _ in range(blocks)]
+    for rows in islice(_block_partition_rows(blocks, min_block), elements + 1):
+        pass
+    return rows + [[0] * (elements + 1) for _ in range(blocks + 1 - len(rows))]
+
+
+def _block_partition_rows(blocks: int, min_block: int):
+    """Yield the rows P[t][0..n] for t <= min(blocks, n // min_block), for n = 0, 1, 2, ... in turn.
+
+    Built bottom-up by choosing the first block: an ordered t-tuple is a
+    first block of j >= min_block items, binom(n, j) ways, followed by a
+    (t-1)-tuple covering the other n - j, so
+    P[t][n] = sum_{j >= min_block} binom(n, j) * P[t-1][n-j],
+    the binomial convolution that multiplies EGFs.  With min_block = 2,
+    P[t][n] = n! * [x^n] (e^x - 1 - x)^t.  P[t][n] = 0 for n < t * min_block,
+    so row t starts at n = t * min_block (every t <= blocks at n = 0 when
+    min_block = 0).  The same list of rows is yielded each time, extended
+    in place by one column and by the rows that start, so the work and
+    memory follow the columns drawn, not blocks.  Arguments are
+    nonnegative integers.
+    """
+    rows = [[1]]
     binoms = [1]
-    for n in range(elements + 1):
+    for n in count():
         if n:
             # binom(n, j) for 0 <= j <= n from row n - 1, by Pascal's rule
             binoms = [1, *map(add, binoms, binoms[1:]), 1]
-        for t in range(1, blocks + 1):
-            if n < t * min_block:
-                break
+            rows[0].append(0)
+        for t in range(1, min(blocks, n // min_block) + 1 if min_block else blocks + 1):
+            if t == len(rows):
+                rows.append([0] * n)
             # sum over min_block <= j <= top of binom(n, j) * P[t-1][n-j];
             # with min_block = 0 the j = 0 term reads P[t-1][n], set one step earlier
             top = n - (t - 1) * min_block
-            tail = counts[t - 1][n - top : n - min_block + 1]
-            counts[t][n] = sum(map(mul, binoms[min_block : top + 1], reversed(tail)))
-    return counts
+            tail = rows[t - 1][n - top : n - min_block + 1]
+            rows[t].append(sum(map(mul, binoms[min_block : top + 1], reversed(tail))))
+        yield rows
 
 
 @lru_cache(maxsize=None)

@@ -74,8 +74,8 @@ from math import gcd
 from operator import add, index, itemgetter, lt, setitem
 
 from .combinatorics import (
+    _block_partition_rows,
     binomial,
-    block_partition_table,
     factorial,
     log_ratio,
 )
@@ -453,26 +453,32 @@ def verify_table(table: CoeffTable) -> list[str]:
             bad.append("entry outside support at (%d,%d,%d)" % (v, t, s))
         elif 2 * t + s > 2 * v:
             bad.append(_OUTSIDE_PROFILE % (v, t, s))
-    return bad + _check_levels(_level_rows(counts, m, vmax), m, vmax)
+    return bad + _check_levels(_level_rows(counts, m, vmax), m)
 
 
-def _check_levels(levels, m: int, vmax: int) -> list[str]:
-    """The boundary and recurrence failures of levels v = 0..vmax, drawn in turn as rows[t][s].
+def _check_levels(levels, m: int) -> list[str]:
+    """The boundary and recurrence failures of the levels v = 0, 1, 2, ... drawn in turn.
 
-    A level has the rows _row_widths gives, an absent count as zero, and
-    is checked against the level below it, so two are held.  The
-    recurrence is checked as s * B(v,t,s) == 2v * R(B(v-1)) with R its
+    Level v comes as rows[t][s] over _level_widths(m, v), an absent count
+    as zero, and is checked against the level below it, so two are held.
+    The recurrence is checked as s * B(v,t,s) == 2v * R(B(v-1)) with R its
     right-hand side; outside the profile support both sides vanish once
     no entry is stored there, so those rows are not visited.  The
     boundary side is binom(m,t) * P_t[2v] from
-    combinatorics.block_partition_table, an integer binomial convolution
-    independent of the kernel the fill uses.
+    combinatorics._block_partition_rows, an integer binomial convolution
+    independent of the kernel the fill uses, extended a level at a time:
+    the work follows the levels checked, whatever vmax is.
     """
-    blocks = block_partition_table(min(m, vmax), 2 * vmax, 2)
-    choose = [binomial(m, t) for t in range(len(blocks))]
+    partitions = _block_partition_rows(m, 2)
+    choose = [1]
     bad: list[str] = []
     prev = next(levels)
+    next(partitions)
     for v, level in enumerate(levels, start=1):
+        next(partitions)
+        blocks = next(partitions)  # P_t[n] for t <= min(m, v), n <= 2v
+        if v <= m:
+            choose.append(binomial(m, v))
         for t in range(1, min(v, m) + 1):
             cur, same, left = level[t], prev[t], prev[t - 1]
             if cur[0] != choose[t] * blocks[t][2 * v]:
@@ -488,50 +494,39 @@ def _check_levels(levels, m: int, vmax: int) -> list[str]:
     return bad
 
 
-def _row_widths(m: int, vmax: int) -> list[int]:
-    """widths[t] of the rows _check_levels reads, sized by vmax and never by m alone.
+def _level_widths(m: int, v: int) -> list[int]:
+    """widths[t] of the rows _check_levels reads at level v, for t <= min(v + 1, m).
 
-    Level v has the rows t <= min(v + 1, m, vmax), row t covering
-    s <= min(m - t, 2 (vmax - t)): every key the checks read at level v,
-    as the level checked and as the one below level v + 1.
+    Row t covers s <= min(m - t, 2 (v - t) + 1): every key the checks
+    read at level v, as the level checked and as the one below level
+    v + 1.  Row v + 1 is empty.  A key outside them has 2t + s > 2v + 1.
     """
-    return [min(m - t, 2 * (vmax - t)) + 1 for t in range(min(m, vmax) + 1)]
+    top = min(v + 1, m)
+    # m - t is the bound for the rows t < k, 2 (v - t) + 1 for the others
+    k = max(0, min(top + 1, 2 * v + 2 - m))
+    return [*range(m + 1, m + 1 - k, -1), *range(2 * (v - k) + 2, 2 * (v - top), -2)]
 
 
 def _level_rows(counts: dict[tuple[int, int, int], int], m: int, vmax: int):
-    """Each level v = 0..vmax in turn, as rows[t][s] = counts.get((v, t, s), 0) over _row_widths.
+    """Each level v = 0..vmax in turn, as rows[t][s] = counts.get((v, t, s), 0).
 
-    The rows of every level are a prefix of one key layout, so one map
-    over it fetches a level.
+    The rows are those _level_widths(m, v) gives.
     """
-    widths = _row_widths(m, vmax)
-    ts = [t for t, w in enumerate(widths) for _ in range(w)]
-    ss = [s for w in widths for s in range(w)]
-    ends = list(itertools.accumulate(widths))
-    spans = list(zip([0] + ends, ends))
+    get = counts.get
     for v in range(vmax + 1):
-        top = min(v + 1, len(widths) - 1)
-        keys = zip(itertools.repeat(v, ends[top]), ts, ss)
-        flat = list(map(counts.get, keys, itertools.repeat(0)))
-        yield [flat[a:b] for a, b in spans[: top + 1]]
+        yield [
+            [get((v, t, s), 0) for s in range(w)] for t, w in enumerate(_level_widths(m, v))
+        ]
 
 
-def _placed_rows(v: int, ts, ss, bs, widths: list[int]) -> list[list[int]]:
-    """rows[t][s] over _row_widths of level v, from its rows (t, s, B) as three columns.
+def _placed_rows(v: int, m: int, ts, ss, bs) -> list[list[int]]:
+    """rows[t][s] over _level_widths(m, v), from level v's rows (t, s, B) as three columns.
 
-    t and s are nonnegative, as in every row a file holds.  A row outside
-    the widths is outside the profile support, and no check reads it, so
-    it is not placed.
+    Every row must lie in the widths: s <= m - t, as in every row a
+    file holds, and 2t + s <= 2v + 1.
     """
-    top = min(v + 1, len(widths) - 1)
-    rows = [[0] * w for w in widths[: top + 1]]
-    try:
-        list(map(setitem, map(rows.__getitem__, ts), ss, bs))
-    except IndexError:
-        # the rows placed before the one outside are placed again
-        for t, s, b in zip(ts, ss, bs):
-            if t <= top and s < widths[t]:
-                rows[t][s] = b
+    rows = [[0] * w for w in _level_widths(m, v)]
+    list(map(setitem, map(rows.__getitem__, ts), ss, bs))
     return rows
 
 
@@ -547,23 +542,25 @@ def _verify_file(path) -> tuple[int, int, int, list[str]]:
     """
     levels = _read_levels(path)
     m, vmax = next(levels)
-    widths = _row_widths(m, vmax)
     support: list[str] = []
     entries = 1
 
     def rows():
         nonlocal entries
         # level 0, the origin alone
-        yield _placed_rows(0, [0], [0], [1], widths)
+        yield _placed_rows(0, m, [0], [0], [1])
         for v, (ts, ss, bs) in enumerate(levels, start=1):
             entries += len(bs)
             if max(map(add, map(add, ts, ts), ss), default=0) > 2 * v:
                 support.extend(
                     _OUTSIDE_PROFILE % (v, t, s) for t, s in zip(ts, ss) if 2 * t + s > 2 * v
                 )
-            yield _placed_rows(v, ts, ss, bs, widths)
+                # a row past 2t + s = 2v + 1 is read by no check
+                kept = [2 * t + s <= 2 * v + 1 for t, s in zip(ts, ss)]
+                ts, ss, bs = (list(itertools.compress(c, kept)) for c in (ts, ss, bs))
+            yield _placed_rows(v, m, ts, ss, bs)
 
-    checks = _check_levels(rows(), m, vmax)
+    checks = _check_levels(rows(), m)
     return m, vmax, entries, support + checks
 
 
@@ -807,10 +804,10 @@ def _body_text(path):
 def _read_rows(path):
     """Yield a CPTABLE 3 file's (m, vmax), then its rows in checked batches, as the file streams.
 
-    A batch is the columns v, t, s and B of up to _LOAD_BATCH rows.  The
-    header is checked, then each batch in one pass (_batch_rows), or row
-    by row (_walk_rows) if that fails, so the error names the first bad
-    line.  That fault is held while _body_text reads to the end, and
+    A batch is the keys (v, t, s) and the columns v, t, s and B of up to
+    _LOAD_BATCH rows.  The header is checked, then each batch in one pass
+    (_batch_rows), or row by row (_walk_rows) if that fails, so the error
+    names the first bad line.  That fault is held while _body_text reads to the end, and
     raised only if the trailer, sha256 and ASCII checks pass, so it is
     reported after them, as when the whole file was checked first.  Last,
     the rows must reach the declared vmax.  A caller keeps what it makes
@@ -849,7 +846,7 @@ def _read_rows(path):
             except TableFormatError as exc:
                 fault = exc
                 break
-            prev_key = rows[0][-1], rows[1][-1], rows[2][-1]
+            prev_key = rows[0][-1]
             first += len(batch)
             yield rows
     # the end of the file decides whether a held fault is the one reported
@@ -877,7 +874,7 @@ def _read_levels(path):
     m, vmax = next(batches)
     yield m, vmax
     level, ts, ss, bs = 1, [], [], []
-    for vs, bts, bss, bbs in batches:
+    for _keys, vs, bts, bss, bbs in batches:
         i = 0
         while i < len(vs):
             j = bisect.bisect_right(vs, vs[i], i)
@@ -893,14 +890,15 @@ def _read_levels(path):
 
 
 def _batch_rows(batch: list[str], prev_key, m: int, vmax: int, small: dict[str, int]):
-    """The columns v, t, s and B of a batch of rows when every row check passes, else None.
+    """The keys (v, t, s) and columns v, t, s and B of a batch of rows, or None.
 
-    Each check is one pass over the whole batch (a regex match of the
-    joined rows, then map and zip over the parsed columns), so no row runs
-    interpreter code of its own.  The checks are those of _walk_rows.
-    small maps decimal strings to ints, which a dict lookup does several
-    times faster than int(); a row with an index it lacks, or a count
-    int() refuses, goes to _walk_rows.
+    None comes back unless every row check passes.  Each check is one
+    pass over the whole batch (a regex match of the joined rows, then map
+    and zip over the parsed columns), so no row runs interpreter code of
+    its own.  The checks are those of _walk_rows.  small maps decimal
+    strings to ints, which a dict lookup does several times faster than
+    int(); a row with an index it lacks, or a count int() refuses, goes to
+    _walk_rows.
     """
     text = "\n".join(batch)
     if not _ROWS_RE.fullmatch(text):
@@ -918,12 +916,12 @@ def _batch_rows(batch: list[str], prev_key, m: int, vmax: int, small: dict[str, 
         and max(vs) <= vmax
         and max(map(add, ts, ss)) <= m
     ):
-        return vs, ts, ss, counts
+        return keys, vs, ts, ss, counts
     return None
 
 
 def _walk_rows(batch: list[str], first_line: int, prev_key, m: int, vmax: int):
-    """The columns v, t, s and B of a batch of rows, checked one row at a time.
+    """The keys (v, t, s) and columns v, t, s and B of a batch of rows, checked row by row.
 
     Raises TableFormatError at the first row that fails a check, with the
     file line number; first_line is the line of batch[0].  The row syntax
@@ -944,7 +942,7 @@ def _walk_rows(batch: list[str], first_line: int, prev_key, m: int, vmax: int):
         if t + s > m:
             raise TableFormatError("indices outside support", line=idx)
         rows.append(row)
-    return list(zip(*rows))
+    return [row[:3] for row in rows], *zip(*rows)
 
 
 def load_table(path) -> CoeffTable:
@@ -963,6 +961,6 @@ def load_table(path) -> CoeffTable:
     batches = _read_rows(path)
     m, vmax = next(batches)
     counts = dict(_ORIGIN)
-    for vs, ts, ss, bs in batches:
-        counts.update(zip(zip(vs, ts, ss), bs))
+    for keys, _vs, _ts, _ss, bs in batches:
+        counts.update(zip(keys, bs))
     return CoeffTable(EnsembleParams.from_checks(m), vmax, counts)

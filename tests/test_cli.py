@@ -10,6 +10,7 @@ import math
 import shutil
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -347,6 +348,20 @@ def test_verify_of_a_value_past_the_digit_limit_fails_cleanly(tmp_path, capsys, 
     assert "FAIL boundary identity fails at (v=1,t=1)" in outtext
 
 
+@pytest.mark.parametrize("m, vmax", [(1, 10**6), (10**10, 10**10)], ids=["vmax", "m-and-vmax"])
+def test_verify_of_a_file_short_of_a_huge_vmax_fails_at_once(tmp_path, capsys, m, vmax):
+    # the header sizes nothing: the levels checked are those the rows
+    # reach, so the file fails the vmax check, in well under a second
+    body = b"CPTABLE 3\nm=%d vmax=%d\n1 1 0 1\n" % (m, vmax)
+    path = tmp_path / "short.cpt"
+    path.write_bytes(body + b"end sha256=%s\n" % hashlib.sha256(body).hexdigest().encode())
+    start = time.perf_counter()
+    rc, outtext, err = run_cli(capsys, "table", "verify", "--file", str(path))
+    assert time.perf_counter() - start < 5
+    assert (rc, outtext) == (2, "")
+    assert err == "error: line 2: rows stop at v=1 but the header declares vmax=%d\n" % vmax
+
+
 @pytest.mark.parametrize("block", [None, 4096], ids=["one-block", "4096-byte-blocks"])
 def test_a_wrong_sha256_is_reported_before_a_bad_row(tmp_path, capsys, monkeypatch, block):
     # the bad row comes first in the file, but a file whose sha256 fails is
@@ -378,9 +393,12 @@ def test_a_wrong_sha256_is_reported_before_a_bad_row(tmp_path, capsys, monkeypat
     [
         # inside the rows the checks read, and read by row (3,2,2)
         ((2, 2, 1), ["recurrence fails at (3,2,2)"]),
-        # outside them: t > v + 1, and s > 2 (vmax - t)
+        # outside them: t > v + 1, so 2t + s > 2v + 1
         ((1, 3, 0), []),
+        # at level vmax, which no level reads
         ((3, 3, 1), []),
+        # outside them with t <= v: 2t + s > 2v + 1
+        ((1, 1, 2), []),
     ],
 )
 def test_streamed_verify_flags_a_row_outside_the_profile_support(tmp_path, capsys, key, expect):

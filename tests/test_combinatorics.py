@@ -1,12 +1,14 @@
 import math
 import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cyclepoisson.combinatorics import (
+    _block_partition_rows,
     _log10_long,
     binomial,
     block_partition_count,
@@ -107,6 +109,15 @@ def test_block_partition_table_deep_closed_forms():
     assert table[1][:2] == [0, 0] and set(table[1][2:]) == {1}
     assert table[2][:3] == [0, 0, 0]
     assert all(table[2][n] == 2**n - 2 - 2 * n for n in range(3, 2849))
+
+
+def test_block_partition_rows_follow_the_columns_drawn():
+    # with blocks far past what n reaches, the rows at n are those that
+    # have started, t <= n // min_block, and agree with the full table
+    for min_block in (1, 2, 3):
+        for n, rows in enumerate(islice(_block_partition_rows(10**12, min_block), 13)):
+            table = block_partition_table(n // min_block, n, min_block)
+            assert rows == table, (min_block, n)
 
 
 def test_block_partition_count_rejects_negative_arguments():
