@@ -54,7 +54,8 @@ from .table import (
     _check_vmax,
     _exact,
     _filled_levels,
-    _verify_file,
+    _read_levels,
+    _verify_levels,
     _write_cptable,
     _write_over,
     fill_table,
@@ -233,7 +234,9 @@ def _cmd_table_exponents(args, run: _Run) -> int:
 
 def _cmd_table_verify(args, run: _Run) -> int:
     # the file is checked as it streams; nothing prints unless it loads
-    m, vmax, entries, problems = _verify_file(Path(args.file))
+    levels = _read_levels(Path(args.file))
+    m, vmax = next(levels)
+    entries, problems = _verify_levels(m, levels)
     # a loaded header's m or vmax may be past the digit limit
     print("table: m=%s vmax=%s, %d entries" % (_exact(m), _exact(vmax), entries))
     if problems:

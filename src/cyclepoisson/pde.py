@@ -730,7 +730,7 @@ def pde_residual(table: CoeffTable, operator: str = "recurrence") -> ResidualRep
         raise ValidationError(
             "unknown operator %r; expected one of %s" % (operator, ", ".join(_OPERATORS))
         )
-    G = [(v, t, s, table.value(v, t, s)) for v, t, s in table.counts]
+    G = [(v, t, s, c) for (v, t, s), c in table.entries.items()]
     acc = {(v, t, s): c * s for v, t, s, c in G if s}  # z dG/dz
     for poly, p, q in _operator_terms(_OPERATORS[operator](table.params)):
         for v, t, s, c in G:

@@ -56,6 +56,12 @@ finds a cycle in.  At s = 0 these are all the stopping sets on t checks,
 since a graph with no check of degree one always has a cycle.
 brute_force_profile_counts tallies every assignment, forests included, so
 it exceeds the table wherever a forest has the profile.
+
+A table is held a level at a time from its fill to its file to its check:
+level v is its nonzero rows (v, t, s, B) in (t, s) order.  _filled_levels
+yields them, CoeffTable keeps them, a CPTABLE 3 file holds them in the same
+order and _read_levels yields them back, and one checker (_verify_levels)
+reads them two levels at a time, from a table or from a file.
 """
 
 from __future__ import annotations
@@ -66,7 +72,6 @@ import hashlib
 import itertools
 import os
 import re
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -110,9 +115,9 @@ _LOAD_BATCH = 4096
 # bytes the CPTABLE reader takes from a file per read
 _READ_BLOCK = 1 << 20
 _TRAILER_RE = re.compile(rb"end sha256=([0-9a-f]{64})\n")
-# the v = 0 plane as counts (there 0! * 2^0 = 1, so B = A); a CPTABLE 3
-# file holds no row for it, and load_table puts it back
-_ORIGIN = {(0, 0, 0): 1}
+# the v = 0 plane, the origin alone, as a row (v, t, s, B) (there 0! * 2^0 = 1,
+# so B = A); no level or CPTABLE 3 file holds it, as it is implied
+_ORIGIN = (0, 0, 0, 1)
 _OUTSIDE_PROFILE = "entry outside profile support 2t+s <= 2v at (%d,%d,%d)"
 
 
@@ -165,33 +170,36 @@ def _check_epsilon(epsilon) -> Fraction:
 
 
 class CoeffTable:
-    """Sparse exact table of A(v, t, s), stored as integer counts.
+    """Sparse exact table of A(v, t, s), stored as integer counts a level at a time.
 
-    counts maps (v, t, s) to the integer B = v! * 2^v * A(v, t, s), the
-    number of cyclic assignments with that profile; absent keys are zero.
-    entries is a read-only view of the same table as Fractions A = B /
-    (v! * 2^v), built per access.  Equality is on (m, vmax, counts):
-    two parameterizations with the same check count carry identical tables.
+    levels[v-1] is level v's nonzero rows (v, t, s, B) in (t, s) order,
+    with B = v! * 2^v * A(v, t, s) the number of cyclic assignments with
+    that profile; a key with no row is zero.  These are the levels
+    _filled_levels yields and a CPTABLE 3 file holds.  The v = 0 plane is
+    the origin A(0, 0, 0) = 1 alone and has no row, and vmax is
+    len(levels).  entries is the table as a dict of Fractions A = B /
+    (v! * 2^v), the origin included, built per access.  Equality is on
+    (m, levels): two parameterizations with the same check count carry
+    identical tables.
     """
 
-    def __init__(
-        self,
-        params: EnsembleParams,
-        vmax: int,
-        counts: dict[tuple[int, int, int], int],
-    ):
+    def __init__(self, params: EnsembleParams, levels: list[list[tuple[int, int, int, int]]]):
         self.params = params
-        self.vmax = vmax
-        self.counts = counts
+        self.levels = levels
 
     @property
     def m(self) -> int:
         return self.params.m
 
     @property
-    def entries(self) -> Mapping[tuple[int, int, int], Fraction]:
-        """A(v, t, s) per stored key, as a read-only Fraction mapping."""
-        return _EntriesView(self.counts)
+    def vmax(self) -> int:
+        return len(self.levels)
+
+    @property
+    def entries(self) -> dict[tuple[int, int, int], Fraction]:
+        """A(v, t, s) per stored row and the origin, as a new dict of Fractions."""
+        rows = itertools.chain([_ORIGIN], *self.levels)
+        return {(v, t, s): Fraction(b, _weight(v)) for v, t, s, b in rows}
 
     @property
     def is_partial(self) -> bool:
@@ -203,8 +211,14 @@ class CoeffTable:
         return False
 
     def value(self, v: int, t: int, s: int) -> Fraction:
-        b = self.counts.get((v, t, s))
-        return Fraction(b, _weight(v)) if b else Fraction(0)
+        key = (v, t, s)
+        if key == _ORIGIN[:3]:
+            return Fraction(1)
+        level = self.levels[v - 1] if 1 <= v <= self.vmax else []
+        i = bisect.bisect_left(level, key)
+        if i < len(level) and level[i][:3] == key:
+            return Fraction(level[i][3], _weight(v))
+        return Fraction(0)
 
     def level_counts(self) -> dict[int, int]:
         """Sum of B(v, t, s) over t >= 1 and all s, for every level v with an entry there.
@@ -212,9 +226,10 @@ class CoeffTable:
         This is the number of cyclic endpoint assignments of v variables.
         """
         sums: dict[int, int] = {}
-        for (v, t, _s), b in self.counts.items():
-            if t >= 1:
-                sums[v] = sums.get(v, 0) + b
+        for v, level in enumerate(self.levels, start=1):
+            counts = [b for _v, t, _s, b in level if t >= 1]
+            if counts:
+                sums[v] = sum(counts)
         return sums
 
     def level_sums(self) -> dict[int, Fraction]:
@@ -224,34 +239,13 @@ class CoeffTable:
     def __eq__(self, other):
         if not isinstance(other, CoeffTable):
             return NotImplemented
-        return (
-            self.m == other.m
-            and self.vmax == other.vmax
-            and self.counts == other.counts
-        )
+        return self.m == other.m and self.levels == other.levels
 
     __hash__ = None
 
     def __repr__(self):
-        return "CoeffTable(m=%d, vmax=%d, %d entries)" % (self.m, self.vmax, len(self.counts))
-
-
-class _EntriesView(Mapping):
-    """(v, t, s) -> Fraction(B, v! * 2^v) over a count dict; no item assignment."""
-
-    __slots__ = ("_counts",)
-
-    def __init__(self, counts: dict[tuple[int, int, int], int]):
-        self._counts = counts
-
-    def __getitem__(self, key) -> Fraction:
-        return Fraction(self._counts[key], _weight(key[0]))
-
-    def __iter__(self):
-        return iter(self._counts)
-
-    def __len__(self) -> int:
-        return len(self._counts)
+        rows = sum(map(len, self.levels))
+        return "CoeffTable(m=%d, vmax=%d, %d entries)" % (self.m, self.vmax, rows + 1)
 
 
 @lru_cache(maxsize=None)
@@ -405,55 +399,34 @@ def _filled_levels(m: int, vmax: int):
 def fill_table(params: EnsembleParams, vmax: int) -> CoeffTable:
     """Fill A(v, t, s) for 1 <= v <= vmax as M(t,s) * C(v,t,s) / (v! * 2^v).
 
-    The counts B = M(t,s) * C(v,t,s) are the rows of _filled_levels, a
-    level at a time; zeros are not stored.  The v = 0 plane is the origin
-    alone.  Every level is filled from scratch: refilling is faster than
-    loading a saved table of the same size.  `table build` writes the
-    same rows to its file without building this table, so an interrupted
-    build leaves a file with no valid trailer, which load_table refuses;
-    a crash mid-write could already tear a file.
+    The table's levels are those _filled_levels yields, the counts
+    B = M(t,s) * C(v,t,s) with zeros not stored.  The v = 0 plane is the
+    origin alone.  Every level is filled from scratch: refilling is
+    faster than loading a saved table of the same size.  `table build`
+    writes the same levels to its file without building this table, so
+    an interrupted build leaves a file with no valid trailer, which
+    load_table refuses; a crash mid-write could already tear a file.
 
     Raises:
         ValidationError: vmax outside 0..n.
     """
     _check_vmax(params, vmax)
-    counts = dict(_ORIGIN)
-    key, count = itemgetter(0, 1, 2), itemgetter(3)
-    for rows in _filled_levels(params.m, vmax):
-        counts.update(zip(map(key, rows), map(count, rows)))
-    return CoeffTable(params, vmax, counts)
+    return CoeffTable(params, list(_filled_levels(params.m, vmax)))
 
 
 def verify_table(table: CoeffTable) -> list[str]:
     """Independent recheck of every invariant; returns violation messages.
 
-    Rechecks, independent of fill order: support (nothing stored outside
-    the index ranges or the profile support 2t + s <= 2v, v = 0 plane
-    is the origin alone), the paper's unfactored three-term
-    recurrence at every (v, t, s) with s >= 1 in the profile support
-    (including entries stored as zero by omission), and the boundary
-    identity
+    Rechecks, independent of the fill: the support (no stored zero, and
+    nothing outside the index ranges or the profile support
+    2t + s <= 2v), the paper's unfactored three-term recurrence at every
+    (v, t, s) with s >= 1 in the profile support (entries stored as zero
+    by omission included), and the boundary identity
     v! * 2^v * A(v,t,0) == binom(m,t) * (2v)! * [x^(2v)] (e^x - 1 - x)^t.
-    The support messages come first, sorted by key; then those of
-    _check_levels over the levels _level_rows fetches, the loop that
-    `table verify --file` runs on the levels it streams (_verify_file).
+    The checker is _verify_levels over the table's levels, the one
+    `table verify --file` runs on the levels it streams from a file.
     """
-    m = table.m
-    vmax = table.vmax
-    counts = table.counts
-    bad: list[str] = []
-    for (v, t, s), b in sorted(counts.items()):
-        if b == 0:
-            bad.append("stored zero at (%d,%d,%d)" % (v, t, s))
-        if v == 0:
-            if _ORIGIN.get((v, t, s)) != b:
-                bad.append("v=0 entry (%d,%d,%d)=%s conflicts with the origin" % (v, t, s, b))
-            continue
-        if v > vmax or not (1 <= t <= m) or not (0 <= s <= m - t):
-            bad.append("entry outside support at (%d,%d,%d)" % (v, t, s))
-        elif 2 * t + s > 2 * v:
-            bad.append(_OUTSIDE_PROFILE % (v, t, s))
-    return bad + _check_levels(_level_rows(counts, m, vmax), m)
+    return _verify_levels(table.m, table.levels)[1]
 
 
 def _check_levels(levels, m: int) -> list[str]:
@@ -507,61 +480,88 @@ def _level_widths(m: int, v: int) -> list[int]:
     return [*range(m + 1, m + 1 - k, -1), *range(2 * (v - k) + 2, 2 * (v - top), -2)]
 
 
-def _level_rows(counts: dict[tuple[int, int, int], int], m: int, vmax: int):
-    """Each level v = 0..vmax in turn, as rows[t][s] = counts.get((v, t, s), 0).
-
-    The rows are those _level_widths(m, v) gives.
-    """
-    get = counts.get
-    for v in range(vmax + 1):
-        yield [
-            [get((v, t, s), 0) for s in range(w)] for t, w in enumerate(_level_widths(m, v))
-        ]
-
-
 def _placed_rows(v: int, m: int, ts, ss, bs) -> list[list[int]]:
     """rows[t][s] over _level_widths(m, v), from level v's rows (t, s, B) as three columns.
 
-    Every row must lie in the widths: s <= m - t, as in every row a
-    file holds, and 2t + s <= 2v + 1.
+    Every row must lie in the widths: t, s >= 0, t + s <= m and
+    2t + s <= 2v + 1.
     """
     rows = [[0] * w for w in _level_widths(m, v)]
     list(map(setitem, map(rows.__getitem__, ts), ss, bs))
     return rows
 
 
-def _verify_file(path) -> tuple[int, int, int, list[str]]:
-    """m, vmax, the entry count and verify_table's messages for the CPTABLE 3 file at path.
+def _verify_levels(m: int, levels) -> tuple[int, list[str]]:
+    """The entry count and the violation messages of the levels v = 1, 2, ... of a table.
 
-    The messages, in order, and any TableFormatError are those of
-    verify_table(load_table(path)), but no table is built: the levels
-    stream from _read_levels, two held at a time.  A row the file can hold
-    fails no support check but 2t + s <= 2v, scanned per level in key
-    order; those messages come first.  The entry count is the rows plus
-    the origin.
+    levels yields each level as its rows (v, t, s, B) in (t, s) order: a
+    table's levels, or _read_levels of a file.  The checks are independent
+    of the fill.  First the support: a stored zero, a row outside the index
+    ranges (t < 1, s < 0, t + s > m or another level's v) and one outside
+    the profile support 2t + s <= 2v are named, level by level in row
+    order.  Then the boundary and the paper's unfactored three-term
+    recurrence (_check_levels), two levels held at a time, on the rows
+    that the checks read (_placed_rows), the origin as level 0; a key with
+    no row reads as zero.  Each level is scanned a column at a time, and
+    its rows are named one by one only if the scan finds a fault.  The
+    support messages come first.  The entry count is the rows plus the
+    origin.
     """
-    levels = _read_levels(path)
-    m, vmax = next(levels)
     support: list[str] = []
     entries = 1
 
-    def rows():
+    def placed():
         nonlocal entries
-        # level 0, the origin alone
         yield _placed_rows(0, m, [0], [0], [1])
-        for v, (ts, ss, bs) in enumerate(levels, start=1):
-            entries += len(bs)
-            if max(map(add, map(add, ts, ts), ss), default=0) > 2 * v:
-                support.extend(
-                    _OUTSIDE_PROFILE % (v, t, s) for t, s in zip(ts, ss) if 2 * t + s > 2 * v
-                )
+        for v, level in enumerate(levels, start=1):
+            entries += len(level)
+            vs, ts, ss, bs = zip(*level) if level else ((),) * 4
+            rows = _profile_rows(v, m, vs, ts, ss, bs)
+            if rows is None:
+                support.extend(_row_faults(v, m, level))
                 # a row past 2t + s = 2v + 1 is read by no check
-                kept = [2 * t + s <= 2 * v + 1 for t, s in zip(ts, ss)]
-                ts, ss, bs = (list(itertools.compress(c, kept)) for c in (ts, ss, bs))
-            yield _placed_rows(v, m, ts, ss, bs)
+                kept = [
+                    rv == v and t >= 0 and s >= 0 and t + s <= m and 2 * t + s <= 2 * v + 1
+                    for rv, t, s, _b in level
+                ]
+                rows = _placed_rows(v, m, *(itertools.compress(c, kept) for c in (ts, ss, bs)))
+            yield rows
 
-    checks = _check_levels(rows(), m)
-    return m, vmax, entries, support + checks
+    checks = _check_levels(placed(), m)
+    return entries, support + checks
+
+
+def _profile_rows(v: int, m: int, vs, ts, ss, bs) -> list[list[int]] | None:
+    """_placed_rows of level v's columns, or None unless each row is a count the level may hold.
+
+    That is a nonzero count with the level's v, t >= 1, s >= 0,
+    t + s <= m and 2t + s <= 2v.  Each check is one pass over a column or
+    the placing: a row past the widths raises IndexError there, and one
+    at 2t + s = 2v + 1, inside them, is in the last cell of a row
+    t >= 2v + 1 - m, the rows that reach s = 2 (v - t) + 1.
+    """
+    if 0 in bs or vs.count(v) < len(vs) or min(ts, default=1) < 1 or min(ss, default=0) < 0:
+        return None
+    try:
+        rows = _placed_rows(v, m, ts, ss, bs)
+    except IndexError:
+        return None
+    if any(map(itemgetter(-1), filter(None, rows[max(0, 2 * v + 1 - m) :]))):
+        return None
+    return rows
+
+
+def _row_faults(v: int, m: int, level) -> list[str]:
+    """The support messages of level v's rows (v, t, s, B), in row order."""
+    bad = []
+    for rv, t, s, b in level:
+        if b == 0:
+            bad.append("stored zero at (%d,%d,%d)" % (rv, t, s))
+        if rv != v or t < 1 or s < 0 or t + s > m:
+            bad.append("entry outside support at (%d,%d,%d)" % (rv, t, s))
+        elif 2 * t + s > 2 * v:
+            bad.append(_OUTSIDE_PROFILE % (rv, t, s))
+    return bad
 
 
 # ----------------------------------------------------------------------
@@ -691,30 +691,24 @@ def _write_cptable(path, m: int, vmax: int, batches) -> str:
 def save_table(table: CoeffTable, path) -> str:
     """Write the canonical CPTABLE 3 format, ASCII with LF endings.
 
-    Line 1: "CPTABLE 3".  Line 2: "m=<m> vmax=<vmax>".  Then one row
-    "<v> <t> <s> <B>" per stored count with v >= 1, B = v! * 2^v * A(v,t,s)
-    the positive integer table.counts holds, sorted lexicographically by
-    (v, t, s).  Zero entries are omitted, and so is the v = 0 plane: the
-    origin B(0,0,0) = 1 is implied, and a table with any other v = 0 plane
-    raises ValidationError before the file is opened.  An s = 0 row's B is
-    the stopping-set count binom(m,t) * P_t[2v].  The last line is
-    "end sha256=<hex>", the lowercase sha256 of every byte before it, so a
-    truncated or altered file cannot load.  A count past the
-    interpreter's int-to-str digit limit is written through decimal,
-    which has none.  The file is written over in place (_write_over), and
-    an interrupted write or `table build` leaves a file with no valid
-    trailer, which load_table refuses; a crash mid-write could already
-    tear a file.
+    Line 1: "CPTABLE 3".  Line 2: "m=<m> vmax=<vmax>".  Then the rows
+    "<v> <t> <s> <B>" of table.levels as they stand, level after level,
+    the call `table build` makes: B = v! * 2^v * A(v,t,s) is the positive
+    integer count, and the rows run in (v, t, s) order.  Zero entries are
+    omitted, and so is the v = 0 plane: the origin B(0,0,0) = 1 is
+    implied.  An s = 0 row's B is the stopping-set count
+    binom(m,t) * P_t[2v].  The last line is "end sha256=<hex>", the
+    lowercase sha256 of every byte before it, so a truncated or altered
+    file cannot load.  A count past the interpreter's int-to-str digit
+    limit is written through decimal, which has none.  The file is
+    written over in place (_write_over), and an interrupted write or
+    `table build` leaves a file with no valid trailer, which load_table
+    refuses; a crash mid-write could already tear a file.
 
     Returns the lowercase hex sha256 of the whole file as written, so the
     caller need not read the file back.
     """
-    items = sorted(table.counts.items())
-    plane = list(itertools.takewhile(lambda item: item[0][0] == 0, items))
-    if plane != list(_ORIGIN.items()):
-        raise ValidationError("the v = 0 plane is not the origin alone, so no file can hold it")
-    rows = [(*key, b) for key, b in itertools.islice(items, len(plane), None)]
-    return _write_cptable(path, table.m, table.vmax, [rows])
+    return _write_cptable(path, table.m, table.vmax, table.levels)
 
 
 def _int(token: str) -> int:
@@ -739,121 +733,130 @@ def _exact(q) -> str:
     return str(num) if q.denominator == 1 else "%s/%s" % (num, decimal.Decimal(q.denominator))
 
 
+def _line_blocks(buf: bytes, fh):
+    """Yield buf and then the rest of the file fh as pairs (block, last), a _READ_BLOCK read at a time.
+
+    Each block is whole lines, and together they are every byte before
+    the file's last line.  last is None but in the final pair, where it
+    is that last line.
+    """
+    while True:
+        more = fh.read(_READ_BLOCK)
+        # where the last line starts, should the file end here
+        cut = buf.rfind(b"\n", 0, len(buf) - 1) + 1
+        if not more:
+            yield buf[:cut], buf[cut:]
+            return
+        yield buf[:cut], None
+        buf = buf[cut:] + more
+
+
 def _body_text(path):
     """The text of a CPTABLE 3 file before its last line, in blocks of whole lines.
 
-    The file is read and hashed _READ_BLOCK bytes at a time, and its last
-    line is held back: at the end it must be the trailer
-    'end sha256=<64 hex>' of every byte before it.  No block is yielded
-    from the first one that is not ASCII on, but the hashing goes on.
-    At the end the generator raises TableFormatError for, in this order,
-    a bad trailer, a sha256 mismatch and the first non-ASCII byte, and
-    only then yields the last block, so a file of one block is checked
-    whole before a line of it is read.
-    CPTABLE 1 and CPTABLE 2 files are rejected first, with the command
-    that rebuilds them.
+    Nothing is yielded until the whole file has passed three checks, and
+    TableFormatError names the first that fails: the last line must be
+    the trailer 'end sha256=<64 hex>', its hex must be the sha256 of every
+    byte before it, and those bytes must be ASCII.  A file of one
+    _READ_BLOCK block is read once, and that block kept.  A longer file is
+    hashed a block at a time and then read a second time for its text.
+    The second pass is hashed too, and if its sha256 differs from the
+    first (the file changed between the passes), the generator raises at
+    its end, so a caller that keeps nothing until then takes in only the
+    bytes the trailer signs.  CPTABLE 1 and CPTABLE 2 files are rejected
+    first, with the command that rebuilds them.
     """
     digest = hashlib.sha256()
     non_ascii = None
     offset = lines = 0
     with open(path, "rb") as fh:
-        buf = fh.read(_READ_BLOCK)
+        head = fh.read(_READ_BLOCK)
         # the rebuild hint reads the second line, which may be longer
-        old = _OLD_HEAD_RE.match(buf) and _OLD_HEAD_RE.match(buf + fh.read())
+        old = _OLD_HEAD_RE.match(head) and _OLD_HEAD_RE.match(head + fh.read())
         if old:
             magic, m, vmax = (g.decode() for g in old.groups(b""))
             hint = "`cyclepoisson table build --m %s --vmax %s`" % (m or "<m>", vmax or "<vmax>")
             raise TableFormatError(
                 "%s files are no longer read; rebuild with %s" % (magic, hint), line=1
             )
-        while True:
-            more = fh.read(_READ_BLOCK)
-            # where the last line starts, should the file end here
-            cut = buf.rfind(b"\n", 0, len(buf) - 1) + 1
-            block = buf[:cut]
+        for blocks, (block, last) in enumerate(_line_blocks(head, fh), start=1):
             digest.update(block)
-            text = None
-            if non_ascii is None:
-                try:
-                    text = str(block, "ascii")
-                except UnicodeDecodeError as exc:
-                    non_ascii = TableFormatError(
-                        "non-ASCII byte at offset %d" % (offset + exc.start),
-                        line=lines + block.count(b"\n", 0, exc.start) + 1,
-                    )
-            offset += cut
+            if non_ascii is None and not block.isascii():
+                # each byte decodes to one character, a bad one to U+FFFD
+                start = block.decode("ascii", "replace").index("\ufffd")
+                non_ascii = TableFormatError(
+                    "non-ASCII byte at offset %d" % (offset + start),
+                    line=lines + block.count(b"\n", 0, start) + 1,
+                )
+            offset += len(block)
             lines += block.count(b"\n")
-            if not more:
+        trailer = _TRAILER_RE.fullmatch(last)
+        if not trailer:
+            raise TableFormatError(
+                "last line is not the trailer 'end sha256=<64 hex>' (truncated file?)",
+                line=lines + 1,
+            )
+        if digest.hexdigest().encode() != trailer.group(1):
+            raise TableFormatError("sha256 of the body does not match the trailer", line=lines + 1)
+        if non_ascii:
+            raise non_ascii
+        if blocks == 1:
+            if block:
+                yield str(block, "ascii")
+            return
+        fh.seek(0)
+        again = hashlib.sha256()
+        for block, _last in _line_blocks(fh.read(_READ_BLOCK), fh):
+            again.update(block)
+            if not block.isascii():
+                # the file changed, so the digests below differ
                 break
-            if text:
-                yield text
-            buf = buf[cut:] + more
-    trailer = _TRAILER_RE.fullmatch(buf, cut)
-    if not trailer:
-        raise TableFormatError(
-            "last line is not the trailer 'end sha256=<64 hex>' (truncated file?)", line=lines + 1
-        )
-    if digest.hexdigest().encode() != trailer.group(1):
-        raise TableFormatError("sha256 of the body does not match the trailer", line=lines + 1)
-    if non_ascii:
-        raise non_ascii
-    if text:
-        yield text
+            if block:
+                yield str(block, "ascii")
+        if again.digest() != digest.digest():
+            raise TableFormatError("the file changed while it was read", line=lines + 1)
 
 
 def _read_rows(path):
-    """Yield a CPTABLE 3 file's (m, vmax), then its rows in checked batches, as the file streams.
+    """Yield a CPTABLE 3 file's (m, vmax), then its rows (v, t, s, B) in checked batches.
 
-    A batch is the keys (v, t, s) and the columns v, t, s and B of up to
-    _LOAD_BATCH rows.  The header is checked, then each batch in one pass
-    (_batch_rows), or row by row (_walk_rows) if that fails, so the error
-    names the first bad line.  That fault is held while _body_text reads to the end, and
-    raised only if the trailer, sha256 and ASCII checks pass, so it is
-    reported after them, as when the whole file was checked first.  Last,
-    the rows must reach the declared vmax.  A caller keeps what it makes
-    of the batches to itself until the generator is exhausted.
+    _body_text has checked the trailer, sha256 and ASCII before the first
+    line comes.  The header is checked, then each batch of up to
+    _LOAD_BATCH rows in one pass (_batch_rows), or row by row (_walk_rows)
+    if that fails, so the error names the first bad line; a fault is
+    raised as it is found.  Last, the rows must reach the declared vmax.
+    A file over one block is read twice, and a change between the reads
+    is known only at the end, so a caller keeps what it makes of the
+    batches to itself until the generator is exhausted.
     """
-    body = _body_text(path)
-    lines = itertools.chain.from_iterable(text.split("\n")[:-1] for text in body)
+    lines = itertools.chain.from_iterable(text.split("\n")[:-1] for text in _body_text(path))
     magic, line2 = next(lines, None), next(lines, None)
-    header = line2 is not None and _HEADER_RE.match(line2)
-    fault = None
     if magic != _HEADER_MAGIC:
-        fault = TableFormatError("bad magic, expected %r" % (_HEADER_MAGIC,), line=1)
-    elif line2 is None:
-        fault = TableFormatError("missing header line", line=2)
-    elif not header:
-        fault = TableFormatError("bad header %r" % (line2,), line=2)
-    else:
-        m, vmax = map(_int, header.groups())
-        if m < 1:
-            fault = TableFormatError("m must be >= 1", line=2)
-    if not fault:
-        yield m, vmax
-        prev_key = (0, 0, 0)
-        small: dict[str, int] = {}
-        first = 3  # the file line of the batch's first row
-        for batch in iter(lambda: list(itertools.islice(lines, _LOAD_BATCH)), []):
-            # a filled table's file has a row (v, 1, s) for every s level v
-            # uses, so its indices stay below the line they are on, which
-            # bounds this map however large a header declares m or vmax
-            top = min(max(m, vmax), first + len(batch))
-            small.update((str(i), i) for i in range(len(small), top + 1))
-            try:
-                rows = _batch_rows(batch, prev_key, m, vmax, small) or _walk_rows(
-                    batch, first, prev_key, m, vmax
-                )
-            except TableFormatError as exc:
-                fault = exc
-                break
-            prev_key = rows[0][-1]
-            first += len(batch)
-            yield rows
-    # the end of the file decides whether a held fault is the one reported
-    for _text in body:
-        pass
-    if fault:
-        raise fault
+        raise TableFormatError("bad magic, expected %r" % (_HEADER_MAGIC,), line=1)
+    if line2 is None:
+        raise TableFormatError("missing header line", line=2)
+    header = _HEADER_RE.match(line2)
+    if not header:
+        raise TableFormatError("bad header %r" % (line2,), line=2)
+    m, vmax = map(_int, header.groups())
+    if m < 1:
+        raise TableFormatError("m must be >= 1", line=2)
+    yield m, vmax
+    prev_key = (0, 0, 0)
+    small: dict[str, int] = {}
+    first = 3  # the file line of the batch's first row
+    for batch in iter(lambda: list(itertools.islice(lines, _LOAD_BATCH)), []):
+        # a filled table's file has a row (v, 1, s) for every s level v
+        # uses, so its indices stay below the line they are on, which
+        # bounds this map however large a header declares m or vmax
+        top = min(max(m, vmax), first + len(batch))
+        small.update((str(i), i) for i in range(len(small), top + 1))
+        rows = _batch_rows(batch, prev_key, m, vmax, small) or _walk_rows(
+            batch, first, prev_key, m, vmax
+        )
+        prev_key = rows[-1][:3]
+        first += len(batch)
+        yield rows
     if prev_key[0] != vmax:
         # formatted through decimal: either number may be past the digit limit
         raise TableFormatError(
@@ -866,31 +869,31 @@ def _read_rows(path):
 def _read_levels(path):
     """Yield a CPTABLE 3 file's (m, vmax), then level v = 1..vmax in turn, as the file streams.
 
-    A level is the columns t, s and B of its rows (empty for a level with
-    none), yielded once its last row is read.  The rows and checks are
-    _read_rows', so the last level comes once the whole file has loaded.
+    A level is its rows (v, t, s, B), as _filled_levels yields them (empty
+    for a level with none), and comes once its last row is read.  The rows
+    and checks are _read_rows', so the last level comes once the whole
+    file has loaded.
     """
     batches = _read_rows(path)
     m, vmax = next(batches)
     yield m, vmax
-    level, ts, ss, bs = 1, [], [], []
-    for _keys, vs, bts, bss, bbs in batches:
+    level, rows = 1, []
+    for batch in batches:
         i = 0
-        while i < len(vs):
-            j = bisect.bisect_right(vs, vs[i], i)
-            while level < vs[i]:
-                yield ts, ss, bs
-                level, ts, ss, bs = level + 1, [], [], []
-            ts += bts[i:j]
-            ss += bss[i:j]
-            bs += bbs[i:j]
+        while i < len(batch):
+            # the first row past this level
+            j = bisect.bisect_left(batch, (level + 1,), i)
+            rows += batch[i:j]
+            if j < len(batch):
+                yield rows
+                level, rows = level + 1, []
             i = j
     if vmax:
-        yield ts, ss, bs
+        yield rows
 
 
 def _batch_rows(batch: list[str], prev_key, m: int, vmax: int, small: dict[str, int]):
-    """The keys (v, t, s) and columns v, t, s and B of a batch of rows, or None.
+    """The rows (v, t, s, B) of a batch of row lines, or None.
 
     None comes back unless every row check passes.  Each check is one
     pass over the whole batch (a regex match of the joined rows, then map
@@ -909,19 +912,21 @@ def _batch_rows(batch: list[str], prev_key, m: int, vmax: int, small: dict[str, 
         counts = list(map(int, tokens[3::4]))
     except (KeyError, ValueError):
         return None
-    keys = list(zip(vs, ts, ss))
+    rows = list(zip(vs, ts, ss, counts))
+    # a row (v, t, s, B) is below the next row's key (v', t', s') exactly
+    # when (v, t, s) < (v', t', s')
     if (
-        prev_key < keys[0]
-        and all(map(lt, keys, itertools.islice(keys, 1, None)))
+        prev_key < rows[0][:3]
+        and all(map(lt, rows, zip(vs[1:], ts[1:], ss[1:])))
         and max(vs) <= vmax
         and max(map(add, ts, ss)) <= m
     ):
-        return keys, vs, ts, ss, counts
+        return rows
     return None
 
 
 def _walk_rows(batch: list[str], first_line: int, prev_key, m: int, vmax: int):
-    """The keys (v, t, s) and columns v, t, s and B of a batch of rows, checked row by row.
+    """The rows (v, t, s, B) of a batch of row lines, checked one at a time.
 
     Raises TableFormatError at the first row that fails a check, with the
     file line number; first_line is the line of batch[0].  The row syntax
@@ -942,25 +947,22 @@ def _walk_rows(batch: list[str], first_line: int, prev_key, m: int, vmax: int):
         if t + s > m:
             raise TableFormatError("indices outside support", line=idx)
         rows.append(row)
-    return [row[:3] for row in rows], *zip(*rows)
+    return rows
 
 
 def load_table(path) -> CoeffTable:
     """Load a CPTABLE 3 file completely, or raise TableFormatError.
 
-    The file streams through _read_rows, which checks, in the order the
-    errors are reported: the trailer, which must be the last line, and
-    its sha256 of every byte before it, which rule out any truncation or
-    changed byte; then that the body is ASCII; then header magic and
+    The file streams through _read_levels, which checks, in the order
+    the errors are reported: the trailer, which must be the last line,
+    and its sha256 of every byte before it, which rule out any truncation
+    or changed byte; then that the body is ASCII; then header magic and
     fields, row syntax (v, t and the count B positive decimal integers
     with no leading zero, s a nonnegative one), strictly increasing
     (v, t, s) order, t + s <= m, and rows up to exactly the declared
-    vmax.  The origin B(0,0,0) = 1 is added, as no row can hold it.
+    vmax.  The table holds the levels it yields; the origin is implied.
     Numbers of any length load without lifting the int-to-str digit limit.
     """
-    batches = _read_rows(path)
-    m, vmax = next(batches)
-    counts = dict(_ORIGIN)
-    for keys, _vs, _ts, _ss, bs in batches:
-        counts.update(zip(keys, bs))
-    return CoeffTable(EnsembleParams.from_checks(m), vmax, counts)
+    levels = _read_levels(path)
+    m, _vmax = next(levels)
+    return CoeffTable(EnsembleParams.from_checks(m), list(levels))

@@ -1,6 +1,7 @@
 """Command line behavior: dispatch, artifacts, manifests, exit codes."""
 
 import argparse
+import bisect
 import contextlib
 import decimal
 import hashlib
@@ -287,7 +288,8 @@ def test_verify_flags_corruption(tmp_path, capsys):
     assert "sha256" in err
     # a wrong value saved with a valid trailer loads and fails the recheck:
     # B(1,1,0) = 1! 2^1 A = 5 is saved as the row "1 1 0 5"
-    table.counts[(1, 1, 0)] = 5
+    assert table.levels[0][0] == (1, 1, 0, 3)
+    table.levels[0][0] = (1, 1, 0, 5)
     save_table(table, path)
     rc, outtext, _ = run_cli(capsys, "--out", out, "table", "verify", "--file", str(path))
     assert rc == 2
@@ -388,6 +390,49 @@ def test_a_wrong_sha256_is_reported_before_a_bad_row(tmp_path, capsys, monkeypat
         assert (rc, outtext, err) == (2, "", "error: %s\n" % exc.value)
 
 
+@pytest.mark.parametrize("block", [64, 1024])
+def test_a_wrong_sha256_stops_a_multi_block_file_before_any_row(
+    tmp_path, capsys, monkeypatch, block
+):
+    # a file of many read blocks is hashed whole before its first line is
+    # read, so with a wrong sha256 no row is parsed, by the load or by the
+    # streamed verify, and both report the sha256 at the trailer's line;
+    # batches of 16 rows would be parsed long before the end of the file
+    path = tmp_path / "t.cpt"
+    save_table(fill_table(EnsembleParams.from_checks(12), vmax=12), path)
+    blob = path.read_bytes()
+    body = blob[: blob.rindex(b"end sha256=")]
+    path.write_bytes(body + b"end sha256=%s\n" % (b"0" * 64))
+    assert len(blob) > 3 * block
+    monkeypatch.setattr("cyclepoisson.table._READ_BLOCK", block)
+    monkeypatch.setattr("cyclepoisson.table._LOAD_BATCH", 16)
+
+    def parse(*_args):
+        raise AssertionError("a row was parsed before the sha256 was known")
+
+    monkeypatch.setattr("cyclepoisson.table._batch_rows", parse)
+    monkeypatch.setattr("cyclepoisson.table._walk_rows", parse)
+    with pytest.raises(TableFormatError) as exc:
+        load_table(path)
+    assert exc.value.line == body.count(b"\n") + 1
+    assert "sha256 of the body does not match the trailer" in str(exc.value)
+    rc, outtext, err = run_cli(capsys, "table", "verify", "--file", str(path))
+    assert (rc, outtext, err) == (2, "", "error: %s\n" % exc.value)
+
+
+def _count(table, key):
+    """The count the table stores at key, 0 if none."""
+    return next((row[3] for row in table.levels[key[0] - 1] if row[:3] == key), 0)
+
+
+def _set_count(table, key, count):
+    """Store the count at key (None deletes it), keeping its level's rows in key order."""
+    level = table.levels[key[0] - 1]
+    i = bisect.bisect_left(level, key)
+    held = i < len(level) and level[i][:3] == key
+    level[i:i + held] = [] if count is None else [(*key, count)]
+
+
 @pytest.mark.parametrize(
     "key, expect",
     [
@@ -403,12 +448,12 @@ def test_a_wrong_sha256_is_reported_before_a_bad_row(tmp_path, capsys, monkeypat
 )
 def test_streamed_verify_flags_a_row_outside_the_profile_support(tmp_path, capsys, key, expect):
     table = fill_table(EnsembleParams.from_checks(4), vmax=3)
-    table.counts[key] = 1
+    _set_count(table, key, 1)
     path = tmp_path / "t.cpt"
     save_table(table, path)
     rc, outtext, err = run_cli(capsys, "table", "verify", "--file", str(path))
     assert (rc, err) == (2, "")
-    assert outtext.splitlines() == ["table: m=4 vmax=3, %d entries" % len(table.counts)] + [
+    assert outtext.splitlines() == ["table: m=4 vmax=3, %d entries" % len(table.entries)] + [
         "FAIL entry outside profile support 2t+s <= 2v at (%d,%d,%d)" % key
     ] + ["FAIL %s" % msg for msg in expect]
 
@@ -422,20 +467,19 @@ def test_streamed_verify_reports_what_verify_table_reports(tmp_path_factory, m, 
     vmax = data.draw(st.integers(1, m), label="vmax")
     table = fill_table(EnsembleParams.from_checks(m), vmax)
     keys = st.one_of(
-        st.sampled_from(sorted(key for key in table.counts if key[0])),
+        st.sampled_from([row[:3] for level in table.levels for row in level]),
         st.integers(1, m).flatmap(
             lambda t: st.tuples(st.integers(1, vmax), st.just(t), st.integers(0, m - t))
         ),
     )
     # None deletes the key; an integer is added to its count, and a count
-    # that is then not positive is deleted
+    # that is then not positive is deleted; the level's rows stay in key order
     edit = st.tuples(keys, st.one_of(st.none(), st.integers(-3, 3)))
     for key, delta in data.draw(st.lists(edit, min_size=1, max_size=6), label="edits"):
-        count = table.counts.pop(key, 0) + (delta or 0)
-        if delta is not None and count > 0:
-            table.counts[key] = count
-    if all(key[0] < vmax for key in table.counts):
-        table.counts[(vmax, 1, 0)] = 1
+        count = _count(table, key) + (delta or 0)
+        _set_count(table, key, count if delta is not None and count > 0 else None)
+    if not table.levels[-1]:
+        table.levels[-1].append((vmax, 1, 0, 1))
     path = tmp_path_factory.mktemp("verify") / "t.cpt"
     save_table(table, path)
     loaded = load_table(path)
@@ -448,7 +492,7 @@ def test_streamed_verify_reports_what_verify_table_reports(tmp_path_factory, m, 
         "ok: support, origin, boundary and recurrence checks all pass"
     ]
     assert stdout.getvalue().splitlines() == [
-        "table: m=%d vmax=%d, %d entries" % (m, vmax, len(loaded.counts))
+        "table: m=%d vmax=%d, %d entries" % (m, vmax, len(loaded.entries))
     ] + status
     assert (rc, stderr.getvalue()) == (2 if problems else 0, "")
 
@@ -467,7 +511,7 @@ def build_and_save(out: Path, m: int, vmax: int) -> tuple[bytes, bytes]:
     n = max(m, vmax)
     table = fill_table(EnsembleParams(n=n, r=Fraction(n - m, n)), vmax)
     assert stdout.getvalue().splitlines()[0] == (
-        "filled m=%d vmax=%d, %d nonzero entries" % (m, vmax, len(table.counts)))
+        "filled m=%d vmax=%d, %d nonzero entries" % (m, vmax, len(table.entries)))
     digest = save_table(table, out / "saved.cpt")
     saved = (out / "saved.cpt").read_bytes()
     assert hashlib.sha256(saved).hexdigest() == digest

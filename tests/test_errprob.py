@@ -339,8 +339,10 @@ def test_table_route_reads_every_level(level):
     query = ErrProbQuery(params, eps, table)
     exact = block_error_probability(params, eps)
     assert expected_block_error(query) == exact
-    key = next(k for k in sorted(table.counts) if k[0] == level and k[1] >= 1)
-    table.counts[key] += 1
+    rows = table.levels[level - 1]
+    i = next(i for i, row in enumerate(rows) if row[1] >= 1)
+    v, t, s, b = rows[i]
+    rows[i] = (v, t, s, b + 1)
     assert expected_block_error(query).value != exact.value
 
 

@@ -460,12 +460,14 @@ def test_expansion_audit_rejects_negative_seed():
 
 
 def test_residual_empty_table():
+    # a table with no rows still holds the implied origin, whose artifact
+    # x z^2 * m(m-1) is the whole residual, outside the window
     params = EnsembleParams.from_checks(4)
-    empty = CoeffTable(params, 3, {})
+    empty = CoeffTable(params, [[], [], []])
     report = pde_residual(empty)
     assert report.passed
-    assert report.residual.is_zero()
-    assert report.excluded == []
+    assert report.residual.terms == {(1, 0, 2): -12}
+    assert report.excluded == [((1, 0, 2), -12)]
 
 
 def test_residual_recurrence_operator_passes():
@@ -545,14 +547,18 @@ def test_residual_small_tables(m_vmax):
 
 
 def test_residual_linearity(m5_table):
+    # every row scaled by 3, the implied origin not: the residual is
+    # 3 R(G) - 2 R(origin)
+    params = m5_table.params
     scaled = CoeffTable(
-        m5_table.params,
-        m5_table.vmax,
-        {k: 3 * b for k, b in m5_table.counts.items()},
+        params, [[(v, t, s, 3 * b) for v, t, s, b in level] for level in m5_table.levels]
     )
+    origin = CoeffTable(params, [[] for _ in m5_table.levels])
     a = pde_residual(m5_table, operator="printed")
     b = pde_residual(scaled, operator="printed")
-    assert b.residual == a.residual.scale(3)
+    o = pde_residual(origin, operator="printed")
+    assert not o.residual.is_zero()
+    assert b.residual == a.residual.scale(3) - o.residual.scale(2)
 
 
 @pytest.mark.parametrize("name", ["custom", "both", "Printed", ""])
@@ -572,13 +578,16 @@ def test_residual_window_sees_every_bump_off_the_boundary(m):
     vmax = m + 1
     table = fill_table(EnsembleParams(n=vmax, r=Fraction(vmax - m, vmax)), vmax)
     assert pde_residual(table).passed
-    bumped = [key for key in table.counts if key[2] >= 1]
+    bumped = [
+        (i, j) for i, level in enumerate(table.levels) for j, row in enumerate(level) if row[2] >= 1
+    ]
     assert bumped
-    for key in bumped:
-        counts = dict(table.counts)
-        counts[key] += 1
-        report = pde_residual(CoeffTable(table.params, vmax, counts))
-        assert not report.passed, key
+    for i, j in bumped:
+        levels = [list(level) for level in table.levels]
+        v, t, s, b = levels[i][j]
+        levels[i][j] = (v, t, s, b + 1)
+        report = pde_residual(CoeffTable(table.params, levels))
+        assert not report.passed, (v, t, s)
 
 
 def test_residual_json_shape(m5_table):

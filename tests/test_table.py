@@ -6,6 +6,7 @@ table equals a brute-force census of the endpoint assignments that contain
 a cycle.
 """
 
+import bisect
 import itertools
 import math
 import tracemalloc
@@ -26,7 +27,6 @@ from cyclepoisson.errors import GuardError, ValidationError
 from cyclepoisson.series import poisson_block_series
 from cyclepoisson.simulator import _erasure_fails
 from cyclepoisson.table import (
-    _ORIGIN,
     EnsembleParams,
     _block_counts,
     _column_counts,
@@ -171,18 +171,25 @@ def test_fill_vmax_bounds():
 
 
 def test_entries_is_a_read_only_fraction_view():
+    # entries is a new dict per access: value on every stored key, the
+    # origin included, and no write to it reaches the table
     table = fill_table(EnsembleParams.from_checks(5), vmax=5)
     view = table.entries
-    assert len(view) == len(table.counts) > 0
-    for key, val in view.items():
+    rows = list(itertools.chain(*table.levels))
+    assert len(view) == len(rows) + 1 > 1
+    assert view[(0, 0, 0)] == table.value(0, 0, 0) == 1
+    for v, t, s, b in rows:
+        val = view[(v, t, s)]
         assert type(val) is Fraction
+        assert val == table.value(v, t, s)
+        assert val * factorial(v) * 2**v == b
+    for key, val in view.items():
         assert val == table.value(*key)
-        assert val * factorial(key[0]) * 2 ** key[0] == table.counts[key]
     assert (1, 1, 1) not in view and table.value(1, 1, 1) == 0
-    with pytest.raises(TypeError):
-        view[(1, 1, 0)] = Fraction(1)
-    with pytest.raises(TypeError):
-        del view[(1, 1, 0)]
+    before = dict(view)
+    view[(1, 1, 0)] = Fraction(1)
+    del view[(2, 1, 0)]
+    assert table.entries == before
     with pytest.raises(AttributeError):
         table.entries = {}
 
@@ -198,6 +205,19 @@ def test_origin_value_never_feeds_recurrence(m, vmax):
     assert _recurrence_fill(m, vmax, {}) == stripped
 
 
+def _set_count(table, key, count):
+    """Store the count at key (None deletes it), keeping its level's rows in key order."""
+    level = table.levels[key[0] - 1]
+    i = bisect.bisect_left(level, key)
+    held = i < len(level) and level[i][:3] == key
+    level[i:i + held] = [] if count is None else [(*key, count)]
+
+
+def _counts(table):
+    """The table's rows as a (v, t, s) -> B dict."""
+    return {row[:3]: row[3] for row in itertools.chain(*table.levels)}
+
+
 def test_verify_table_clean():
     table = fill_table(EnsembleParams.from_checks(6), vmax=6)
     assert verify_table(table) == []
@@ -206,7 +226,7 @@ def test_verify_table_clean():
 def test_verify_table_flags_corruption():
     # A(2,1,1) + 1, that is B(2,1,1) + 2! 2^2
     table = fill_table(EnsembleParams.from_checks(4), vmax=3)
-    table.counts[(2, 1, 1)] += 8
+    _set_count(table, (2, 1, 1), _counts(table)[(2, 1, 1)] + 8)
     problems = verify_table(table)
     assert problems
     assert any("(2,1,1)" in msg or "(3," in msg for msg in problems)
@@ -216,7 +236,7 @@ def test_verify_table_flags_top_level_recurrence_corruption():
     # no recurrence row reads level vmax, so a wrong s >= 1 entry there is
     # caught by its own row only
     table = fill_table(EnsembleParams.from_checks(4), vmax=3)
-    table.counts[(3, 1, 2)] += 48
+    _set_count(table, (3, 1, 2), _counts(table)[(3, 1, 2)] + 48)
     assert verify_table(table) == ["recurrence fails at (3,1,2)"]
 
 
@@ -224,7 +244,7 @@ def test_verify_table_flags_boundary_corruption():
     # no recurrence row reads level vmax, so only the boundary oracle can
     # catch a wrong s = 0 entry there
     table = fill_table(EnsembleParams.from_checks(4), vmax=3)
-    table.counts[(3, 2, 0)] += 48
+    _set_count(table, (3, 2, 0), _counts(table)[(3, 2, 0)] + 48)
     assert verify_table(table) == ["boundary identity fails at (v=3,t=2)"]
 
 
@@ -232,10 +252,11 @@ def test_verify_table_flags_every_single_count_change():
     # every stored count, the edges of the profile support included, is
     # read by some visited row
     table = fill_table(EnsembleParams.from_checks(4), vmax=4)
-    for key in list(table.counts):
-        table.counts[key] += 1
-        assert verify_table(table), key
-        table.counts[key] -= 1
+    for level in table.levels:
+        for i, (v, t, s, b) in enumerate(level):
+            level[i] = (v, t, s, b + 1)
+            assert verify_table(table), (v, t, s)
+            level[i] = (v, t, s, b)
     assert verify_table(table) == []
 
 
@@ -248,12 +269,14 @@ def test_verify_table_flags_every_single_count_change():
         # level vmax: no row reads it, and its own row is not visited
         ((3, 3, 1), []),
         ((2, 3, 0), []),
+        # 2t + s = 2v + 1 and t + s = m: the last cell of row t = 2v + 1 - m
+        ((2, 1, 3), []),
     ],
 )
 def test_verify_table_flags_entry_outside_profile_support(key, expect):
     # 2t + s > 2v: no assignment of v variables has this profile
     table = fill_table(EnsembleParams.from_checks(4), vmax=3)
-    table.counts[key] = 1
+    _set_count(table, key, 1)
     assert verify_table(table) == [
         "entry outside profile support 2t+s <= 2v at (%d,%d,%d)" % key
     ] + expect
@@ -265,16 +288,12 @@ def _per_entry_verify(table):
     # exactly where a visited row names it
     m = table.m
     vmax = table.vmax
-    counts = table.counts
+    counts = _counts(table)
     bad = []
     for (v, t, s), b in sorted(counts.items()):
         if b == 0:
             bad.append("stored zero at (%d,%d,%d)" % (v, t, s))
-        if v == 0:
-            if _ORIGIN.get((v, t, s)) != b:
-                bad.append("v=0 entry (%d,%d,%d)=%s conflicts with the origin" % (v, t, s, b))
-            continue
-        if v > vmax or not (1 <= t <= m) or not (0 <= s <= m - t):
+        if not (1 <= t <= m) or not (0 <= s <= m - t):
             bad.append("entry outside support at (%d,%d,%d)" % (v, t, s))
         elif 2 * t + s > 2 * v:
             bad.append("entry outside profile support 2t+s <= 2v at (%d,%d,%d)" % (v, t, s))
@@ -297,28 +316,58 @@ def _per_entry_verify(table):
 @settings(max_examples=80, deadline=None)
 @given(m=st.integers(1, 6), data=st.data())
 def test_verify_table_matches_per_entry_reference(m, data):
-    # edits change, delete or insert counts: stored keys, any key of the
-    # levels the checks read (t = 0, t > v and t + s > m included), and
-    # keys a step outside the index ranges; from vmax = 2 on, some
-    # recurrence row reads level v - 1 at t - 1 = 0
+    # edits change, delete or insert rows in key order, as a level can
+    # hold them: stored keys, any key of the levels the checks read (t = 0,
+    # t > v and t + s > m included), and keys a step outside the index
+    # ranges; from vmax = 2 on, some recurrence row reads level v - 1 at
+    # t - 1 = 0
     vmax = data.draw(st.integers(min(m, 2), m), label="vmax")
     table = fill_table(EnsembleParams.from_checks(m), vmax)
     keys = st.one_of(
-        st.sampled_from(sorted(table.counts)),
-        st.tuples(st.integers(0, vmax), st.integers(0, m), st.integers(0, m)),
+        st.sampled_from(sorted(_counts(table))),
+        st.tuples(st.integers(1, vmax), st.integers(0, m), st.integers(0, m)),
         st.tuples(st.integers(1, vmax), st.just(0), st.integers(1, m)),
-        st.tuples(st.integers(-1, vmax + 1), st.integers(-1, m + 1), st.integers(-1, m + 1)),
+        st.tuples(st.integers(1, vmax), st.integers(-1, m + 1), st.integers(-1, m + 1)),
     )
     # None deletes the key; an integer is added to its count (0 on an
     # absent key stores a zero)
     edit = st.tuples(keys, st.one_of(st.none(), st.integers(-3, 3)))
     edits = data.draw(st.lists(edit, min_size=1, max_size=6), label="edits")
     for key, delta in edits:
-        if delta is None:
-            table.counts.pop(key, None)
-        else:
-            table.counts[key] = table.counts.get(key, 0) + delta
+        count = None if delta is None else _counts(table).get(key, 0) + delta
+        _set_count(table, key, count)
     assert verify_table(table) == _per_entry_verify(table)
+
+
+@pytest.mark.parametrize(
+    "key, count, message",
+    [
+        ((3, 1, 0), 0, "stored zero at (3,1,0)"),
+        # read by the row (3,1,1) as B(2,0,1)
+        ((2, 0, 1), 1, "entry outside support at (2,0,1)"),
+        ((2, 1, -1), 1, "entry outside support at (2,1,-1)"),
+        # s = -2 would index the cell of (2,1,2), inside the profile
+        ((2, 1, -2), 1, "entry outside support at (2,1,-2)"),
+        # t + s > m = 4 inside the profile support 2t + s <= 2v
+        ((3, 1, 4), 1, "entry outside support at (3,1,4)"),
+    ],
+)
+def test_verify_table_flags_each_row_a_level_should_not_hold(key, count, message):
+    table = fill_table(EnsembleParams.from_checks(4), vmax=3)
+    _set_count(table, key, count)
+    problems = verify_table(table)
+    assert problems[0] == message
+    assert problems == _per_entry_verify(table)
+
+
+@pytest.mark.parametrize("level, row", [(2, (1, 1, 0, 4)), (2, (3, 1, 0, 4)), (3, (1, 1, 1, 1))])
+def test_verify_table_flags_a_row_of_another_level(level, row):
+    # a level's rows carry their v; one with another level's v is outside
+    # the support, and the check reads no count from it
+    table = fill_table(EnsembleParams.from_checks(4), vmax=3)
+    rows = table.levels[level - 1]
+    rows.insert(0 if row < rows[0] else len(rows), row)
+    assert verify_table(table) == ["entry outside support at (%d,%d,%d)" % row[:3]]
 
 
 def _recurrence_fill(m, vmax, origin):
@@ -385,7 +434,7 @@ def test_column_counts_match_the_filled_table(m, vmax):
     # one kernel column against the whole fill, for every -1 <= t, s <= m + 1:
     # negative indices, t = 0, t > vmax and t + s > m included, where the
     # column is zero
-    counts = fill_table(_params(m, vmax), vmax).counts
+    counts = _counts(fill_table(_params(m, vmax), vmax))
     for t in range(-1, m + 2):
         for s in range(-1, m + 2):
             column = _column_counts(m, t, s, vmax)
@@ -433,14 +482,15 @@ def test_level_sum_is_positive():
 @given(
     m=st.integers(1, 6),
     vmax=st.integers(0, 7),
-    key=st.tuples(st.integers(0, 8), st.integers(0, 6), st.integers(0, 6)),
+    key=st.tuples(st.integers(1, 7), st.integers(0, 6), st.integers(0, 6)),
     count=st.integers(-50, 50).filter(bool),
 )
 def test_level_sums_match_fraction_sums(m, vmax, key, count):
     # the one-pass integer sums against a per-level Fraction sum, with one
-    # injected count anywhere, inside the table or not
+    # injected count at any key a level can hold, inside the support or not
     table = fill_table(_params(m, vmax), vmax)
-    table.counts[key] = count
+    if vmax:
+        _set_count(table, (min(key[0], vmax), *key[1:]), count)
     sums = table.level_sums()
     for v in range(10):
         expect = sum(
@@ -482,7 +532,7 @@ def test_table_counts_cyclic_assignments(m):
     for v in range(1, vmax + 1):
         census = _cyclic_census(m, v)
         weight = factorial(v) * 2**v
-        stored = {(t, s): b for (vv, t, s), b in table.counts.items() if vv == v}
+        stored = {(t, s): b for _v, t, s, b in table.levels[v - 1]}
         assert stored == census, (m, v)
         assert all(weight * table.value(v, t, s) == b for (t, s), b in stored.items())
 
@@ -518,7 +568,7 @@ def test_recurrence_terms_count_leaf_deletions(m):
     # each term alone is the number of (cyclic assignment, leaf) pairs whose
     # leaf edge ends, on its other side, at a check of degree >= 3, 2 or 1
     vmax = max(v for mm, v in _PEEL_PAIRS if mm == m)
-    b = fill_table(_params(m, vmax), vmax).counts.get
+    b = _counts(fill_table(_params(m, vmax), vmax)).get
     for v in range(1, vmax + 1):
         terms = {}
         for t in range(1, m + 1):

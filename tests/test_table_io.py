@@ -7,6 +7,7 @@ validated.
 """
 
 import hashlib
+import io
 import itertools
 import sys
 from fractions import Fraction
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 import cyclepoisson.table as cptable
 from cyclepoisson.combinatorics import factorial
-from cyclepoisson.errors import TableFormatError, ValidationError
+from cyclepoisson.errors import TableFormatError
 from cyclepoisson.table import (
     _LOAD_BATCH,
     CoeffTable,
@@ -83,9 +84,7 @@ def test_file_shape(table4):
     rows = [tuple(map(int, row.split())) for row in lines[2:-2]]
     assert all(len(row) == 4 for row in rows)
     assert rows == sorted(rows)
-    assert {row[:3]: row[3] for row in rows} == {
-        key: b for key, b in _table.counts.items() if key != (0, 0, 0)
-    }
+    assert rows == list(itertools.chain(*_table.levels))
 
 
 def test_load_bad_magic(tmp_path):
@@ -291,11 +290,38 @@ def test_small_read_blocks_load_and_fail_alike(table4, tmp_path, monkeypatch, bl
     assert {name: _outcome(p) for name, p in paths.items()} == whole
 
 
+def test_a_file_changed_between_the_two_reads_does_not_load(table4, tmp_path, monkeypatch):
+    # a file over one block is hashed, then read again for its rows; a
+    # signed file that the second read finds in its place fails that
+    # read's sha256 at its end, so no row the trailer did not sign loads
+    _params, table, path = table4
+    blob = path.read_bytes()
+    body = blob[: blob.rindex(b"end sha256=")]
+    changed = signed(body.replace(b"\n1 1 0 4\n", b"\n1 1 0 5\n"))
+    assert load_table(write_raw(tmp_path, changed)).levels[0][0] == (1, 1, 0, 5)
+    monkeypatch.setattr(cptable, "_READ_BLOCK", 64)
+    real, passes = cptable._line_blocks, []
+
+    def line_blocks(buf, fh):
+        passes.append(buf)
+        if len(passes) == 2:
+            fh = io.BytesIO(changed)
+            buf = fh.read(len(buf))
+        return real(buf, fh)
+
+    monkeypatch.setattr(cptable, "_line_blocks", line_blocks)
+    with pytest.raises(TableFormatError) as err:
+        load_table(path)
+    assert len(passes) == 2
+    assert err.value.line == body.count(b"\n") + 1
+    assert "the file changed while it was read" in str(err.value)
+
+
 @pytest.fixture(scope="module")
 def table40_body(tmp_path_factory):
     """The body lines of an m = vmax = 40 file: 16,610 rows, several batches."""
     table = fill_table(EnsembleParams.from_checks(40), vmax=40)
-    assert len(table.counts) == 16611 > 2 * _LOAD_BATCH
+    assert len(table.entries) == 16611 > 2 * _LOAD_BATCH
     path = tmp_path_factory.mktemp("cpt") / "m40.cpt"
     save_table(table, path)
     assert load_table(path) == table
@@ -322,10 +348,12 @@ def test_load_error_line_in_a_many_batch_table(table40_body, tmp_path, edit, lin
 
 
 def test_load_complete_requires_origin_row(tmp_path):
-    # no CPTABLE 3 row holds the origin; the load puts it back, so a loaded
-    # table always has it
+    # no CPTABLE 3 row or level holds the origin; it is implied, so a
+    # loaded table always has it
     text = "CPTABLE 3\nm=3 vmax=1\n1 1 0 3\n"
-    assert load_table(write(tmp_path, text)).counts == {(0, 0, 0): 1, (1, 1, 0): 3}
+    table = load_table(write(tmp_path, text))
+    assert table.levels == [[(1, 1, 0, 3)]]
+    assert table.entries == {(0, 0, 0): 1, (1, 1, 0): Fraction(3, 2)}
 
 
 def test_vmax0_table_is_the_origin(tmp_path):
@@ -347,24 +375,6 @@ def test_v1_file_rejected_with_rebuild_hint(tmp_path):
     assert "`cyclepoisson table build --m 4 --vmax 3`" in str(err.value)
 
 
-@pytest.mark.parametrize(
-    "plane", [{(0, 0, 0): 2}, {}, {(0, 0, 0): 1, (0, 1, 0): 1}], ids=["value", "missing", "extra"]
-)
-def test_save_refuses_a_v0_plane_other_than_the_origin(table4, tmp_path, plane):
-    # the file cannot hold a v = 0 row, so saving one would quietly mend it
-    _params, table, path = table4
-    counts = {key: b for key, b in table.counts.items() if key[0]}
-    bad = CoeffTable(table.params, table.vmax, {**plane, **counts})
-    with pytest.raises(ValidationError):
-        save_table(bad, tmp_path / "bad.cpt")
-    assert not (tmp_path / "bad.cpt").exists()
-    # nor is a byte of an existing file touched
-    blob = path.read_bytes()
-    with pytest.raises(ValidationError):
-        save_table(bad, path)
-    assert path.read_bytes() == blob
-
-
 def test_v2_file_rejected_with_rebuild_hint(tmp_path):
     # CPTABLE 2 held each entry as a reduced fraction; it is no longer read,
     # signed or not
@@ -382,7 +392,7 @@ def test_count_past_the_digit_limit_round_trips(tmp_path):
     # interpreter's int-to-str digit limit (4300 digits by default)
     limit = sys.get_int_max_str_digits()
     big = 10**5000 + 1
-    table = CoeffTable(EnsembleParams.from_checks(1), 1, {(0, 0, 0): 1, (1, 1, 0): big})
+    table = CoeffTable(EnsembleParams.from_checks(1), [[(1, 1, 0, big)]])
     path = tmp_path / "big.cpt"
     digest = save_table(table, path)
     blob = path.read_bytes()
@@ -411,7 +421,7 @@ LONG = "9" * 5000
 def test_rows_of_any_length_load_or_raise_a_format_error(tmp_path, text, line, word):
     path = write(tmp_path, text)
     if line is None:
-        assert load_table(path).counts[(1, 1, 0)] == 10**5000 - 1
+        assert load_table(path).levels == [[(1, 1, 0, 10**5000 - 1)]]
         return
     with pytest.raises(TableFormatError) as err:
         load_table(path)
