@@ -491,14 +491,16 @@ _RECONCILE_NOTE = (
 
 def _cmd_reconcile(args, run: _Run) -> int:
     from .errprob import block_error_probability
-    from .simulator import RNG_ID, estimate_block_error
+    from .simulator import RNG_ID, _estimate_block_errors
 
     run.seed = args.seed
     params = EnsembleParams(n=args.n, r=args.r)
+    # every analytic value first, so that an epsilon the exact side rejects
+    # stops the run before a trial is drawn; then one draw for all epsilons
+    analytics = [block_error_probability(params, eps) for eps in args.eps_list]
+    sims = _estimate_block_errors(params, args.eps_list, trials=args.trials, seed=args.seed)
     rows = []
-    for eps in args.eps_list:
-        analytic = block_error_probability(params, eps)
-        mc = estimate_block_error(params, eps, trials=args.trials, seed=args.seed)
+    for eps, analytic, mc in zip(args.eps_list, analytics, sims):
         lo, hi = mc.ci95
         verdict = "within-ci" if lo <= float(analytic.value) <= hi else "outside-ci"
         rows.append(

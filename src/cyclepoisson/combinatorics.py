@@ -140,6 +140,8 @@ def _block_partition_rows(blocks: int, min_block: int):
             # binom(n, j) for 0 <= j <= n from row n - 1, by Pascal's rule
             binoms = [1, *map(add, binoms, binoms[1:]), 1]
             rows[0].append(0)
+        # one slice serves every t: map stops at the shorter tail
+        low = binoms[min_block:]
         for t in range(1, min(blocks, n // min_block) + 1 if min_block else blocks + 1):
             if t == len(rows):
                 rows.append([0] * n)
@@ -147,7 +149,7 @@ def _block_partition_rows(blocks: int, min_block: int):
             # with min_block = 0 the j = 0 term reads P[t-1][n], set one step earlier
             top = n - (t - 1) * min_block
             tail = rows[t - 1][n - top : n - min_block + 1]
-            rows[t].append(sum(map(mul, binoms[min_block : top + 1], reversed(tail))))
+            rows[t].append(sum(map(mul, low, reversed(tail))))
         yield rows
 
 

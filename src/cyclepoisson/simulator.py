@@ -37,6 +37,10 @@ trial i is a row offset seed + i*3n*golden plus a column offset
 (j + 1)*golden, one uint64 add that wraps mod 2^64.  The peel and the table
 share one draw stage: a chunk's erasure slots as one slot-major matrix,
 then only the endpoints of the erased variables the shortcut leaves open.
+Only the threshold depends on eps, so one call estimates any number of
+epsilons from one draw stage per chunk: the chunk's erasure states are
+mixed once, compared against every threshold and freed, and each bool
+matrix is then decided in turn (`reconcile` draws each trial once).
 """
 
 from __future__ import annotations
@@ -366,17 +370,28 @@ def _chunk_failures(
     start: int,
     count: int,
     params: EnsembleParams,
-    p: int,
-    q: int,
+    pqs: list[tuple[int, int]],
     lut: np.ndarray | None,
-) -> int:
-    """Number of failures among trials start .. start+count-1."""
-    n, m = params.n, params.m
+) -> list[int]:
+    """Failures among trials start .. start+count-1, one count per (p, q) in pqs.
+
+    The erasure states are mixed once and compared against every
+    threshold; each bool matrix is then decided on its own.
+    """
+    n = params.n
     rowz, colz = _offsets(seed, start, count, n)
     # erasure draws, slot-major: erased[j, i] is variable j of trial i
-    z = np.add(colz[2 * n :, None], rowz)
-    erased = _erased_np(_mix53(z), p, q)
+    z = _mix53(np.add(colz[2 * n :, None], rowz))
+    erased = [_erased_np(z, p, q) for p, q in pqs]
     del z
+    # popped, so that each matrix is freed as soon as it is decided
+    return [_decided_failures(erased.pop(0), rowz, colz, params, lut) for _ in pqs]
+
+
+def _decided_failures(erased, rowz, colz, params, lut) -> int:
+    """Failures of a chunk whose (n, count) erasure matrix is `erased`."""
+    n, m = params.n, params.m
+    count = rowz.size
     # a forest on m checks has at most m - 1 edges
     failed = erased.sum(axis=0, dtype=np.min_scalar_type(n)) >= m
     erased &= ~failed
@@ -444,12 +459,14 @@ def _two_core(degree: np.ndarray, a: np.ndarray, b: np.ndarray):
     return a, b
 
 
-def _range_failures(seed, lo, hi, params, p, q, lut) -> int:
+def _range_failures(seed, lo, hi, params, pqs, lut) -> list[int]:
+    """Failures among trials lo .. hi-1, one count per (p, q) in pqs."""
     per_chunk = min(_BATCH, max(1, _BATCH_DRAWS // (3 * params.n)))
-    return sum(
-        _chunk_failures(seed, start, min(per_chunk, hi - start), params, p, q, lut)
-        for start in range(lo, hi, per_chunk)
-    )
+    totals = [0] * len(pqs)
+    for start in range(lo, hi, per_chunk):
+        chunk = _chunk_failures(seed, start, min(per_chunk, hi - start), params, pqs, lut)
+        totals = [a + b for a, b in zip(totals, chunk)]
+    return totals
 
 
 _Z95 = 1.959963984540054
@@ -517,7 +534,22 @@ def estimate_block_error(
     Unlike the analytic query, epsilon = 1 is a perfectly good simulation
     input here.
     """
-    eps = _check_epsilon(epsilon)
+    return _estimate_block_errors(params, [epsilon], trials, seed)[0]
+
+
+def _estimate_block_errors(
+    params: EnsembleParams,
+    epsilons,
+    trials: int,
+    seed: int,
+) -> list[SimResult]:
+    """`estimate_block_error` at each epsilon, every trial drawn once for all.
+
+    Trial i's draws do not depend on epsilon, only the erasure threshold
+    does, so result k equals estimate_block_error(params, epsilons[k],
+    trials, seed).
+    """
+    eps_list = [_check_epsilon(e) for e in epsilons]
     trials = _check_int(trials, "trials")
     if trials < 1:
         raise ValidationError("trials must be >= 1")
@@ -525,21 +557,24 @@ def estimate_block_error(
     n, m = params.n, params.m
     if m >= _M_LIMIT:
         raise ValidationError("m must be below 2^32, got %d" % m)
-    p, q = eps.numerator, eps.denominator
     # the factor 2^n alone exceeds the guard for n > 20; testing that first
     # spares computing m^(2n), a 1.7-million-bit integer at n = 10^5
     tiny = n <= 20 and m ** (2 * n) << n <= LUT_GUARD
     lut = _build_lut(params) if tiny else None
-    failures = _range_failures(seed, 0, trials, params, p, q, lut)
-    return SimResult(
-        params=params,
-        epsilon=eps,
-        trials=trials,
-        seed=seed,
-        failures=failures,
-        p_hat=failures / trials,
-        ci95=wilson_interval(failures, trials),
-    )
+    pqs = [(eps.numerator, eps.denominator) for eps in eps_list]
+    counts = _range_failures(seed, 0, trials, params, pqs, lut)
+    return [
+        SimResult(
+            params=params,
+            epsilon=eps,
+            trials=trials,
+            seed=seed,
+            failures=failures,
+            p_hat=failures / trials,
+            ci95=wilson_interval(failures, trials),
+        )
+        for eps, failures in zip(eps_list, counts)
+    ]
 
 
 def exhaustive_block_error(params: EnsembleParams, epsilon) -> Fraction:

@@ -287,7 +287,7 @@ def test_criterion_13_simulator_vs_exhaustive():
     lut = _build_lut(params)
     bounds = [0, 1, 16_385, 70_001, 333_333, 999_999, 10**6]
     pieces = sum(
-        _range_failures(seed, lo, hi, params, 1, 2, lut)
+        _range_failures(seed, lo, hi, params, [(1, 2)], lut)[0]
         for lo, hi in zip(bounds, bounds[1:])
     )
     assert pieces == base.failures

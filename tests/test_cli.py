@@ -1153,6 +1153,27 @@ def test_reconcile_report(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("3/2", "epsilon must lie in [0, 1], got 3/2"),
+        # the simulator takes epsilon = 1; only the exact side refuses it
+        ("1", "epsilon = 1 leaves x undefined (division by zero)"),
+    ],
+)
+def test_reconcile_checks_every_epsilon_before_drawing(tmp_path, monkeypatch, capsys, bad, message):
+    # all epsilons share one draw, so the exact side sees all of them first:
+    # a bad last epsilon stops the run before a trial of 1/10 is drawn
+    from cyclepoisson import simulator
+
+    monkeypatch.setattr(simulator, "_range_failures", lambda *args: pytest.fail("drew trials"))
+    out = tmp_path / "fresh"
+    rc, _, err = run_cli(capsys, "--out", str(out), "reconcile", "--n", "4",
+                         "--eps-list", "1/10," + bad, "--trials", "10")
+    assert (rc, err) == (2, "error: %s\n" % message)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv, repeated, distinct, artifact",
     [
         (["errprob", "sweep", "--n", "4", "--r", "1/2", "--eps-list"],

@@ -12,6 +12,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from cyclepoisson.simulator import (
     SampledCode,
     _build_lut,
     _chunk_failures,
+    _estimate_block_errors,
     _erased_np,
     _erasure_fails,
     _mix53,
@@ -466,7 +468,7 @@ def test_batched_peel_matches_per_trial_peel(params, eps, seed, lo, count):
 
 def _assert_peel_matches_replay(params, eps, seed, lo, count):
     p, q = eps.numerator, eps.denominator
-    batched = _range_failures(seed, lo, lo + count, params, p, q, None)
+    batched = _range_failures(seed, lo, lo + count, params, [(p, q)], None)[0]
     replayed = sum(
         replay_trial(params, eps, seed, i).failed for i in range(lo, lo + count)
     )
@@ -488,10 +490,72 @@ def test_range_failures_split_invariance(m, extra, eps, seed, lo, cuts):
     p, q = eps.numerator, eps.denominator
     bounds = [lo] + sorted(lo + c for c in cuts) + [lo + 400]
     pieces = sum(
-        _range_failures(seed, a, b, params, p, q, None)
+        _range_failures(seed, a, b, params, [(p, q)], None)[0]
         for a, b in zip(bounds, bounds[1:])
     )
-    assert pieces == _range_failures(seed, lo, lo + 400, params, p, q, None)
+    assert pieces == _range_failures(seed, lo, lo + 400, params, [(p, q)], None)[0]
+
+
+@st.composite
+def _epsilon_lists(draw):
+    # repeats on purpose; _EPSILONS draws the ends 0 and 1 often
+    eps = draw(st.lists(_EPSILONS, min_size=1, max_size=4))
+    return draw(st.permutations(eps + draw(st.lists(st.sampled_from(eps), max_size=2))))
+
+
+@st.composite
+def _lut_or_peel_instances(draw):
+    # a table-sized instance on either branch, or a larger one that peels
+    if draw(st.booleans()):
+        n, m = draw(st.sampled_from(_LUT_PAIRS))
+        return params_for(n, m), _lut_for(n, m) if draw(st.booleans()) else None
+    m = draw(st.integers(1, 40))
+    return params_for(m + draw(st.integers(0, 40)), m), None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=_lut_or_peel_instances(),
+    epsilons=_epsilon_lists(),
+    seed=st.integers(0, (1 << 64) - 1),
+    lo=st.integers(0, 10**12),
+    count=st.integers(1, 300),
+    per_chunk=st.integers(1, 64),
+    cuts=st.lists(st.integers(0, 300), max_size=4),
+)
+@example(
+    case=(P33, None), epsilons=[Fraction(1), Fraction(0), Fraction(1, 3), Fraction(1, 3)],
+    seed=5, lo=0, count=300, per_chunk=7, cuts=[0, 150],
+)
+def test_one_draw_for_many_epsilons_matches_one_run_each(
+    case, epsilons, seed, lo, count, per_chunk, cuts
+):
+    # trial i's draws do not depend on epsilon, so comparing one draw against
+    # every threshold counts what one run per epsilon counts, over chunks of
+    # per_chunk trials and over any split of the range
+    params, lut = case
+    pqs = [(eps.numerator, eps.denominator) for eps in epsilons]
+    hi = lo + count
+    with mock.patch.object(simulator, "_BATCH_DRAWS", 3 * params.n * per_chunk):
+        together = _range_failures(seed, lo, hi, params, pqs, lut)
+        assert together == [_range_failures(seed, lo, hi, params, [pq], lut)[0] for pq in pqs]
+        bounds = [lo] + sorted(lo + min(c, count) for c in cuts) + [hi]
+        pieces = [_range_failures(seed, a, b, params, pqs, lut) for a, b in zip(bounds, bounds[1:])]
+    assert [sum(column) for column in zip(*pieces)] == together
+    for eps, failures in zip(epsilons, together):
+        if eps == 0:
+            assert failures == 0
+        if eps == 1:  # n >= m, so every trial erases m or more variables
+            assert failures == count
+
+
+def test_estimates_at_many_epsilons_equal_one_estimate_each():
+    # the lookup table (n = 3, one chunk) and the peel (n = 200, 3000 trials
+    # over four chunks of 873), with a repeat and both ends of [0, 1]
+    eps = [Fraction(1, 20), Fraction(1), Fraction(0), Fraction(1, 20), Fraction(1, 3)]
+    for params in (P33, params_for(200, 100)):
+        together = _estimate_block_errors(params, eps, trials=3000, seed=11)
+        assert together == [estimate_block_error(params, e, trials=3000, seed=11) for e in eps]
 
 
 @st.composite
@@ -583,15 +647,15 @@ def _lut_for(n, m):
 def test_chunk_size_is_invisible(monkeypatch):
     params = params_for(30, 20)
     eps = Fraction(1, 4)
-    whole = _range_failures(5, 3, 403, params, 1, 4, None)
+    whole = _range_failures(5, 3, 403, params, [(1, 4)], None)[0]
     assert whole == sum(replay_trial(params, eps, 5, i).failed for i in range(3, 403))
     # the lookup table over several chunks
     lut = _lut_for(3, 3)
-    lut_whole = _range_failures(13, 0, 40000, P33, 2, 5, lut)
-    assert lut_whole == _range_failures(13, 0, 40000, P33, 2, 5, None)
+    lut_whole = _range_failures(13, 0, 40000, P33, [(2, 5)], lut)[0]
+    assert lut_whole == _range_failures(13, 0, 40000, P33, [(2, 5)], None)[0]
     monkeypatch.setattr(simulator, "_BATCH_DRAWS", 3 * 30 * 17)  # 17 trials a chunk
-    assert _range_failures(5, 3, 403, params, 1, 4, None) == whole
-    assert _range_failures(13, 0, 40000, P33, 2, 5, lut) == lut_whole
+    assert _range_failures(5, 3, 403, params, [(1, 4)], None)[0] == whole
+    assert _range_failures(13, 0, 40000, P33, [(2, 5)], lut)[0] == lut_whole
 
 
 def test_build_lut_matches_union_find_loop():
@@ -621,8 +685,8 @@ def test_lut_and_direct_paths_agree(draws):
     for (n, m), (eps, seed, lo, count) in zip(_LUT_PAIRS, draws):
         params = params_for(n, m)
         p, q = eps.numerator, eps.denominator
-        with_lut = _range_failures(seed, lo, lo + count, params, p, q, _lut_for(n, m))
-        without = _range_failures(seed, lo, lo + count, params, p, q, None)
+        with_lut = _range_failures(seed, lo, lo + count, params, [(p, q)], _lut_for(n, m))[0]
+        without = _range_failures(seed, lo, lo + count, params, [(p, q)], None)[0]
         replayed = sum(
             replay_trial(params, eps, seed, i).failed for i in range(lo, lo + count)
         )
@@ -649,9 +713,9 @@ def _lut_chunks(draw):
 def test_chunk_lut_and_peel_branches_agree(chunk):
     params, eps, seed, start, count = chunk
     p, q = eps.numerator, eps.denominator
-    args = (seed, start, count, params, p, q)
-    with_lut = _chunk_failures(*args, _lut_for(params.n, params.m))
-    assert with_lut == _chunk_failures(*args, None)
+    args = (seed, start, count, params, [(p, q)])
+    [with_lut] = _chunk_failures(*args, _lut_for(params.n, params.m))
+    assert [with_lut] == _chunk_failures(*args, None)
     if eps == 0:
         assert with_lut == 0
     if eps == 1:
@@ -687,18 +751,24 @@ def test_chunk_peak_memory():
     # Peel path, n = 200, m = 100, eps = 1/5, 4000 trials: the (200, 4000)
     # uint64 erasure states are 6.1 MiB, and what lives beside them is under
     # 1 MiB; one more (2, k) endpoint temporary (2.4 MiB) would pass 8 MiB.
-    assert _chunk_peak_mib(7, 0, 4000, params_for(200, 100), 1, 5, None) < 8
+    assert _chunk_peak_mib(7, 0, 4000, params_for(200, 100), [(1, 5)], None) < 8
+    # The same chunk at eps = 1/5 and 1/20 from one draw: the compare holds
+    # the states beside two (200, 4000) bool matrices (0.76 MiB each), and
+    # the 1/5 decide runs beside the 1/20 matrix, so the peak is at most the
+    # one-threshold one plus a bool matrix.  States kept past the compare
+    # (6.1 MiB) or one more (2, k) endpoint temporary would pass 9 MiB
+    assert _chunk_peak_mib(7, 0, 4000, params_for(200, 100), [(1, 5), (1, 20)], None) < 9
     # LUT path, n = 3, 65536 trials: the peak (2.29 MiB) is the shared draw
     # stage, the row offsets (512 KiB) beside the (3, trials) erasure states
     # (1.5 MiB); the table index's edge arrays (about 39k edges at eps = 1/5)
     # stay below it.  A (2, k) endpoint array kept alive through the lookup
     # lifts the peak to 2.78 MiB, and a (3n, trials) matrix of all draws
     # alone is 4.5 MiB
-    assert _chunk_peak_mib(7, 0, 1 << 16, P33, 1, 5, _lut_for(3, 3)) < 2.5
+    assert _chunk_peak_mib(7, 0, 1 << 16, P33, [(1, 5)], _lut_for(3, 3)) < 2.5
     # LUT path at eps = 1/2: about half the variables are erased, so the
     # endpoint stage is the peak; the endpoints are mapped in place, and a
     # fresh (2, k) product beside them lifts the peak above the bound
-    assert _chunk_peak_mib(7, 0, 1 << 16, P33, 1, 2, _lut_for(3, 3)) < 3.6
+    assert _chunk_peak_mib(7, 0, 1 << 16, P33, [(1, 2)], _lut_for(3, 3)) < 3.6
 
 
 def test_estimate_validation():
@@ -706,6 +776,10 @@ def test_estimate_validation():
         estimate_block_error(P22, Fraction(3, 2), trials=10, seed=1)
     with pytest.raises(ValidationError):
         estimate_block_error(P22, Fraction(1, 2), trials=0, seed=1)
+    # a bad epsilon anywhere in the list stops the call before it draws
+    with mock.patch.object(simulator, "_range_failures", side_effect=AssertionError):
+        with pytest.raises(ValidationError, match="epsilon must lie in"):
+            _estimate_block_errors(P22, [Fraction(1, 2), Fraction(3, 2)], trials=10, seed=1)
 
 
 @pytest.mark.parametrize("eps", [2, -1, Fraction(3, 2), Fraction(-1, 7)])
