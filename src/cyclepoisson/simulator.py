@@ -17,9 +17,10 @@ lists, until a round drops nothing.  The edges left are exactly the
 trials' peeling residuals, so a trial fails iff one of its edges
 survives.  Trials erasing m or more variables fail without peeling,
 because a forest on m checks has at most m - 1 edges.  `peel` (per code,
-sets and a stack) and `_erasure_fails` (per code, union-find) are the
-independent per-trial oracles; tiny instances replace the batched peel by
-a precomputed table of the same cycle test.
+sets and a stack) is the independent per-trial oracle, and
+`exhaustive_block_error` decides every (code, erasure) pair of a tiny
+instance with it; tiny instances replace the batched peel by a
+precomputed table of the same cycle test.
 
 Reproducibility contract (rng id "splitmix64-ctr/v1"): draw number j of
 trial i is the splitmix64 output at counter position i*3n + j, so results
@@ -39,8 +40,12 @@ share one draw stage: a chunk's erasure slots as one slot-major matrix,
 then only the endpoints of the erased variables the shortcut leaves open.
 Only the threshold depends on eps, so one call estimates any number of
 epsilons from one draw stage per chunk: the chunk's erasure states are
-mixed once, compared against every threshold and freed, and each bool
-matrix is then decided in turn (`reconcile` draws each trial once).
+mixed once, compared against every threshold and freed (`reconcile` draws
+each trial once).  A trial's erased sets are then nested, the lower
+threshold's inside the higher one's, and so are its peeling residuals, so
+a trial that survives one epsilon survives every lower one.  The highest
+epsilon is decided on every trial of the chunk, and each lower one only
+on the trials that failed at the epsilon above it.
 """
 
 from __future__ import annotations
@@ -229,35 +234,6 @@ def peel(code: SampledCode, erased) -> frozenset[int]:
     return frozenset(alive)
 
 
-def _erasure_fails(endpoints, erased_vars, m: int) -> bool:
-    """The per-trial oracle: cycle test on the erased multigraph by union-find.
-
-    Equivalent to a nonempty peeling residual: the residual is the 2-core,
-    and a multigraph has a nonempty 2-core iff it contains a cycle (a
-    self-loop or multi-edge counts).
-    """
-    count = len(erased_vars)
-    if count == 0:
-        return False
-    if count == 1:
-        i = erased_vars[0]
-        return endpoints[2 * i] == endpoints[2 * i + 1]
-    parent = list(range(m))
-
-    def find(c):
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    for i in erased_vars:
-        ra, rb = find(endpoints[2 * i]), find(endpoints[2 * i + 1])
-        if ra == rb:
-            return True
-        parent[ra] = rb
-    return False
-
-
 @dataclass(frozen=True)
 class TrialReplay:
     trial: int
@@ -302,8 +278,7 @@ def _build_lut(params: EnsembleParams) -> np.ndarray:
     Erases the variables one at a time, for all codes and masks at once:
     label[c, mask, x] names the component of check x in code c's erased
     multigraph, and erasing variable b closes a cycle iff its two checks
-    already share a label (union-find by relabelling, as in
-    `_erasure_fails`).
+    already share a label (union-find by relabelling).
     """
     n, m = params.n, params.m
     codes = m ** (2 * n)
@@ -375,8 +350,13 @@ def _chunk_failures(
 ) -> list[int]:
     """Failures among trials start .. start+count-1, one count per (p, q) in pqs.
 
-    The erasure states are mixed once and compared against every
-    threshold; each bool matrix is then decided on its own.
+    pqs must be nonempty and run from the highest epsilon down.  The
+    erasure states are mixed once and compared against every threshold.
+    The first matrix is decided on every trial, and each later one only on
+    the trials that failed at the threshold before it: a lower threshold
+    erases a subset of the same variables, and the residual inside a
+    subset is a subset of the residual, so every trial that survived above
+    survives below.
     """
     n = params.n
     rowz, colz = _offsets(seed, start, count, n)
@@ -384,12 +364,25 @@ def _chunk_failures(
     z = _mix53(np.add(colz[2 * n :, None], rowz))
     erased = [_erased_np(z, p, q) for p, q in pqs]
     del z
-    # popped, so that each matrix is freed as soon as it is decided
-    return [_decided_failures(erased.pop(0), rowz, colz, params, lut) for _ in pqs]
+    # popped, so that each matrix is freed once decided, or once the columns
+    # of its open trials are taken
+    failed = _decided_failures(erased.pop(0), rowz, colz, params, lut)
+    counts = [int(np.count_nonzero(failed))]
+    trials = None  # the trials `failed` flags; None while that is all of them
+    while erased:
+        trials = np.flatnonzero(failed) if trials is None else trials.compress(failed)
+        failed = _decided_failures(
+            erased.pop(0).take(trials, axis=1), rowz.take(trials), colz, params, lut
+        )
+        counts.append(int(np.count_nonzero(failed)))
+    return counts
 
 
-def _decided_failures(erased, rowz, colz, params, lut) -> int:
-    """Failures of a chunk whose (n, count) erasure matrix is `erased`."""
+def _decided_failures(erased, rowz, colz, params, lut) -> np.ndarray:
+    """Failure flags of the trials whose row offsets are `rowz`.
+
+    `erased` is their (n, rowz.size) erasure matrix, which is consumed.
+    """
     n, m = params.n, params.m
     count = rowz.size
     # a forest on m checks has at most m - 1 edges
@@ -422,7 +415,7 @@ def _decided_failures(erased, rowz, colz, params, lut) -> int:
         del ends
         idx = np.bincount(rows, np.take(np.array(weight, dtype=float), var), count)
         failed |= lut.take(idx.astype(np.intp))
-        return int(np.count_nonzero(failed))
+        return failed
     # checks of trial `row` renumbered to row*m .. row*m + m-1
     rows *= m
     ends += rows
@@ -431,7 +424,7 @@ def _decided_failures(erased, rowz, colz, params, lut) -> int:
     degree = np.bincount(ends.reshape(-1), minlength=count * m)
     a, _ = _two_core(degree, *ends)
     failed[a // m] = True
-    return int(np.count_nonzero(failed))
+    return failed
 
 
 def _two_core(degree: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -462,11 +455,17 @@ def _two_core(degree: np.ndarray, a: np.ndarray, b: np.ndarray):
 def _range_failures(seed, lo, hi, params, pqs, lut) -> list[int]:
     """Failures among trials lo .. hi-1, one count per (p, q) in pqs."""
     per_chunk = min(_BATCH, max(1, _BATCH_DRAWS // (3 * params.n)))
+    # every chunk takes the thresholds from the highest epsilon down
+    order = sorted(range(len(pqs)), key=lambda k: Fraction(*pqs[k]), reverse=True)
+    ranked = [pqs[k] for k in order]
     totals = [0] * len(pqs)
     for start in range(lo, hi, per_chunk):
-        chunk = _chunk_failures(seed, start, min(per_chunk, hi - start), params, pqs, lut)
+        chunk = _chunk_failures(seed, start, min(per_chunk, hi - start), params, ranked, lut)
         totals = [a + b for a, b in zip(totals, chunk)]
-    return totals
+    counts = [0] * len(pqs)
+    for k, total in zip(order, totals):
+        counts[k] = total
+    return counts
 
 
 _Z95 = 1.959963984540054
@@ -581,8 +580,9 @@ def exhaustive_block_error(params: EnsembleParams, epsilon) -> Fraction:
     """Exact failure probability by enumerating codes and erasure patterns.
 
     Averages the failure indicator over all m^(2n) equiprobable codes and
-    all 2^n erasure masks with their epsilon-weights.  Guarded: it is a
-    tiny-instance oracle, not a production path.
+    all 2^n erasure masks with their epsilon-weights, deciding each (code,
+    mask) pair with `peel`.  Guarded: it is a tiny-instance oracle, not a
+    production path.
 
     Raises:
         GuardError: m^(2n) > 10^7 or 2^n > 2^15.
@@ -596,13 +596,15 @@ def exhaustive_block_error(params: EnsembleParams, epsilon) -> Fraction:
         raise GuardError("2^n exceeds %d" % (EXHAUSTIVE_MASK_GUARD,))
     if eps == 0:
         return Fraction(0)
-    weights = [eps**k * (1 - eps) ** (n - k) for k in range(n + 1)]
     masks = [
         ([i for i in range(n) if mask >> i & 1]) for mask in range(1 << n)
     ]
-    total = Fraction(0)
+    # fails[k]: (code, mask) pairs that erase k variables and fail to peel
+    fails = [0] * (n + 1)
     for endpoints in itertools.product(range(m), repeat=2 * n):
+        code = SampledCode(params=params, endpoint_assignment=endpoints)
         for erased in masks:
-            if _erasure_fails(endpoints, erased, m):
-                total += weights[len(erased)]
+            if peel(code, erased):
+                fails[len(erased)] += 1
+    total = sum((c * eps**k * (1 - eps) ** (n - k) for k, c in enumerate(fails)), Fraction(0))
     return total / n_codes

@@ -51,8 +51,8 @@ the deleted edge's label, its orientation and the empty check its leaf
 lands on.  A forest strips down to t = 0, where the table is zero, so only
 cyclic graphs are counted.  The tests check each term against the
 (cyclic assignment, leaf) pairs of its kind, and the totals against an
-exhaustive census of the assignments the simulator's union-find oracle
-finds a cycle in.  At s = 0 these are all the stopping sets on t checks,
+exhaustive census of the assignments a union-find cycle test finds a
+cycle in.  At s = 0 these are all the stopping sets on t checks,
 since a graph with no check of degree one always has a cycle.
 brute_force_profile_counts tallies every assignment, forests included, so
 it exceeds the table wherever a forest has the profile.

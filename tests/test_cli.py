@@ -1152,6 +1152,24 @@ def test_reconcile_report(tmp_path, capsys):
     assert "verdict" in out
 
 
+def test_reconcile_rows_equal_one_simulate_each_in_list_order(tmp_path, capsys):
+    # the list is not sorted: the highest epsilon is decided first inside,
+    # and the rows still come back in the order given
+    eps_list = ["1/5", "1/20", "1/10"]
+    common = ["--n", "200", "--r", "1/2", "--trials", "2000", "--seed", "7"]
+    rc, _, _ = run_cli(capsys, "--out", str(tmp_path), "reconcile", *common,
+                       "--eps-list", ",".join(eps_list))
+    assert rc == 0
+    rows = json.loads((tmp_path / "reconcile.json").read_text())["rows"]
+    assert [row["epsilon"] for row in rows] == eps_list
+    simulated = []
+    for eps in eps_list:
+        rc, out, _ = run_cli(capsys, "--out", str(tmp_path), "simulate", *common, "--eps", eps)
+        assert rc == 0
+        simulated.append(json.loads(out)["failures"])
+    assert [row["mc_failures"] for row in rows] == simulated
+
+
 @pytest.mark.parametrize(
     "bad, message",
     [

@@ -30,7 +30,6 @@ from cyclepoisson.simulator import (
     _chunk_failures,
     _estimate_block_errors,
     _erased_np,
-    _erasure_fails,
     _mix53,
     _offsets,
     _range_failures,
@@ -45,6 +44,29 @@ from cyclepoisson.simulator import (
     wilson_interval,
 )
 from cyclepoisson.table import EnsembleParams
+
+
+def _erasure_fails(endpoints, erased_vars, m):
+    """Cycle test on the erased multigraph by union-find.
+
+    Equivalent to a nonempty peeling residual: the residual is the 2-core,
+    and a multigraph has a nonempty 2-core iff it contains a cycle (a
+    self-loop or multi-edge counts).
+    """
+    parent = list(range(m))
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    for i in erased_vars:
+        ra, rb = find(endpoints[2 * i]), find(endpoints[2 * i + 1])
+        if ra == rb:
+            return True
+        parent[ra] = rb
+    return False
 
 
 def params_for(n, m):
@@ -558,6 +580,26 @@ def test_estimates_at_many_epsilons_equal_one_estimate_each():
         assert together == [estimate_block_error(params, e, trials=3000, seed=11) for e in eps]
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    m=st.integers(1, 40),
+    extra=st.integers(0, 60),
+    seed=st.integers(0, (1 << 64) - 1),
+    trial=st.integers(0, 10**12),
+    pair=st.lists(_EPSILONS, min_size=2, max_size=2).map(sorted),
+)
+@example(m=20, extra=20, seed=7, trial=3, pair=[Fraction(1, 20), Fraction(1, 2)])
+def test_lower_epsilon_erases_and_leaves_subsets(m, extra, seed, trial, pair):
+    # why each lower epsilon need only decide the trials that failed above
+    # it: the same draws against a lower threshold erase a subset, and the
+    # maximal stopping set inside a subset lies inside the larger one's
+    params = params_for(m + extra, m)
+    low, high = (replay_trial(params, eps, seed, trial) for eps in pair)
+    assert low.code == high.code
+    assert low.erased <= high.erased
+    assert low.residual <= high.residual
+
+
 @st.composite
 def _multigraph_batches(draw):
     # trials share m; each gets its own edge list, with self-loops and
@@ -753,10 +795,12 @@ def test_chunk_peak_memory():
     # 1 MiB; one more (2, k) endpoint temporary (2.4 MiB) would pass 8 MiB.
     assert _chunk_peak_mib(7, 0, 4000, params_for(200, 100), [(1, 5)], None) < 8
     # The same chunk at eps = 1/5 and 1/20 from one draw: the compare holds
-    # the states beside two (200, 4000) bool matrices (0.76 MiB each), and
-    # the 1/5 decide runs beside the 1/20 matrix, so the peak is at most the
-    # one-threshold one plus a bool matrix.  States kept past the compare
-    # (6.1 MiB) or one more (2, k) endpoint temporary would pass 9 MiB
+    # the states beside two (200, 4000) bool matrices (0.76 MiB each).  The
+    # 1/5 decide runs first, on every trial, beside the 1/20 matrix, so the
+    # peak is at most the one-threshold one plus a bool matrix; the 1/20
+    # decide then runs only on the columns of the trials that failed at 1/5.
+    # States kept past the compare (6.1 MiB) or one more (2, k) endpoint
+    # temporary would pass 9 MiB
     assert _chunk_peak_mib(7, 0, 4000, params_for(200, 100), [(1, 5), (1, 20)], None) < 9
     # LUT path, n = 3, 65536 trials: the peak (2.29 MiB) is the shared draw
     # stage, the row offsets (512 KiB) beside the (3, trials) erasure states

@@ -25,7 +25,6 @@ from cyclepoisson.combinatorics import (
 )
 from cyclepoisson.errors import GuardError, ValidationError
 from cyclepoisson.series import poisson_block_series
-from cyclepoisson.simulator import _erasure_fails
 from cyclepoisson.table import (
     EnsembleParams,
     _block_counts,
@@ -505,11 +504,30 @@ def test_level_sums_match_fraction_sums(m, vmax, key, count):
 # ----------------------------------------------------------------------
 
 
+def _has_cycle(assign, m):
+    """Whether the multigraph with edges (assign[2i], assign[2i+1]) on m
+    checks has a cycle (a self-loop or multi-edge counts), by union-find."""
+    parent = list(range(m))
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    for a, b in zip(assign[::2], assign[1::2]):
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            return True
+        parent[ra] = rb
+    return False
+
+
 def _cyclic_census(m, v):
     """(t, s) profiles of the assignments of v variables with a cycle."""
     counts = {}
     for assign in itertools.product(range(m), repeat=2 * v):
-        if _erasure_fails(assign, range(v), m):
+        if _has_cycle(assign, m):
             deg = [0] * m
             for c in assign:
                 deg[c] += 1
@@ -546,7 +564,7 @@ def _leaf_deletions(m, v):
     """
     counts = {}
     for assign in itertools.product(range(m), repeat=2 * v):
-        if not _erasure_fails(assign, range(v), m):
+        if not _has_cycle(assign, m):
             continue
         deg = [0] * m
         for c in assign:
