@@ -76,7 +76,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import add, index, itemgetter, lt, setitem
+from operator import add, ge, index, itemgetter, lt, setitem
 
 from .combinatorics import (
     _block_partition_rows,
@@ -105,10 +105,8 @@ _HEADER_MAGIC = "CPTABLE 3"
 _HEADER_RE = re.compile(r"^m=(0|[1-9][0-9]*) vmax=(0|[1-9][0-9]*)$")
 # the magic and header of the formats no longer read, for the rebuild command
 _OLD_HEAD_RE = re.compile(rb"(CPTABLE [12])\n(?:m=([0-9]+) vmax=([0-9]+) )?")
-# one row "<v> <t> <s> <B>" with v, t and B positive, or several joined by
-# newlines
-_ROW = r"[1-9][0-9]* [1-9][0-9]* (?:0|[1-9][0-9]*) [1-9][0-9]*"
-_ROWS_RE = re.compile(r"(?:%s\n)*%s" % (_ROW, _ROW))
+# rows "<v> <t> <s> <B>", each ending in LF, with v, t and B positive
+_ROWS_RE = re.compile(r"(?:[1-9][0-9]* [1-9][0-9]* (?:0|[1-9][0-9]*) [1-9][0-9]*\n)*")
 # rows that load_table checks per pass: one batch's parsed columns stay
 # small beside the table they fill
 _LOAD_BATCH = 4096
@@ -764,17 +762,20 @@ def _body_text(path):
     first (the file changed between the passes), the generator raises at
     its end, so a caller that keeps nothing until then takes in only the
     bytes the trailer signs.  CPTABLE 1 and CPTABLE 2 files are rejected
-    first, with the command that rebuilds them.
+    first, with the command that rebuilds them, read up to the end of
+    their second line only.
     """
     digest = hashlib.sha256()
     non_ascii = None
     offset = lines = 0
     with open(path, "rb") as fh:
         head = fh.read(_READ_BLOCK)
-        # the rebuild hint reads the second line, which may be longer
-        old = _OLD_HEAD_RE.match(head) and _OLD_HEAD_RE.match(head + fh.read())
-        if old:
-            magic, m, vmax = (g.decode() for g in old.groups(b""))
+        if _OLD_HEAD_RE.match(head):
+            # the rebuild hint reads the second line, which may go on past
+            # this block; the rest of the file is not read
+            while head.count(b"\n") < 2 and (more := fh.read(_READ_BLOCK)):
+                head += more
+            magic, m, vmax = (g.decode() for g in _OLD_HEAD_RE.match(head).groups(b""))
             hint = "`cyclepoisson table build --m %s --vmax %s`" % (m or "<m>", vmax or "<vmax>")
             raise TableFormatError(
                 "%s files are no longer read; rebuild with %s" % (magic, hint), line=1
@@ -817,17 +818,20 @@ def _body_text(path):
             raise TableFormatError("the file changed while it was read", line=lines + 1)
 
 
-def _read_rows(path):
-    """Yield a CPTABLE 3 file's (m, vmax), then its rows (v, t, s, B) in checked batches.
+def _read_levels(path):
+    """Yield a CPTABLE 3 file's (m, vmax), then level v = 1..vmax in turn, as the file streams.
 
+    A level is its rows (v, t, s, B), as _filled_levels yields them (empty
+    for a level with none), and comes once its last row is read.
     _body_text has checked the trailer, sha256 and ASCII before the first
     line comes.  The header is checked, then each batch of up to
-    _LOAD_BATCH rows in one pass (_batch_rows), or row by row (_walk_rows)
-    if that fails, so the error names the first bad line; a fault is
-    raised as it is found.  Last, the rows must reach the declared vmax.
-    A file over one block is read twice, and a change between the reads
-    is known only at the end, so a caller keeps what it makes of the
-    batches to itself until the generator is exhausted.
+    _LOAD_BATCH rows (_batch_rows), which raises at the batch's first bad
+    line, and each level is cut from the batches by bisecting their v
+    columns.  Last, the rows must reach the declared vmax, and only then
+    does the last level come.  A file over one block is read twice, and a
+    change between the reads is known only at the end, so a caller keeps
+    what it makes of the levels to itself until the generator is
+    exhausted.
     """
     lines = itertools.chain.from_iterable(text.split("\n")[:-1] for text in _body_text(path))
     magic, line2 = next(lines, None), next(lines, None)
@@ -845,18 +849,25 @@ def _read_rows(path):
     prev_key = (0, 0, 0)
     small: dict[str, int] = {}
     first = 3  # the file line of the batch's first row
+    level, rows = 1, []
     for batch in iter(lambda: list(itertools.islice(lines, _LOAD_BATCH)), []):
         # a filled table's file has a row (v, 1, s) for every s level v
         # uses, so its indices stay below the line they are on, which
         # bounds this map however large a header declares m or vmax
         top = min(max(m, vmax), first + len(batch))
         small.update((str(i), i) for i in range(len(small), top + 1))
-        rows = _batch_rows(batch, prev_key, m, vmax, small) or _walk_rows(
-            batch, first, prev_key, m, vmax
-        )
-        prev_key = rows[-1][:3]
+        batch, vs = _batch_rows(batch, first, prev_key, m, vmax, small)
+        prev_key = batch[-1][:3]
         first += len(batch)
-        yield rows
+        i = 0
+        while i < len(batch):
+            # the first row past this level
+            j = bisect.bisect_right(vs, level, i)
+            rows += batch[i:j]
+            if j < len(batch):
+                yield rows
+                level, rows = level + 1, []
+            i = j
     if prev_key[0] != vmax:
         # formatted through decimal: either number may be past the digit limit
         raise TableFormatError(
@@ -864,90 +875,62 @@ def _read_rows(path):
             % (decimal.Decimal(prev_key[0]), decimal.Decimal(vmax)),
             line=2,
         )
-
-
-def _read_levels(path):
-    """Yield a CPTABLE 3 file's (m, vmax), then level v = 1..vmax in turn, as the file streams.
-
-    A level is its rows (v, t, s, B), as _filled_levels yields them (empty
-    for a level with none), and comes once its last row is read.  The rows
-    and checks are _read_rows', so the last level comes once the whole
-    file has loaded.
-    """
-    batches = _read_rows(path)
-    m, vmax = next(batches)
-    yield m, vmax
-    level, rows = 1, []
-    for batch in batches:
-        i = 0
-        while i < len(batch):
-            # the first row past this level
-            j = bisect.bisect_left(batch, (level + 1,), i)
-            rows += batch[i:j]
-            if j < len(batch):
-                yield rows
-                level, rows = level + 1, []
-            i = j
     if vmax:
         yield rows
 
 
-def _batch_rows(batch: list[str], prev_key, m: int, vmax: int, small: dict[str, int]):
-    """The rows (v, t, s, B) of a batch of row lines, or None.
+def _batch_rows(
+    batch: list[str], first_line: int, prev_key, m: int, vmax: int, small: dict[str, int]
+):
+    """The rows (v, t, s, B) of a batch of row lines, and their v column.
 
-    None comes back unless every row check passes.  Each check is one
+    Raises TableFormatError at the first row that fails a check, with its
+    file line number (first_line is batch[0]'s).  A row fails if it is not
+    "<v> <t> <s> <B>" with v, t and B positive decimal integers and s a
+    nonnegative one, none with a leading zero; then, in this order within
+    a row, if its (v, t, s) is not above the row before it (prev_key
+    before batch[0]), if v > vmax and if t + s > m.  Each check is one
     pass over the whole batch (a regex match of the joined rows, then map
     and zip over the parsed columns), so no row runs interpreter code of
-    its own.  The checks are those of _walk_rows.  small maps decimal
-    strings to ints, which a dict lookup does several times faster than
-    int(); a row with an index it lacks, or a count int() refuses, goes to
-    _walk_rows.
+    its own.  Only when a pass fails is its first bad row found, from what
+    the passes hold: the end of the regex match, and the first true flag
+    of each column check; the rows before a bad syntax are still checked.
+    small maps decimal strings to ints, which a dict lookup does several
+    times faster than int(); a batch with an index it lacks, or a count
+    past the int-to-str digit limit, is parsed with _int throughout.
     """
-    text = "\n".join(batch)
-    if not _ROWS_RE.fullmatch(text):
-        return None
-    tokens = text.split()
+    text = "\n".join([*batch, ""])
+    good = _ROWS_RE.match(text).end()
+    tokens = (text if good == len(text) else text[:good]).split()
     try:
         vs, ts, ss = (list(map(small.__getitem__, tokens[i::4])) for i in range(3))
         counts = list(map(int, tokens[3::4]))
     except (KeyError, ValueError):
-        return None
+        vs, ts, ss, counts = (list(map(_int, tokens[i::4])) for i in range(4))
     rows = list(zip(vs, ts, ss, counts))
-    # a row (v, t, s, B) is below the next row's key (v', t', s') exactly
-    # when (v, t, s) < (v', t', s')
-    if (
-        prev_key < rows[0][:3]
-        and all(map(lt, rows, zip(vs[1:], ts[1:], ss[1:])))
-        and max(vs) <= vmax
-        and max(map(add, ts, ss)) <= m
-    ):
-        return rows
-    return None
-
-
-def _walk_rows(batch: list[str], first_line: int, prev_key, m: int, vmax: int):
-    """The rows (v, t, s, B) of a batch of row lines, checked one at a time.
-
-    Raises TableFormatError at the first row that fails a check, with the
-    file line number; first_line is the line of batch[0].  The row syntax
-    makes v, t and B positive integers.
-    """
-    rows = []
-    for idx, line in enumerate(batch, start=first_line):
-        if not _ROWS_RE.fullmatch(line):
-            raise TableFormatError("bad row %r" % (line,), line=idx)
-        tokens = line.split()
-        row = tuple(map(_int, tokens))
-        if row[:3] <= prev_key:
-            raise TableFormatError("rows out of order at (%s)" % ", ".join(tokens[:3]), line=idx)
-        prev_key = row[:3]
-        v, t, s, _b = row
-        if v > vmax:
-            raise TableFormatError("v exceeds declared vmax", line=idx)
-        if t + s > m:
-            raise TableFormatError("indices outside support", line=idx)
-        rows.append(row)
-    return rows
+    # a row (v, t, s, B) is at or above the next row's key (v', t', s')
+    # exactly when (v, t, s) >= (v', t', s')
+    order = map(ge, itertools.chain([prev_key], rows), zip(vs, ts, ss))
+    if good == len(text) and not any(order) and max(vs) <= vmax and max(map(add, ts, ss)) <= m:
+        return rows, vs
+    # each check's first bad row, len(rows) for none
+    firsts = [
+        next(itertools.compress(itertools.count(), flags), len(rows))
+        for flags in (
+            map(ge, itertools.chain([prev_key], rows), zip(vs, ts, ss)),
+            map(lt, itertools.repeat(vmax), vs),
+            map(lt, itertools.repeat(m), map(add, ts, ss)),
+        )
+    ]
+    i = min(firsts)
+    if i == len(rows):
+        raise TableFormatError("bad row %r" % (batch[i],), line=first_line + i)
+    messages = (
+        "rows out of order at (%s)" % ", ".join(tokens[4 * i : 4 * i + 3]),
+        "v exceeds declared vmax",
+        "indices outside support",
+    )
+    raise TableFormatError(messages[firsts.index(i)], line=first_line + i)
 
 
 def load_table(path) -> CoeffTable:
@@ -960,7 +943,9 @@ def load_table(path) -> CoeffTable:
     fields, row syntax (v, t and the count B positive decimal integers
     with no leading zero, s a nonnegative one), strictly increasing
     (v, t, s) order, t + s <= m, and rows up to exactly the declared
-    vmax.  The table holds the levels it yields; the origin is implied.
+    vmax.  A row error names the file's first bad line, which _batch_rows
+    finds from its own passes over the batch that holds it.  The table
+    holds the levels _read_levels yields; the origin is implied.
     Numbers of any length load without lifting the int-to-str digit limit.
     """
     levels = _read_levels(path)

@@ -411,7 +411,6 @@ def test_a_wrong_sha256_stops_a_multi_block_file_before_any_row(
         raise AssertionError("a row was parsed before the sha256 was known")
 
     monkeypatch.setattr("cyclepoisson.table._batch_rows", parse)
-    monkeypatch.setattr("cyclepoisson.table._walk_rows", parse)
     with pytest.raises(TableFormatError) as exc:
         load_table(path)
     assert exc.value.line == body.count(b"\n") + 1

@@ -6,14 +6,18 @@ before it, so no truncation or changed byte can load; the rows are then
 validated.
 """
 
+import decimal
 import hashlib
 import io
 import itertools
+import re
 import sys
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cyclepoisson.table as cptable
@@ -347,6 +351,103 @@ def test_load_error_line_in_a_many_batch_table(table40_body, tmp_path, edit, lin
     assert word in str(err)
 
 
+ROW_RE = re.compile(r"[1-9][0-9]* [1-9][0-9]* (?:0|[1-9][0-9]*) [1-9][0-9]*")
+
+
+def walk_rows(lines, m, vmax):
+    """The (line, message) load_table raises for rows lines under header m, vmax, or None.
+
+    The reference for the batch checks: the rows are checked one at a
+    time from file line 3, each for its syntax, then order, v <= vmax and
+    t + s <= m, and the first that fails is named; a file whose rows all
+    pass must reach vmax.  Tokens of any length are read through decimal.
+    """
+    prev_key = (0, 0, 0)
+    for idx, line in enumerate(lines, start=3):
+        if not ROW_RE.fullmatch(line):
+            return idx, "bad row %r" % (line,)
+        tokens = line.split()
+        v, t, s = key = tuple(int(decimal.Decimal(tok)) for tok in tokens[:3])
+        if key <= prev_key:
+            return idx, "rows out of order at (%s)" % ", ".join(tokens[:3])
+        prev_key = key
+        if v > vmax:
+            return idx, "v exceeds declared vmax"
+        if t + s > m:
+            return idx, "indices outside support"
+    if prev_key[0] != vmax:
+        return 2, "rows stop at v=%d but the header declares vmax=%d" % (prev_key[0], vmax)
+    return None
+
+
+BAD_ROWS = [
+    "", "x", "1 1 0", "1 1 0 4 4", "1 1 0 0", "0 1 0 1", "1 0 1 1", "1 1 01 2",
+    "1 1 0 -3", "1 1 0 3/2", "1  1 0 3", "1 1 0 3 ",
+]
+# past m = vmax = 5, past the map of small indices, past the int-to-str digit limit
+BIG = ["6", "7", str(10**6), "9" * 5000]
+
+
+def _apply_edit(lines, kind, i, k):
+    """Edit row lines[i] (taken modulo the rows) by kind, k picking the value."""
+    i %= len(lines)
+    tokens = lines[i].split()
+    if kind == "syntax":
+        lines[i] = BAD_ROWS[k % len(BAD_ROWS)]
+    elif kind == "repeat":
+        # the same key again, with the same count or another
+        lines.insert(i + 1, lines[i] if k % 2 else " ".join(tokens[:3] + ["1"]))
+    elif kind == "swap":
+        lines[i : i + 2] = lines[i : i + 2][::-1]
+    elif kind == "key" and len(tokens) == 4:
+        # a small key anywhere, so one row can fail two checks at once
+        tokens[:3] = map(str, (1 + k % 7, 1 + k // 7 % 7, k // 49 % 8))
+        lines[i] = " ".join(tokens)
+    elif len(tokens) == 4:
+        col = "vtsB".index(kind)
+        tokens[col] = "5" if kind == "s" and k % 2 else BIG[k % len(BIG)]
+        lines[i] = " ".join(tokens)
+
+
+@pytest.mark.parametrize("batch", [1, 3, 16])
+@settings(max_examples=60, deadline=None)
+@given(
+    edits=st.lists(
+        st.tuples(
+            st.sampled_from(["syntax", "repeat", "swap", "key", "v", "t", "s", "B"]),
+            st.integers(0, 100),
+            st.integers(0, 400),
+        ),
+        min_size=1,
+        max_size=3,
+    )
+)
+# a repeated key; one row out of order with t + s > m; one with v > vmax and t + s > m
+@example(edits=[("repeat", 0, 1)])
+@example(edits=[("key", 2, 35)])
+@example(edits=[("key", 0, 40)])
+def test_batches_name_the_first_bad_line_the_row_walk_names(tmp_path_factory, batch, edits):
+    # faults land on batch edges and several share a batch; the load
+    # raises exactly the walk's line and message, or loads the rows
+    table = fill_table(EnsembleParams.from_checks(5), vmax=5)
+    lines = ["%d %d %d %d" % row for row in itertools.chain(*table.levels)]
+    for edit in edits:
+        _apply_edit(lines, *edit)
+    body = "".join(line + "\n" for line in ["CPTABLE 3", "m=5 vmax=5", *lines])
+    path = write(tmp_path_factory.mktemp("cpt"), body)
+    expect = walk_rows(lines, 5, 5)
+    with mock.patch.object(cptable, "_LOAD_BATCH", batch):
+        if expect is None:
+            loaded = load_table(path)
+            assert list(itertools.chain(*loaded.levels)) == [
+                tuple(int(decimal.Decimal(tok)) for tok in line.split()) for line in lines
+            ]
+            return
+        with pytest.raises(TableFormatError) as err:
+            load_table(path)
+    assert str(err.value) == "line %d: %s" % expect
+
+
 def test_load_complete_requires_origin_row(tmp_path):
     # no CPTABLE 3 row or level holds the origin; it is implied, so a
     # loaded table always has it
@@ -385,6 +486,28 @@ def test_v2_file_rejected_with_rebuild_hint(tmp_path):
         assert err.value.line == 1
         assert "CPTABLE 2 files are no longer read" in str(err.value)
         assert "`cyclepoisson table build --m 12 --vmax 16`" in str(err.value)
+
+
+def test_rebuild_hint_reads_only_the_first_two_lines(tmp_path, monkeypatch):
+    # the hint needs the second line, not the rows after it, so a CPTABLE 2
+    # file of 8 MiB is rejected with about one read block held; a second
+    # line that goes on past a block is read to its end
+    head = b"CPTABLE 2\nm=12 vmax=16 base=unit-origin\n"
+    path = write_raw(tmp_path, head + b"1 1 0 6/1\n" * ((8 << 20) // 10))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TableFormatError) as err:
+            load_table(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "`cyclepoisson table build --m 12 --vmax 16`" in str(err.value)
+    assert peak < 2 * cptable._READ_BLOCK
+    monkeypatch.setattr(cptable, "_READ_BLOCK", 10)
+    with pytest.raises(TableFormatError) as err:
+        load_table(path)
+    assert err.value.line == 1
+    assert "`cyclepoisson table build --m 12 --vmax 16`" in str(err.value)
 
 
 def test_count_past_the_digit_limit_round_trips(tmp_path):
